@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -490,6 +490,8 @@ class PiecewiseLinear(MonotoneMap):
     breakpoints: tuple[Fraction, ...]
     slopes: tuple[Fraction, ...]
     anchor: Fraction = Fraction(0)
+    # values at the breakpoints, derived once from the fields above
+    _values: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         breaks = tuple(Fraction(b) for b in self.breakpoints)
@@ -505,22 +507,19 @@ class PiecewiseLinear(MonotoneMap):
             raise InvalidMap("need one more slope than breakpoints")
         if any(s <= 0 for s in slopes):
             raise InvalidMap("all slopes must be positive")
+        vals = [self.anchor]
+        for i in range(1, len(breaks)):
+            vals.append(vals[-1] + slopes[i] * (breaks[i] - breaks[i - 1]))
+        object.__setattr__(self, "_values", tuple(vals))
 
     @property
     def descriptor(self):
         return RATIONALS
 
-    def _values(self) -> list[Fraction]:
-        vals = [self.anchor]
-        for i in range(1, len(self.breakpoints)):
-            step = self.slopes[i] * (self.breakpoints[i] - self.breakpoints[i - 1])
-            vals.append(vals[-1] + step)
-        return vals
-
     def forward(self, g):
         x = g.value
         breaks = self.breakpoints
-        vals = self._values()
+        vals = self._values
         i = bisect.bisect_right(breaks, x) - 1
         if i < 0:
             y = vals[0] + self.slopes[0] * (x - breaks[0])
@@ -531,7 +530,7 @@ class PiecewiseLinear(MonotoneMap):
     def backward(self, g):
         y = g.value
         breaks = self.breakpoints
-        vals = self._values()
+        vals = self._values
         i = bisect.bisect_right(vals, y) - 1
         if i < 0:
             x = breaks[0] + (y - vals[0]) / self.slopes[0]
@@ -616,6 +615,10 @@ class TriangularMatrix(AdditiveAutomorphism):
 
     descriptor: GroupDescriptor
     entries: tuple[tuple[Fraction, ...], ...]
+    # rows of the inverse matrix, derived once from ``entries``
+    _inverse: tuple[tuple[Fraction, ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.descriptor.kind != "LexPower":
@@ -633,6 +636,7 @@ class TriangularMatrix(AdditiveAutomorphism):
                     raise InvalidMap(
                         "a generator image must not touch more dominant coordinates"
                     )
+        object.__setattr__(self, "_inverse", self._inverse_rows())
 
     def _mat_apply(self, rows, vec):
         return tuple(
@@ -659,7 +663,7 @@ class TriangularMatrix(AdditiveAutomorphism):
 
     def backward(self, g):
         return GroupElement(
-            self.descriptor, self._mat_apply(self._inverse_rows(), g.value)
+            self.descriptor, self._mat_apply(self._inverse, g.value)
         )
 
 
