@@ -41,8 +41,14 @@ from .errors import (
     SampleInsufficiency,
 )
 from .groups import GroupDescriptor, GroupElement
-from .sampling import CheckResult, SampleSpec, Sampler, canonical_series
-from .series import LeadingTerm, Series, _pmin
+from .sampling import (
+    CheckResult,
+    SampleSpec,
+    Sampler,
+    canonical_series,
+    first_counterexample,
+)
+from .series import Series, _pmin
 
 
 # -- coefficient-side factor data ------------------------------------------
@@ -69,7 +75,7 @@ class PartialCharacter:
             raise DomainError("lattice and value lists differ in length")
         if any(v <= 0 for v in values):
             raise DomainError("character values must be positive")
-        if lattice and not groups._independent(groups._coordinates(list(lattice))):
+        if lattice and not groups._solve_linear(groups._coordinates(list(lattice)))[0]:
             raise DomainError("character lattice must be Q-linearly independent")
 
     def __call__(self, g: GroupElement) -> Fraction:
@@ -79,7 +85,7 @@ class PartialCharacter:
         if not self.lattice:
             return Fraction(1)  # the trivial character is identically 1
         vectors = groups._coordinates(list(self.lattice) + [g])
-        coeffs = groups._solve_linear(vectors[:-1], vectors[-1])
+        _, (coeffs,) = groups._solve_linear(vectors[:-1], vectors[-1:])
         if coeffs is None or any(q.denominator != 1 for q in coeffs):
             raise DomainError(f"{g} is not in the integer span of the lattice")
         out = Fraction(1)
@@ -206,22 +212,36 @@ class Automorphism:
 
     @property
     def class_tag(self) -> str:
-        return "field-aut" if _is_field_node(self.node) else "group-aut"
+        return "field-aut" if _built_from(self.node, _FIELD_NODES) else "group-aut"
 
 
 _FIELD_NODES = (Identity, ExternalField, CharacterLift, ExpDerivation)
 
 
-def _is_field_node(node: Node) -> bool:
-    if isinstance(node, _FIELD_NODES):
-        return True
-    if isinstance(node, Theta):
-        return _is_field_node(node.sigma.node)
+def _expansion(node: Node) -> tuple[Node, ...] | None:
+    """The nodes a combinator is built from, or None for a primitive node.
+
+    ``Theta`` and ``TauBuild`` expand to the composition their direct
+    formulas compute, so a walk sees their character, exponent map and
+    scaling parts as well as their inner automorphism.
+    """
     if isinstance(node, Compose):
-        return all(_is_field_node(p) for p in node.parts)
+        return node.parts
     if isinstance(node, Inverse):
-        return _is_field_node(node.inner)
-    return False
+        return (node.inner,)
+    if isinstance(node, Theta):
+        return (node.sigma.node, CharacterLift(node.chi), ExternalField(node.tau))
+    if isinstance(node, TauBuild):
+        return (node.nu.node, ExternalGroup(node.zeta, node.scaling))
+    return None
+
+
+def _built_from(node: Node, kinds: tuple[type, ...]) -> bool:
+    """True when every primitive node under ``node`` is one of ``kinds``."""
+    parts = _expansion(node)
+    if parts is None:
+        return isinstance(node, kinds)
+    return all(_built_from(p, kinds) for p in parts)
 
 
 # -- constructors -----------------------------------------------------------
@@ -344,10 +364,8 @@ def _dispatch(node, s, inverted, precision, path):
         )
         return deriv_mod.exp_apply(d, s, node.target)
     if isinstance(node, Theta):
-        equivalent = Compose(
-            (node.sigma.node, CharacterLift(node.chi), ExternalField(node.tau))
-        )
         if inverted:
+            equivalent = Compose(_expansion(node))
             return _apply_node(equivalent, s, True, precision, path + ["theta"])
         staged = []
         for ex, c in s.terms:
@@ -357,10 +375,8 @@ def _dispatch(node, s, inverted, precision, path):
         inner = Series.make(group, staged, prec)
         return _apply_node(node.sigma.node, inner, False, precision, path + ["theta"])
     if isinstance(node, TauBuild):
-        equivalent = Compose(
-            (node.nu.node, ExternalGroup(node.zeta, node.scaling))
-        )
         if inverted:
+            equivalent = Compose(_expansion(node))
             return _apply_node(equivalent, s, True, precision, path + ["tau"])
         staged = [
             (node.zeta.apply(ex, "forward"), c * node.scaling(ex))
@@ -417,24 +433,22 @@ def apply_aut(a: Automorphism, s: Series, precision=None) -> Series:
 # -- the decomposition constructions ---------------------------------------
 
 
-def _structurally_one_aut(node: Node) -> bool:
-    if isinstance(node, (Identity, ExpDerivation)):
-        return True
-    if isinstance(node, (Compose,)):
-        return all(_structurally_one_aut(p) for p in node.parts)
-    if isinstance(node, Inverse):
-        return _structurally_one_aut(node.inner)
-    return False
+# Nodes that fix leading terms by construction; the internal ones also
+# include multiplication by a unit 1 + eps.
+_ONE_AUT_NODES = (Identity, ExpDerivation)
+_INTERNAL_NODES = (Identity, ExpDerivation, InternalMult)
 
 
-def _structurally_internal(node: Node) -> bool:
-    if isinstance(node, (Identity, ExpDerivation, InternalMult)):
-        return True
-    if isinstance(node, Compose):
-        return all(_structurally_internal(p) for p in node.parts)
-    if isinstance(node, Inverse):
-        return _structurally_internal(node.inner)
-    return False
+def _fixes_leading_term(a: Automorphism, precision):
+    """The law ``lt(a(s)) == lt(s)``, skipping the zero series."""
+
+    def law(s):
+        if not s.terms:
+            return None
+        image = apply_aut(a, s, precision)
+        return bool(image.terms) and image.leading_term() == s.leading_term()
+
+    return law
 
 
 def is_one_aut(
@@ -445,13 +459,9 @@ def is_one_aut(
     samples = canonical_series(a.group)
     while len(samples) < spec.count:
         samples.append(sampler.series(a.group))
-    for s in samples[: spec.count]:
-        if not s.terms:
-            continue
-        image = apply_aut(a, s, precision)
-        if not image.terms or image.leading_term() != s.leading_term():
-            return CheckResult("fail", (s,))
-    return CheckResult("pass")
+    return first_counterexample(
+        _fixes_leading_term(a, precision), ((s,) for s in samples[: spec.count])
+    )
 
 
 def construct_theta(
@@ -461,7 +471,7 @@ def construct_theta(
     spec: SampleSpec = SampleSpec(),
     precision=None,
 ) -> Automorphism:
-    if not _structurally_one_aut(sigma.node):
+    if not _built_from(sigma.node, _ONE_AUT_NODES):
         gate = is_one_aut(sigma, spec, precision)
         if not gate.ok:
             raise NotOneAut(
@@ -477,7 +487,7 @@ def construct_tau(
     spec: SampleSpec = SampleSpec(),
     precision=None,
 ) -> Automorphism:
-    if not _structurally_internal(nu.node):
+    if not _built_from(nu.node, _INTERNAL_NODES):
         gate = is_one_aut(nu, spec, precision)
         if not gate.ok:
             raise NotInternal(
@@ -546,67 +556,46 @@ def classify_aut(
         pairs.append((sampler.series(group), sampler.series(group)))
     pairs = pairs[: spec.count]
 
+    singles = [(x,) for x in samples]
+    zero = groups.zero(group)
+
     def image(s):
         return apply_aut(a, s, precision)
 
-    additive = CheckResult("pass")
-    for x, y in pairs:
-        if not image(x + y).agrees(image(x) + image(y)):
-            additive = CheckResult("fail", (x, y))
-            break
-
-    multiplicative = CheckResult("pass")
-    for x, y in pairs:
-        if not image(x * y).agrees(image(x) * image(y)):
-            multiplicative = CheckResult("fail", (x, y))
-            break
-
-    order_preserving = CheckResult("pass")
-    for x in samples:
-        if not x.terms:
-            continue
-        positive = x if x.terms[0][1] > 0 else -x
+    def order_law(positive):
         img = image(positive)
-        if not img.terms or img.terms[0][1] <= 0:
-            order_preserving = CheckResult("fail", (positive,))
-            break
+        return bool(img.terms) and img.terms[0][1] > 0
 
-    valuation_preserving = CheckResult("pass")
-    for x, y in pairs:
+    def valuation_law(x, y):
         if not x.terms or not y.terms:
-            continue
+            return None
         ix, iy = image(x), image(y)
         if not ix.terms or not iy.terms:
-            valuation_preserving = CheckResult("fail", (x, y))
-            break
-        if ix.v().compare(iy.v()) != x.v().compare(y.v()):
-            valuation_preserving = CheckResult("fail", (x, y))
-            break
+            return False
+        return ix.v().compare(iy.v()) == x.v().compare(y.v())
 
-    internal = CheckResult("pass")
-    zero = groups.zero(group)
-    for x in samples:
+    def internal_law(x):
         if not x.terms:
-            continue
+            return None
         img = image(x)
         if not img.terms or img.v() != x.v():
-            internal = CheckResult("fail", (x,))
-            break
-        if x.v() == zero and img.terms[0][1] != x.terms[0][1]:
-            internal = CheckResult("fail", (x,))
-            break
+            return False
+        return x.v() != zero or img.terms[0][1] == x.terms[0][1]
 
+    additive = first_counterexample(
+        lambda x, y: image(x + y).agrees(image(x) + image(y)), pairs
+    )
+    multiplicative = first_counterexample(
+        lambda x, y: image(x * y).agrees(image(x) * image(y)), pairs
+    )
+    positives = ((x if x.terms[0][1] > 0 else -x,) for x in samples if x.terms)
+    order_preserving = first_counterexample(order_law, positives)
+    valuation_preserving = first_counterexample(valuation_law, pairs)
+    internal = first_counterexample(internal_law, singles)
     if multiplicative.status == "fail":
         one_aut = CheckResult("n/a", note="not multiplicative")
     else:
-        one_aut = CheckResult("pass")
-        for x in samples:
-            if not x.terms:
-                continue
-            img = image(x)
-            if not img.terms or img.leading_term() != x.leading_term():
-                one_aut = CheckResult("fail", (x,))
-                break
+        one_aut = first_counterexample(_fixes_leading_term(a, precision), singles)
 
     return ClassifyReport(
         additive,
@@ -646,50 +635,34 @@ def factorize_aut(
     reconstruction = Automorphism(a.group, TableMonomial(entries))
     residual = compose_aut([a, invert_aut(reconstruction)])
 
-    certificates = []
+    rebuilt = compose_aut([residual, reconstruction])
+    table = {g: c for g, _, c in rows}
+    sampled = [Series.monomial(a.group, g) for g in table]
 
-    roundtrip = CheckResult("pass")
-    for g, _, _ in rows:
-        monomial = Series.monomial(a.group, g)
+    def roundtrip_law(monomial):
         direct = apply_aut(a, monomial, precision)
-        rebuilt = apply_aut(
-            compose_aut([residual, reconstruction]), monomial, precision
-        )
-        if not direct.agrees(rebuilt):
-            roundtrip = CheckResult("fail", (monomial,))
-            break
-    certificates.append(("roundtrip", roundtrip))
+        return direct.agrees(apply_aut(rebuilt, monomial, precision))
 
+    def coefficient_law(x, y):
+        g, h = x.v(), y.v()
+        if g + h not in table:
+            return None
+        return table[g + h] == table[g] * table[h]
+
+    roundtrip = first_counterexample(roundtrip_law, ((m,) for m in sampled))
+    # t^e has leading term LeadingTerm(e, 1), which the residual must fix.
+    residual_check = first_counterexample(
+        _fixes_leading_term(residual, precision),
+        ((Series.monomial(a.group, e),) for e in images),
+    )
     label = "residual_one_aut" if mode == "field" else "residual_internal"
-    residual_check = CheckResult("pass")
-    for _, e, _ in rows:
-        monomial = Series.monomial(a.group, e)
-        img = apply_aut(residual, monomial, precision)
-        if not img.terms or img.leading_term() != LeadingTerm(e, Fraction(1)):
-            residual_check = CheckResult("fail", (monomial,))
-            break
-    certificates.append((label, residual_check))
-
+    certificates = [("roundtrip", roundtrip), (label, residual_check)]
     if mode == "field":
-        table = {g: c for g, _, c in rows}
-        mult = CheckResult("pass")
-        keys = list(table)
-        found = False
-        for g in keys:
-            for h in keys:
-                total = g + h
-                if total in table:
-                    found = True
-                    if table[total] != table[g] * table[h]:
-                        mult = CheckResult(
-                            "fail",
-                            (Series.monomial(a.group, g), Series.monomial(a.group, h)),
-                        )
-                        break
-            if mult.status == "fail":
-                break
-        if not found:
-            mult = CheckResult("n/a", note="no sampled sums inside the table")
+        mult = first_counterexample(
+            coefficient_law,
+            ((x, y) for x in sampled for y in sampled),
+            note="no sampled sums inside the table",
+        )
         certificates.append(("coefficient_multiplicative", mult))
 
     return FactorizationResult(

@@ -55,6 +55,18 @@ def _print_witness(witness, config):
     print("witness: " + " , ".join(parts))
 
 
+def _report(items, config) -> int:
+    """Print ``name: verdict`` per certificate and the witness under each
+    failure; exit code 1 if any failed."""
+    failed = False
+    for name, result in items:
+        print(f"{name}: {result.describe()}")
+        if result.status == "fail":
+            failed = True
+            _print_witness(result.witness, config)
+    return 1 if failed else 0
+
+
 def _require_precision(config):
     if config.precision is None:
         raise UsageError("this command needs a finite --precision")
@@ -105,13 +117,7 @@ def _cmd_classify(args, config):
     spec = SampleSpec(config.seed, config.sample_count)
     report = automorphisms.classify_aut(aut, spec, config.precision)
     print(f"CLASS: {aut.class_tag}")
-    failed = False
-    for name, result in report.as_items():
-        print(f"{name}: {result.describe()}")
-        if result.status == "fail":
-            failed = True
-            _print_witness(result.witness, config)
-    return 1 if failed else 0
+    return _report(report.as_items(), config)
 
 
 def _cmd_factorize(args, config):
@@ -129,13 +135,7 @@ def _cmd_factorize(args, config):
             "coeff: "
             f"{parsing.format_group_element(g)} -> {parsing.format_rational(c)}"
         )
-    failed = False
-    for name, cert in result.certificates:
-        print(f"{name}: {cert.describe()}")
-        if cert.status == "fail":
-            failed = True
-            _print_witness(cert.witness, config)
-    return 1 if failed else 0
+    return _report(result.certificates, config)
 
 
 def _cmd_derive(args, config):
@@ -158,15 +158,7 @@ def _cmd_exp_deriv(args, config):
 def _cmd_check_deriv(args, config):
     d = parsing.parse_derivation(args.deriv, config)
     spec = SampleSpec(config.seed, config.sample_count)
-    report = derivations.check_derivation(d, spec)
-    failed = False
-    for name in ("leibniz", "contracting", "additive"):
-        result = getattr(report, name)
-        print(f"{name}: {result.describe()}")
-        if result.status == "fail":
-            failed = True
-            _print_witness(result.witness, config)
-    return 1 if failed else 0
+    return _report(derivations.check_derivation(d, spec).as_items(), config)
 
 
 def _cmd_selftest(args, config):

@@ -30,7 +30,7 @@ from .errors import (
 )
 from . import groups
 from .groups import GroupDescriptor, GroupElement, LinearFunctional
-from .sampling import CheckResult, SampleSpec, Sampler
+from .sampling import CheckResult, SampleSpec, Sampler, first_counterexample
 from .series import Series
 
 
@@ -147,23 +147,21 @@ def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
 def exp_derivation(
     d: MonomialDerivation,
     target_precision,
-    verify: SampleSpec | None = SampleSpec(),
+    verify: SampleSpec = SampleSpec(),
 ):
     """Exponential of a contracting derivation, as an automorphism node.
 
-    Table rules are gated through :func:`check_derivation` first (pass
-    ``verify=None`` to skip at your own risk); the inverse of the result
-    is the exponential of the negated derivation.
+    Table rules are gated through :func:`check_derivation` on the
+    ``verify`` sample first; the inverse of the result is the exponential
+    of the negated derivation.
     """
     from . import automorphisms
 
     target = groups.element(d.group, target_precision)
     if d.gain.compare(groups.zero(d.group)) <= 0:
         raise NonContracting("derivation gain must be strictly positive")
-    if isinstance(d.rule, TableRule) and verify is not None:
-        report = check_derivation(d, verify)
-        for name in ("leibniz", "contracting", "additive"):
-            result = getattr(report, name)
+    if isinstance(d.rule, TableRule):
+        for name, result in check_derivation(d, verify).as_items():
             if not result.ok:
                 raise DomainError(
                     f"table derivation fails the {name} check; "
@@ -184,14 +182,8 @@ class DerivationReport:
     def ok(self) -> bool:
         return self.leibniz.ok and self.contracting.ok and self.additive.ok
 
-    def as_lines(self) -> list[str]:
-        lines = []
-        for name in ("leibniz", "contracting", "additive"):
-            result = getattr(self, name)
-            lines.append(f"{name}: {result.describe()}")
-            if result.status == "fail":
-                lines.append(f"witness: {result.witness}")
-        return lines
+    def as_items(self):
+        return [(n, getattr(self, n)) for n in ("leibniz", "contracting", "additive")]
 
 
 def _candidate_exponents(d: MonomialDerivation) -> list[GroupElement]:
@@ -209,8 +201,10 @@ def _candidate_exponents(d: MonomialDerivation) -> list[GroupElement]:
 def check_derivation(d: MonomialDerivation, spec: SampleSpec = SampleSpec()) -> DerivationReport:
     """Evaluate the derivation laws on a seeded sample.
 
-    Returns the first counterexample per law as a witness; pairs whose
-    product leaves a partial table's domain are skipped.
+    Returns the first counterexample per law as a witness.  Samples a law
+    cannot fail on are skipped: pairs with a zero member, and samples
+    whose images leave a partial table's domain.  A law left without an
+    evaluated sample is ``n/a``.
     """
     sampler = Sampler(spec.seed)
     exps = _candidate_exponents(d)
@@ -233,38 +227,41 @@ def check_derivation(d: MonomialDerivation, spec: SampleSpec = SampleSpec()) -> 
     while len(singles) < spec.count:
         singles.append(random_combo())
 
-    leibniz = CheckResult("pass")
-    for a, b in pairs[: spec.count]:
-        try:
-            lhs = apply_derivation(d, a * b)
-            rhs = a * apply_derivation(d, b) + b * apply_derivation(d, a)
-        except UnmappedExponent:
-            continue
-        if not lhs.agrees(rhs):
-            leibniz = CheckResult("fail", (a, b))
-            break
+    def sampled(holds):
+        """``holds`` with the skips listed above; zero members make every
+        law here hold trivially."""
 
-    additive = CheckResult("pass")
-    for a, b in pairs[: spec.count]:
-        try:
-            lhs = apply_derivation(d, a + b)
-            rhs = apply_derivation(d, a) + apply_derivation(d, b)
-        except UnmappedExponent:
-            continue
-        if not lhs.agrees(rhs):
-            additive = CheckResult("fail", (a, b))
-            break
+        def law(*sample):
+            if not all(x.terms for x in sample):
+                return None
+            try:
+                return holds(*sample)
+            except UnmappedExponent:
+                return None
 
-    contracting = CheckResult("pass")
-    for a in singles[: spec.count]:
-        if not a.terms:
-            continue
-        try:
-            da = apply_derivation(d, a)
-        except UnmappedExponent:
-            continue
-        if da.terms and da.v().compare(a.v()) <= 0:
-            contracting = CheckResult("fail", (a,))
-            break
+        return law
 
-    return DerivationReport(leibniz, contracting, additive)
+    @sampled
+    def leibniz(a, b):
+        lhs = apply_derivation(d, a * b)
+        return lhs.agrees(a * apply_derivation(d, b) + b * apply_derivation(d, a))
+
+    @sampled
+    def additive(a, b):
+        return apply_derivation(d, a + b).agrees(
+            apply_derivation(d, a) + apply_derivation(d, b)
+        )
+
+    @sampled
+    def contracting(a):
+        da = apply_derivation(d, a)
+        return not da.terms or da.v().compare(a.v()) > 0
+
+    pairs = pairs[: spec.count]
+    return DerivationReport(
+        leibniz=first_counterexample(leibniz, pairs),
+        additive=first_counterexample(additive, pairs),
+        contracting=first_counterexample(
+            contracting, ((a,) for a in singles[: spec.count])
+        ),
+    )

@@ -236,16 +236,7 @@ def element(descriptor: GroupDescriptor, raw) -> GroupElement:
     return embed_rational(descriptor, raw)
 
 
-def group_add(a: GroupElement, b: GroupElement, negate: bool = False) -> GroupElement:
-    """a + b, or a - b when the negate flag is set."""
-    return a - b if negate else a + b
-
-
 _ORDER_SYMBOL = {-1: "<", 0: "=", 1: ">"}
-
-
-def group_compare(a: GroupElement, b: GroupElement) -> str:
-    return _ORDER_SYMBOL[a.compare(b)]
 
 
 def arch_compare(g: GroupElement, h: GroupElement) -> str:
@@ -295,62 +286,48 @@ def _coordinates(elements: Sequence[GroupElement]) -> list[list[Fraction]]:
 
 
 def _solve_linear(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Solve sum_i x_i * columns[i] = target over Q, or None if inconsistent.
+    columns: Sequence[Sequence[Fraction]],
+    targets: Sequence[Sequence[Fraction]] = (),
+) -> tuple[bool, list[list[Fraction] | None]]:
+    """Gauss-Jordan elimination over Q on nonempty, equal-length columns.
 
-    When the columns are dependent an arbitrary solution is returned; the
-    callers that need uniqueness check independence first.
+    Solves sum_i x_i * columns[i] = target for every target at once and
+    returns ``(independent, solutions)``: whether the columns are
+    Q-linearly independent, and one solution per target, ``None`` where
+    the target is outside their span.  When the columns are dependent an
+    arbitrary solution is returned; callers that need uniqueness check
+    ``independent``.
     """
     n = len(columns)
-    m = len(target)
-    rows = [[columns[j][i] for j in range(n)] + [target[i]] for i in range(m)]
+    rows = [list(row) for row in zip(*columns, *targets)]
+    m = len(rows)
     pivots = []
-    r = 0
     for c in range(n):
+        r = len(pivots)
         pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
         for i in range(m):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-        if r == m:
+        if len(pivots) == m:
             break
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
-    solution = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        solution[c] = rows[i][n]
-    return solution
-
-
-def _independent(columns: Sequence[Sequence[Fraction]]) -> bool:
-    if not columns:
-        return True
-    m = len(columns[0])
-    rows = [[col[i] for col in columns] for i in range(m)]
-    rank = 0
-    n = len(columns)
-    for c in range(n):
-        pivot = next((i for i in range(rank, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            return False
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(m):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank == n
+    rank = len(pivots)
+    solutions = []
+    for k in range(n, n + len(targets)):
+        if any(row[k] != 0 for row in rows[rank:]):
+            solutions.append(None)
+            continue
+        solution = [Fraction(0)] * n
+        for i, c in enumerate(pivots):
+            solution[c] = rows[i][k]
+        solutions.append(solution)
+    return rank == n, solutions
 
 
 # -- Q-linear functionals ---------------------------------------------------
@@ -375,7 +352,7 @@ class LinearFunctional:
         # For the self-similar kind independence is only decidable on the
         # finite exponent set actually touched; it is checked at evaluation.
         if self.descriptor.kind != "SurrealDepth" and gens:
-            if not _independent(_coordinates([g for g, _ in gens])):
+            if not _solve_linear(_coordinates([g for g, _ in gens]))[0]:
                 raise DomainError("functional generators are Q-linearly dependent")
 
     def __call__(self, g: GroupElement) -> Fraction:
@@ -385,12 +362,11 @@ class LinearFunctional:
         if not self.generators:
             raise OutsideSpan(f"{g} is outside the span of an empty generator list")
         vectors = _coordinates([gen for gen, _ in self.generators] + [g])
-        columns, target = vectors[:-1], vectors[-1]
-        if self.descriptor.kind == "SurrealDepth" and not _independent(columns):
+        independent, (coeffs,) = _solve_linear(vectors[:-1], vectors[-1:])
+        if self.descriptor.kind == "SurrealDepth" and not independent:
             raise DomainError(
                 "functional generators are dependent on the touched exponents"
             )
-        coeffs = _solve_linear(columns, target)
         if coeffs is None:
             raise OutsideSpan(f"{g} is not in the Q-span of the generators")
         return sum(
@@ -431,10 +407,6 @@ def standard_functional(
 def scaling_functional(descriptor: GroupDescriptor, q) -> LinearFunctional:
     """g |-> q*g on a rank-one group; q = 1 gives the identity functional."""
     return standard_functional(descriptor, [q])
-
-
-def eval_functional(phi: LinearFunctional, g: GroupElement) -> Fraction:
-    return phi(g)
 
 
 # -- strictly order-preserving bijections ----------------------------------
@@ -540,10 +512,10 @@ class PiecewiseLinear(MonotoneMap):
 
 
 @dataclass(frozen=True)
-class MonotoneComposite(MonotoneMap):
+class _Composite(_Bijection):
     """Function composition: the first listed map is applied last."""
 
-    parts: tuple[MonotoneMap, ...]
+    parts: tuple[_Bijection, ...]
 
     def __post_init__(self):
         if not self.parts:
@@ -567,14 +539,12 @@ class MonotoneComposite(MonotoneMap):
         return g
 
 
+class MonotoneComposite(_Composite, MonotoneMap):
+    pass
+
+
 def identity_map(descriptor: GroupDescriptor) -> MonotoneMap:
     return Translation(zero(descriptor))
-
-
-def apply_monotone_map(
-    zeta: MonotoneMap, g: GroupElement, direction: str = "forward"
-) -> GroupElement:
-    return zeta.apply(g, direction)
 
 
 # -- additive order-preserving automorphisms -------------------------------
@@ -636,27 +606,16 @@ class TriangularMatrix(AdditiveAutomorphism):
                     raise InvalidMap(
                         "a generator image must not touch more dominant coordinates"
                     )
-        object.__setattr__(self, "_inverse", self._inverse_rows())
+        # Solving with the rows as columns against the unit vectors gives
+        # the rows of the inverse: (A^T)^-1 e_k is row k of A^-1.
+        units = [[Fraction(1 if j == k else 0) for j in range(n)] for k in range(n)]
+        _, inverse = _solve_linear(rows, units)
+        object.__setattr__(self, "_inverse", tuple(map(tuple, inverse)))
 
     def _mat_apply(self, rows, vec):
         return tuple(
             sum((r * c for r, c in zip(row, vec)), Fraction(0)) for row in rows
         )
-
-    def _inverse_rows(self):
-        n = self.descriptor.param
-        aug = [
-            list(self.entries[i]) + [Fraction(1 if j == i else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        for c in range(n):
-            inv = 1 / aug[c][c]
-            aug[c] = [x * inv for x in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-        return tuple(tuple(row[n:]) for row in aug)
 
     def forward(self, g):
         return GroupElement(self.descriptor, self._mat_apply(self.entries, g.value))
@@ -667,37 +626,9 @@ class TriangularMatrix(AdditiveAutomorphism):
         )
 
 
-@dataclass(frozen=True)
-class AdditiveComposite(AdditiveAutomorphism):
-    parts: tuple[AdditiveAutomorphism, ...]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise InvalidMap("empty composite")
-        descs = {p.descriptor for p in self.parts}
-        if len(descs) != 1:
-            raise DescriptorMismatch("composite parts live on different groups")
-
-    @property
-    def descriptor(self):
-        return self.parts[0].descriptor
-
-    def forward(self, g):
-        for p in reversed(self.parts):
-            g = p.forward(g)
-        return g
-
-    def backward(self, g):
-        for p in self.parts:
-            g = p.backward(g)
-        return g
+class AdditiveComposite(_Composite, AdditiveAutomorphism):
+    pass
 
 
 def identity_automorphism(descriptor: GroupDescriptor) -> AdditiveAutomorphism:
     return PositiveScalar(descriptor, Fraction(1))
-
-
-def apply_additive_automorphism(
-    tau: AdditiveAutomorphism, g: GroupElement, direction: str = "forward"
-) -> GroupElement:
-    return tau.apply(g, direction)

@@ -58,9 +58,6 @@ class SessionConfig:
     def base(self) -> str:
         return self.notation
 
-    def with_group(self, group: GroupDescriptor) -> "SessionConfig":
-        return SessionConfig(group, None, "t", self.seed, self.sample_count)
-
 
 # -- tokenizer ---------------------------------------------------------------
 
@@ -147,6 +144,14 @@ class _Parser:
         if self.peek.kind != "end":
             self.error("unexpected trailing input")
 
+    def separated(self, item, sep: str = ",") -> list:
+        """``item (sep item)*``: the results of ``item()`` in order."""
+        out = [item()]
+        while self.peek.kind == sep:
+            self.advance()
+            out.append(item())
+        return out
+
     # -- scalars and group elements ----------------------------------------
 
     def rational(self) -> Fraction:
@@ -169,10 +174,7 @@ class _Parser:
         kind = group.kind
         if kind == "LexPower" and self.peek.kind == "(":
             self.advance()
-            coords = [self.rational()]
-            while self.peek.kind == ",":
-                self.advance()
-                coords.append(self.rational())
+            coords = self.separated(self.rational)
             self.expect(")")
             if len(coords) != group.param:
                 self.error(f"expected {group.param} coordinates")
@@ -186,12 +188,15 @@ class _Parser:
 
     def rational_list(self) -> list[Fraction]:
         self.expect("[")
-        values = [self.rational()]
-        while self.peek.kind == ",":
-            self.advance()
-            values.append(self.rational())
+        values = self.separated(self.rational)
         self.expect("]")
         return values
+
+    def pair(self, group: GroupDescriptor, value):
+        """``g: value``, with ``value`` parsed by the given method."""
+        g = self.group_element(group)
+        self.expect(":")
+        return g, value()
 
     # -- series ------------------------------------------------------------
 
@@ -321,21 +326,10 @@ class _Parser:
         self.keyword("linear")
         self.expect("(")
         if self._pairs_ahead():
-            gens = []
-            while True:
-                g = self.group_element(config.group)
-                self.expect(":")
-                gens.append((g, self.rational()))
-                if self.peek.kind == ",":
-                    self.advance()
-                    continue
-                break
+            gens = self.separated(lambda: self.pair(config.group, self.rational))
             phi = groups.LinearFunctional(config.group, tuple(gens))
         else:
-            values = [self.rational()]
-            while self.peek.kind == ",":
-                self.advance()
-                values.append(self.rational())
+            values = self.separated(self.rational)
             phi = groups.standard_functional(config.group, values)
         self.expect(")")
         return phi
@@ -378,10 +372,7 @@ class _Parser:
             return groups.PiecewiseLinear(tuple(breaks), tuple(slopes), anchor)
         if tok.text == "compose":
             self.expect("(")
-            parts = [self.monotone_map(config)]
-            while self.peek.kind == ",":
-                self.advance()
-                parts.append(self.monotone_map(config))
+            parts = self.separated(lambda: self.monotone_map(config))
             self.expect(")")
             return groups.MonotoneComposite(tuple(parts))
         raise ParseError(f"unknown monotone map {tok.text!r}", tok.pos)
@@ -399,19 +390,13 @@ class _Parser:
         if tok.text == "matrix":
             self.expect("(")
             self.expect("[")
-            rows = [tuple(self.rational_list())]
-            while self.peek.kind == ",":
-                self.advance()
-                rows.append(tuple(self.rational_list()))
+            rows = [tuple(row) for row in self.separated(self.rational_list)]
             self.expect("]")
             self.expect(")")
             return groups.TriangularMatrix(group, tuple(rows))
         if tok.text == "compose":
             self.expect("(")
-            parts = [self.additive_aut(config)]
-            while self.peek.kind == ",":
-                self.advance()
-                parts.append(self.additive_aut(config))
+            parts = self.separated(lambda: self.additive_aut(config))
             self.expect(")")
             return groups.AdditiveComposite(tuple(parts))
         raise ParseError(f"unknown additive automorphism {tok.text!r}", tok.pos)
@@ -437,15 +422,9 @@ class _Parser:
             self.keyword("map")
             self.expect(":")
             self.expect("{")
-            entries = []
-            while True:
-                g = self.group_element(group)
-                self.expect(":")
-                entries.append((g, self.series_sum(config)))
-                if self.peek.kind == ",":
-                    self.advance()
-                    continue
-                break
+            entries = self.separated(
+                lambda: self.pair(group, lambda: self.series_sum(config))
+            )
             self.expect("}")
             self.expect(",")
             self.keyword("gain")
@@ -468,24 +447,17 @@ class _Parser:
     # -- automorphism specs --------------------------------------------------
 
     def pairs(self, config: SessionConfig, stop_words=()):
-        out = []
-        while True:
+        """``g: q`` pairs up to a ``}`` or a stop word; the list may be
+        empty or end in a comma."""
+
+        def entry():
             if self.peek.kind == "}" or (
                 self.peek.kind == "ident" and self.peek.text in stop_words
             ):
-                break
-            g = self.group_element(config.group)
-            self.expect(":")
-            out.append((g, self.rational()))
-            if self.peek.kind == ",":
-                nxt = self.peek_at(1)
-                if nxt.kind == "ident" and nxt.text in stop_words:
-                    self.advance()
-                    break
-                self.advance()
-                continue
-            break
-        return out
+                return None
+            return self.pair(config.group, self.rational)
+
+        return [e for e in self.separated(entry) if e is not None]
 
     def automorphism(self, config: SessionConfig) -> automorphisms.Automorphism:
         tok = self.expect("ident", "an automorphism spec")
@@ -555,10 +527,7 @@ class _Parser:
             return derivations.exp_derivation(d, target)
         if name == "compose":
             self.expect("(")
-            parts = [self.automorphism(config)]
-            while self.peek.kind == ",":
-                self.advance()
-                parts.append(self.automorphism(config))
+            parts = self.separated(lambda: self.automorphism(config))
             self.expect(")")
             return automorphisms.compose_aut(parts)
         if name == "inverse":
@@ -590,10 +559,6 @@ def _run(text: str, action):
     return result
 
 
-def parse_rational(text: str) -> Fraction:
-    return _run(text, lambda p: p.rational())
-
-
 def parse_group_element(text: str, group: GroupDescriptor) -> GroupElement:
     return _run(text, lambda p: p.group_element(group))
 
@@ -604,10 +569,6 @@ def parse_series(text: str, config: SessionConfig) -> Series:
 
 def parse_expression(text: str, config: SessionConfig) -> Series:
     return _run(text, lambda p: p.expression(config))
-
-
-def parse_functional(text: str, config: SessionConfig) -> groups.LinearFunctional:
-    return _run(text, lambda p: p.functional(config))
 
 
 def parse_derivation(text: str, config: SessionConfig):
@@ -621,14 +582,7 @@ def load_aut_spec(text: str, config: SessionConfig) -> automorphisms.Automorphis
 def parse_sample_list(text: str, group: GroupDescriptor) -> list[GroupElement]:
     """Semicolon-separated group elements (commas belong to lex tuples)."""
 
-    def action(p: _Parser):
-        out = [p.group_element(group)]
-        while p.peek.kind == ";":
-            p.advance()
-            out.append(p.group_element(group))
-        return out
-
-    return _run(text, action)
+    return _run(text, lambda p: p.separated(lambda: p.group_element(group), ";"))
 
 
 # -- formatting --------------------------------------------------------------

@@ -45,6 +45,27 @@ class CheckResult:
         return self.status
 
 
+def first_counterexample(
+    law, samples, note: str = "no sample evaluated"
+) -> CheckResult:
+    """Evaluate ``law(*sample)`` on each sample tuple until one fails.
+
+    ``law`` returns True (holds), False (fails; the sample tuple is the
+    witness) or None (the sample does not exercise the law and is
+    skipped).  A law that no sample exercised is ``n/a`` with ``note``,
+    never a vacuous pass.
+    """
+    evaluated = False
+    for sample in samples:
+        verdict = law(*sample)
+        if verdict is None:
+            continue
+        if not verdict:
+            return CheckResult("fail", tuple(sample))
+        evaluated = True
+    return CheckResult("pass") if evaluated else CheckResult("n/a", note=note)
+
+
 class Sampler:
     """Deterministic random values driven by one ``random.Random`` stream."""
 

@@ -26,6 +26,7 @@ from hahnaut.errors import (
     DomainError,
     InsufficientPrecision,
     NotInfinitesimal,
+    NotInternal,
     NotOneAut,
 )
 from hahnaut.groups import (
@@ -279,6 +280,61 @@ class TestConstructions:
         for _ in range(40):
             s = sampler.series(Q)
             assert apply_aut(built, s).agrees(apply_aut(composed, s))
+
+
+class TestClassTagsAndGates:
+    def theta(self):
+        return construct_theta(exp_aut(), chi_two(), PositiveScalar(Q, 2))
+
+    def theta_over_internal(self):
+        # sigma mixes a one-automorphism with an internal multiplication
+        sigma = compose_aut([exp_aut(), make_internal_mult(T)])
+        return construct_theta(sigma, chi_two(), PositiveScalar(Q, 2), precision=6)
+
+    def tau(self):
+        return construct_tau(make_internal_mult(T), halving_zeta(), ScalingFamily(Q))
+
+    def test_field_automorphisms(self):
+        field = [
+            identity_aut(Q),
+            exp_aut(),
+            invert_aut(make_external_field(PositiveScalar(Q, 2))),
+            make_character_lift(chi_two()),
+            self.theta(),
+            invert_aut(self.theta()),
+            compose_aut([self.theta(), exp_aut()]),
+        ]
+        assert [a.class_tag for a in field] == ["field-aut"] * len(field)
+
+    def test_group_automorphisms(self):
+        residual = factorize_aut(
+            make_character_lift(chi_two()), "field", [embed_rational(Q, 1)]
+        ).residual
+        group = [
+            make_internal_mult(T),
+            make_external_group(halving_zeta(), ScalingFamily(Q)),
+            self.tau(),
+            residual,
+            self.theta_over_internal(),
+        ]
+        assert [a.class_tag for a in group] == ["group-aut"] * len(group)
+
+    def test_theta_gate_samples_a_theta_sigma(self):
+        with pytest.raises(NotOneAut):
+            construct_theta(
+                self.theta_over_internal(), chi_two(), PositiveScalar(Q, 2)
+            )
+
+    @pytest.mark.parametrize("nu", ["tau", "theta"])
+    def test_tau_gate_samples_a_built_nu(self, nu):
+        with pytest.raises(NotInternal):
+            construct_tau(getattr(self, nu)(), halving_zeta(), ScalingFamily(Q))
+
+    def test_theta_over_internal_mult_builds(self):
+        aut = construct_theta(
+            make_internal_mult(T), chi_two(), PositiveScalar(Q, 2), precision=6
+        )
+        assert aut.class_tag == "group-aut"
 
 
 class TestOneAut:

@@ -151,6 +151,22 @@ class TestDerivations:
         assert "leibniz: fail" in out
         assert "witness: t^(1) , t^(1)" in out
 
+    @pytest.mark.parametrize("count", [[], ["--sample-count=1"]])
+    def test_check_deriv_never_passes_vacuously(self, capsys, count):
+        # Every product of two nonzero samples leaves the table's domain
+        # {1}, and pairs with a zero member prove nothing: no pair tests
+        # the Leibniz rule.
+        code, out, err = run(
+            capsys, "check-deriv", *count, "table{map: {1: t^(2)}, gain: 1}"
+        )
+        assert code == 0
+        assert out == (
+            "leibniz: n/a (no sample evaluated)\n"
+            "contracting: pass\n"
+            "additive: pass\n"
+        )
+        assert err == ""
+
     def test_exp_deriv_refuses_broken_table(self, capsys):
         code, _, err = run(
             capsys,

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hahnaut import groups
 from hahnaut.errors import DomainError, InvalidMap, OutsideSpan, ZeroArgument
@@ -213,3 +215,79 @@ class TestAdditiveAutomorphisms:
             assert tau.backward(tau.forward(a)) == a
             if a.compare(b) < 0:
                 assert tau.forward(a).compare(tau.forward(b)) < 0
+
+
+_ENTRIES = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+)
+
+
+@st.composite
+def linear_systems(draw):
+    """Columns and a target of a rational system of at most 4x4, with zero
+    entries and targets inside the span common enough to reach dependent
+    and consistent cases."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    columns = [[draw(_ENTRIES) for _ in range(m)] for _ in range(n)]
+    if draw(st.booleans()):
+        weights = [draw(_ENTRIES) for _ in range(n)]
+        target = [sum(w * col[i] for w, col in zip(weights, columns)) for i in range(m)]
+    else:
+        target = [draw(_ENTRIES) for _ in range(m)]
+    return columns, target
+
+
+@st.composite
+def lower_triangular(draw, n):
+    diagonal = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3))
+    return tuple(
+        tuple(
+            draw(diagonal) if j == i else draw(_ENTRIES) if j < i else Fraction(0)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+class TestElimination:
+    @given(linear_systems())
+    def test_solver_agrees_with_sympy_rank(self, system):
+        sympy = pytest.importorskip("sympy")
+        columns, target = system
+
+        def matrix(rows):
+            return sympy.Matrix(
+                [[sympy.Rational(q.numerator, q.denominator) for q in r] for r in rows]
+            )
+
+        a = matrix(zip(*columns))
+        augmented = matrix(zip(*columns, target))
+        independent, (solution,) = groups._solve_linear(columns, [target])
+        assert independent == (a.rank() == len(columns))
+        assert (solution is not None) == (augmented.rank() == a.rank())
+        if solution is not None:
+            for i, t in enumerate(target):
+                assert sum(x * col[i] for x, col in zip(solution, columns)) == t
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @given(data=st.data())
+    def test_triangular_inverse_round_trip(self, n, data):
+        group = lex_power(n)
+        tau = TriangularMatrix(group, data.draw(lower_triangular(n)))
+        g = element(group, tuple(data.draw(_ENTRIES) for _ in range(n)))
+        assert tau.backward(tau.forward(g)) == g
+        assert tau.forward(tau.backward(g)) == g
+
+    @pytest.mark.parametrize("argument", [Fraction(1), Series.monomial(RATIONALS, 1)])
+    def test_surreal_dependence_is_reported_first(self, argument):
+        # linear([1]: 1, [2]: 3): the generators are dependent on every
+        # touched exponent set, whether or not the argument is in their span
+        phi = LinearFunctional(
+            SURREAL1,
+            (
+                (embed_rational(SURREAL1, 1), Fraction(1)),
+                (embed_rational(SURREAL1, 2), Fraction(3)),
+            ),
+        )
+        with pytest.raises(DomainError, match="dependent on the touched exponents"):
+            phi(element(SURREAL1, argument))
