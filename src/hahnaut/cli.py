@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import automorphisms, derivations, groups, parsing
 from .errors import HahnError, ParseError

@@ -101,7 +101,7 @@ def negate_derivation(d: MonomialDerivation) -> MonomialDerivation:
 
 
 def apply_derivation(d: MonomialDerivation, s: Series) -> Series:
-    if s.group != d.group:
+    if s.group is not d.group and s.group != d.group:
         raise DescriptorMismatch(
             f"derivation over {d.group} applied to series over {s.group}"
         )

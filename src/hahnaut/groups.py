@@ -14,6 +14,12 @@ group operations the module provides the natural (archimedean) valuation
 comparison, finitely generated Q-linear functionals into the rationals,
 strictly order-preserving bijections, and additive order-preserving
 automorphisms with exact rational inverses.
+
+Descriptors are interned: ``lex_power(n)``, ``surreal_depth(d)`` and
+``exponent_group`` return one shared instance per argument, so the
+descriptor checks on the hot paths test identity first.  Identity is only
+a shortcut: dataclass equality still decides, so elements over an equal
+descriptor built directly with ``GroupDescriptor(...)`` combine as before.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ class GroupDescriptor:
             raise DomainError(f"{self} has no exponent group")
         if self.param == 1:
             return RATIONALS
-        return GroupDescriptor("SurrealDepth", self.param - 1)
+        return surreal_depth(self.param - 1)
 
     def __str__(self):
         if self.kind == "Integers":
@@ -77,10 +83,12 @@ INTEGERS = GroupDescriptor("Integers")
 RATIONALS = GroupDescriptor("Rationals")
 
 
+@functools.cache
 def lex_power(n: int) -> GroupDescriptor:
     return GroupDescriptor("LexPower", n)
 
 
+@functools.cache
 def surreal_depth(d: int) -> GroupDescriptor:
     return GroupDescriptor("SurrealDepth", d)
 
@@ -99,10 +107,9 @@ class GroupElement:
     value: object
 
     def _check(self, other: "GroupElement"):
-        if self.descriptor != other.descriptor:
-            raise DescriptorMismatch(
-                f"cannot combine {self.descriptor} with {other.descriptor}"
-            )
+        mine, theirs = self.descriptor, other.descriptor
+        if mine is not theirs and mine != theirs:
+            raise DescriptorMismatch(f"cannot combine {mine} with {theirs}")
 
     def is_zero(self) -> bool:
         if self.descriptor.kind == "LexPower":
@@ -112,7 +119,8 @@ class GroupElement:
         return self.value == 0
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
+        if self.descriptor is not other.descriptor:
+            self._check(other)
         kind = self.descriptor.kind
         if kind == "LexPower":
             val = tuple(a + b for a, b in zip(self.value, other.value))
@@ -149,14 +157,23 @@ class GroupElement:
         return GroupElement(self.descriptor, self.value.scale(q))
 
     def compare(self, other: "GroupElement") -> int:
-        self._check(other)
-        kind = self.descriptor.kind
+        desc = self.descriptor
+        if desc is not other.descriptor:
+            self._check(other)
+        a, b = self.value, other.value
+        kind = desc.kind
+        # Signs of integer cross products: exact, and cheaper than rich
+        # comparisons of two Fractions.
         if kind == "LexPower":
-            a, b = self.value, other.value
-            return (a > b) - (a < b)
-        if kind == "SurrealDepth" and self.descriptor.param >= 1:
-            return self.value.compare(other.value)
-        return (self.value > other.value) - (self.value < other.value)
+            for x, y in zip(a, b):
+                d = x.numerator * y.denominator - y.numerator * x.denominator
+                if d:
+                    return 1 if d > 0 else -1
+            return 0
+        if kind == "SurrealDepth" and desc.param >= 1:
+            return a.compare(b)
+        d = a.numerator * b.denominator - b.numerator * a.denominator
+        return (d > 0) - (d < 0)
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -208,7 +225,7 @@ def embed_rational(descriptor: GroupDescriptor, q) -> GroupElement:
 def element(descriptor: GroupDescriptor, raw) -> GroupElement:
     """Coerce a raw value (int, Fraction, tuple, Series) into the group."""
     if isinstance(raw, GroupElement):
-        if raw.descriptor != descriptor:
+        if raw.descriptor is not descriptor and raw.descriptor != descriptor:
             raise DescriptorMismatch(f"expected {descriptor}, got {raw.descriptor}")
         return raw
     kind = descriptor.kind
@@ -225,7 +242,8 @@ def element(descriptor: GroupDescriptor, raw) -> GroupElement:
         from .series import Series
 
         if isinstance(raw, Series):
-            if raw.group != descriptor.exponent_group:
+            inner = descriptor.exponent_group
+            if raw.group is not inner and raw.group != inner:
                 raise DescriptorMismatch(
                     f"series over {raw.group} is not a {descriptor} element"
                 )
@@ -361,6 +379,10 @@ class LinearFunctional:
             return Fraction(0)
         if not self.generators:
             raise OutsideSpan(f"{g} is outside the span of an empty generator list")
+        if self.descriptor.kind in ("Integers", "Rationals"):
+            # __post_init__ leaves exactly one, nonzero, generator here
+            ((gen, v),) = self.generators
+            return Fraction(g.value) / gen.value * v
         vectors = _coordinates([gen for gen, _ in self.generators] + [g])
         independent, (coeffs,) = _solve_linear(vectors[:-1], vectors[-1:])
         if self.descriptor.kind == "SurrealDepth" and not independent:

@@ -38,7 +38,7 @@ from .errors import (
     NonTerminating,
     ZeroSeries,
 )
-from .groups import GroupDescriptor, GroupElement, element
+from .groups import _ORDER_SYMBOL, GroupDescriptor, GroupElement, arch_compare, element
 
 _exponent = itemgetter(0)
 
@@ -115,7 +115,9 @@ class Series:
             precision = element(group, precision)
         merged: dict[GroupElement, Fraction] = {}
         for ex, c in terms:
-            if type(ex) is not GroupElement or ex.descriptor != group:
+            if type(ex) is not GroupElement or (
+                ex.descriptor is not group and ex.descriptor != group
+            ):
                 ex = element(group, ex)
             if type(c) is not Fraction:
                 c = Fraction(c)
@@ -148,7 +150,7 @@ class Series:
     # -- structure ---------------------------------------------------------
 
     def _check(self, other: "Series"):
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise DescriptorMismatch(
                 f"series over {self.group} and {other.group} cannot be combined"
             )
@@ -287,14 +289,24 @@ class Series:
         total = Series.one(self.group)
         neg_eps = -eps
         power = neg_eps.truncate_to(target)
+        # The precision check above keeps every power certified to
+        # ``target``, and the leading exponent of eps^k is k * v(eps), so
+        # the loop ends iff some k * v(eps) >= target: exactly when v(eps)
+        # is not infinitesimal relative to the target.
+        v_eps = eps.terms[0][0]
+        if power.terms and arch_compare(target, v_eps) == "<":
+            raise NonTerminating(
+                "geometric expansion does not reach the target precision: the "
+                f"archimedean class of v(eps) = {v_eps} is infinitesimal relative "
+                f"to the class of the target {target}"
+            )
         rounds = 0
         while power.terms:
             total = total + power
             power = power._mul(neg_eps, target)
             rounds += 1
             if rounds > 10000:
-                # v(eps) is infinitesimal relative to the target class, so
-                # the inverse has infinite support below the target.
+                # finite, but more rounds than this expansion may spend
                 raise NonTerminating(
                     "geometric expansion does not reach the target precision"
                 )
@@ -378,8 +390,6 @@ class Series:
 
 
 # -- operation-style aliases ------------------------------------------------
-
-_ORDER_SYMBOL = {-1: "<", 0: "=", 1: ">"}
 
 
 def series_invert(s: Series, target_precision) -> Series:

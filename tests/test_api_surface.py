@@ -1,4 +1,5 @@
-"""Guard against dead API: every public name the package defines is used."""
+"""Guard against dead API: every public name the package defines is used,
+and every name a module imports is referenced there."""
 
 import ast
 import re
@@ -6,6 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hahnaut"
 
 
 def public_definitions(path: Path):
@@ -22,7 +24,7 @@ def public_definitions(path: Path):
 def test_every_public_name_is_referenced():
     definitions = Counter(
         name
-        for path in sorted((ROOT / "src" / "hahnaut").glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py"))
         for name in public_definitions(path)
         if not name.startswith("_")
     )
@@ -37,3 +39,26 @@ def test_every_public_name_is_referenced():
         name for name, count in definitions.items() if words[name] <= count
     )
     assert unreferenced == []
+
+
+def imported_names(tree):
+    """Names bound by the import statements of a module, except
+    ``from __future__`` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # its imports are the package API: __all__ lists them all
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}: {name}" for name in imported_names(tree) if name not in used
+        ]
+    assert unused == []

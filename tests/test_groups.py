@@ -5,12 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hahnaut import groups
-from hahnaut.errors import DomainError, InvalidMap, OutsideSpan, ZeroArgument
+from hahnaut.errors import (
+    DescriptorMismatch,
+    DomainError,
+    InvalidMap,
+    OutsideSpan,
+    ZeroArgument,
+)
 from hahnaut.groups import (
     INTEGERS,
     RATIONALS,
     AdditiveComposite,
-    GroupElement,
+    GroupDescriptor,
     LinearFunctional,
     MonotoneComposite,
     PiecewiseLinear,
@@ -291,3 +297,144 @@ class TestElimination:
         )
         with pytest.raises(DomainError, match="dependent on the touched exponents"):
             phi(element(SURREAL1, argument))
+
+
+# -- descriptor identity, integer compare and the rank-one functional ----------
+
+_RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _series_over(inner, exponents):
+    """Exact series over ``inner`` with at most three terms."""
+    return st.lists(st.tuples(exponents, _RATIONAL), max_size=3).map(
+        lambda terms: Series.make(inner, terms)
+    )
+
+
+_SURREAL1_ELEMENTS = _series_over(RATIONALS, _RATIONAL).map(
+    lambda s: element(SURREAL1, s)
+)
+
+# Elements of every kind, zeros and negatives included.
+ELEMENTS = {
+    "Z": st.integers(-5, 5).map(lambda n: element(INTEGERS, n)),
+    "Q": _RATIONAL.map(lambda q: element(RATIONALS, q)),
+    "lex2": st.tuples(_RATIONAL, _RATIONAL).map(lambda v: element(LEX2, v)),
+    "lex3": st.tuples(_RATIONAL, _RATIONAL, _RATIONAL).map(
+        lambda v: element(lex_power(3), v)
+    ),
+    "surreal0": st.just(zero(surreal_depth(0))),
+    "surreal1": _SURREAL1_ELEMENTS,
+    "surreal2": _series_over(SURREAL1, _SURREAL1_ELEMENTS).map(
+        lambda s: element(surreal_depth(2), s)
+    ),
+}
+
+
+def reference_order(a, b) -> int:
+    """The order by definition: Fraction or tuple comparison of the values,
+    and for surreal elements the sign of the ``make``-built difference."""
+    kind = a.descriptor.kind
+    if kind == "SurrealDepth" and a.descriptor.param >= 1:
+        inner = a.descriptor.exponent_group
+        negated = [(ex, -c) for ex, c in b.value.terms]
+        difference = Series.make(inner, list(a.value.terms) + negated)
+        if not difference.terms:
+            return 0
+        return 1 if difference.terms[0][1] > 0 else -1
+    if kind == "LexPower":
+        x, y = a.value, b.value
+    else:
+        x, y = Fraction(a.value), Fraction(b.value)
+    return (x > y) - (x < y)
+
+
+class TestGroupFastPaths:
+    @pytest.mark.parametrize("name", sorted(ELEMENTS))
+    @given(data=st.data())
+    def test_compare_matches_the_reference_order(self, name, data):
+        a = data.draw(ELEMENTS[name])
+        # equal values, as the same object and as a fresh one, are common
+        b = data.draw(
+            st.one_of(
+                st.just(a), st.just(element(a.descriptor, a.value)), ELEMENTS[name]
+            )
+        )
+        expected = reference_order(a, b)
+        assert a.compare(b) == expected
+        assert b.compare(a) == -expected
+        assert (a == b) == (expected == 0)
+
+    def test_descriptors_are_interned(self):
+        assert lex_power(2) is lex_power(2)
+        assert surreal_depth(2) is surreal_depth(2)
+        assert surreal_depth(2).exponent_group is surreal_depth(1)
+        assert surreal_depth(1).exponent_group is RATIONALS
+
+    @pytest.mark.parametrize(
+        "direct, interned, low, high",
+        [
+            (GroupDescriptor("LexPower", 2), LEX2, (1, 2), (1, 3)),
+            (GroupDescriptor("Rationals"), RATIONALS, Fraction(-1, 2), Fraction(1, 3)),
+            (
+                GroupDescriptor("SurrealDepth", 2),
+                surreal_depth(2),
+                Series.monomial(SURREAL1, 1),
+                Series.one(SURREAL1),
+            ),
+        ],
+    )
+    def test_equal_descriptors_built_directly_still_combine(
+        self, direct, interned, low, high
+    ):
+        assert direct == interned and direct is not interned
+        a, b = element(direct, low), element(interned, high)
+        assert a.compare(b) == -1 and b.compare(a) == 1
+        assert a + b == element(interned, low) + b
+        assert element(interned, a) is a
+        assert (Series.monomial(direct, a) + Series.monomial(interned, b)).terms == (
+            (a, 1),
+            (b, 1),
+        )
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (
+                element(LEX2, (1, 0)),
+                element(lex_power(3), (1, 0, 0)),
+                "cannot combine lex2 with lex3",
+            ),
+            (
+                embed_rational(RATIONALS, 1),
+                embed_rational(INTEGERS, 1),
+                "cannot combine Q with Z",
+            ),
+        ],
+    )
+    def test_mismatched_descriptors_are_refused(self, a, b, message):
+        for operation in (a.compare, a.__add__, a.__sub__, a.__lt__):
+            with pytest.raises(DescriptorMismatch) as raised:
+                operation(b)
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("group", [INTEGERS, RATIONALS])
+    @given(data=st.data())
+    def test_rank_one_functional_matches_elimination(self, group, data):
+        values = ELEMENTS[str(group)]
+        gen = data.draw(values.filter(lambda g: not g.is_zero()))
+        g = data.draw(values)
+        v = data.draw(_RATIONAL)
+        result = LinearFunctional(group, ((gen, v),))(g)
+        _, (coeffs,) = groups._solve_linear(
+            [[Fraction(gen.value)]], [[Fraction(g.value)]]
+        )
+        assert result == coeffs[0] * v
+        assert type(result) is Fraction
+
+    @pytest.mark.parametrize("group", [INTEGERS, RATIONALS])
+    def test_rank_one_functional_without_generators_is_refused(self, group):
+        phi = LinearFunctional(group, ())
+        assert phi(zero(group)) == 0
+        with pytest.raises(OutsideSpan, match="empty generator list"):
+            phi(embed_rational(group, 1))

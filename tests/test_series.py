@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,10 @@ from hahnaut.errors import (
     DescriptorMismatch,
     DivisionByZero,
     InsufficientPrecision,
+    NonTerminating,
     ZeroSeries,
 )
-from hahnaut.groups import RATIONALS, embed_rational, lex_power, surreal_depth
+from hahnaut.groups import RATIONALS, element, embed_rational, lex_power, surreal_depth
 from hahnaut.sampling import Sampler
 from hahnaut.series import (
     Series,
@@ -106,6 +108,60 @@ class TestInversion:
         s = S((0, 1), (1, 1), precision=3)
         with pytest.raises(InsufficientPrecision):
             s.invert(embed_rational(Q, 5))
+
+
+LEX2 = lex_power(2)
+SURREAL1 = surreal_depth(1)
+SURREAL2 = surreal_depth(2)
+# [t^([1])]: a positive surreal2 element below every positive rational
+SURREAL2_SMALL = element(SURREAL2, Series.monomial(SURREAL1, 1))
+
+
+def one_plus(group, exponent):
+    return Series.one(group) + Series.monomial(group, exponent)
+
+
+class TestInversionTermination:
+    """The geometric expansion of 1/(1 + eps) to a target ends iff some
+    k * v(eps) reaches the target; otherwise it is refused at once."""
+
+    @pytest.mark.parametrize(
+        "group, exponent, target, v_eps, target_text",
+        [
+            (LEX2, (0, 1), (1, 0), "(0,1)", "(1,0)"),
+            (SURREAL2, SURREAL2_SMALL, 1, "[t^([1])]", "[1]"),
+        ],
+    )
+    def test_infinitesimal_eps_is_refused_promptly(
+        self, group, exponent, target, v_eps, target_text
+    ):
+        s = one_plus(group, exponent)
+        start = time.perf_counter()
+        with pytest.raises(NonTerminating) as raised:
+            s.invert(element(group, target))
+        assert time.perf_counter() - start < 1.0
+        assert str(raised.value) == (
+            "geometric expansion does not reach the target precision: the "
+            f"archimedean class of v(eps) = {v_eps} is infinitesimal relative "
+            f"to the class of the target {target_text}"
+        )
+
+    @pytest.mark.parametrize(
+        "group, exponent, target",
+        [
+            (Q, Fraction(1, 50), 2),
+            (Q, Fraction(3), Fraction(1, 2)),
+            (LEX2, (0, 1), (0, 7)),
+            (LEX2, (1, -5), (3, 0)),
+            (SURREAL2, SURREAL2_SMALL, SURREAL2_SMALL.scale(4)),
+        ],
+    )
+    def test_expansions_that_reach_the_target_terminate(self, group, exponent, target):
+        s = one_plus(group, exponent)
+        target = element(group, target)
+        inverse = s.invert(target)
+        assert inverse.precision == target
+        assert (s * inverse).agrees(Series.one(group))
 
 
 class TestLeadingTermAndOrder:
