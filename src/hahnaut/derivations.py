@@ -31,7 +31,7 @@ from .errors import (
 from . import groups
 from .groups import GroupDescriptor, GroupElement, LinearFunctional
 from .sampling import CheckResult, SampleSpec, Sampler, first_counterexample
-from .series import Series
+from .series import Series, _cut, _trusted
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,15 @@ def apply_derivation(d: MonomialDerivation, s: Series) -> Series:
     precision = None if s.precision is None else s.precision + d.gain
     if isinstance(d.rule, PhiShift):
         phi, shift = d.rule.phi, d.rule.shift
-        terms = [(ex + shift, c * phi(ex)) for ex, c in s.terms]
-        return Series.make(d.group, terms, precision)
+        # Translation by ``shift`` keeps the exponents strictly ascending,
+        # so only the terms phi kills are dropped, and the cut stays for a
+        # hand-built gain below the shift.
+        terms = []
+        for ex, c in s.terms:
+            k = phi(ex)
+            if k:
+                terms.append((ex + shift, c * k))
+        return _trusted(d.group, _cut(tuple(terms), precision), precision)
     table = dict(d.rule.entries)
     total = Series.zero(d.group)
     for ex, c in s.terms:
@@ -152,7 +159,8 @@ def exp_derivation(
     """Exponential of a contracting derivation, as an automorphism node.
 
     Table rules are gated through :func:`check_derivation` on the
-    ``verify`` sample first; the inverse of the result is the exponential
+    ``verify`` sample first: a law that fails, or that no sample
+    evaluated, is refused.  The inverse of the result is the exponential
     of the negated derivation.
     """
     from . import automorphisms
@@ -166,6 +174,11 @@ def exp_derivation(
                 raise DomainError(
                     f"table derivation fails the {name} check; "
                     "refusing to exponentiate"
+                )
+            if result.status == "n/a":
+                raise DomainError(
+                    "table derivation is uncertified: no sample evaluated the "
+                    f"{name} check; refusing to exponentiate"
                 )
     return automorphisms.Automorphism(
         d.group, automorphisms.ExpDerivation(d, target)

@@ -22,6 +22,11 @@ under unknown tails at or above the bound:
 * multiplication takes ``min(P_a + v(b), P_b + v(a))``,
 * inversion of ``s`` at target ``p`` yields a result certified so that
   ``s * result`` is 1 below ``p``.
+
+Inversion solves the coefficient recurrence of ``1/(1 + eps)`` in one
+ascending pass over the exponents below the target (``Series.invert``).
+The pass terminates exactly when ``v(eps)`` is not infinitesimal relative
+to the target; that is decided before it starts, and refused otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from operator import itemgetter
 
 from .errors import (
@@ -81,6 +87,24 @@ def _merge(a: tuple, b: tuple) -> list:
     out.extend(a[i:])
     out.extend(b[j:])
     return out
+
+
+class _Pending:
+    """A contribution ``value`` to the inverse's coefficient at ``exponent``.
+
+    Heap entries order by ``GroupElement.compare`` alone: a tuple would
+    fall back to the dataclass ``__eq__`` on its first field, and nothing
+    here hashes an exponent (a surreal exponent hashes a whole series).
+    """
+
+    __slots__ = ("exponent", "value")
+
+    def __init__(self, exponent: GroupElement, value: Fraction):
+        self.exponent = exponent
+        self.value = value
+
+    def __lt__(self, other: "_Pending") -> bool:
+        return self.exponent.compare(other.exponent) < 0
 
 
 def _trusted(group: GroupDescriptor, terms: tuple, precision) -> "Series":
@@ -266,7 +290,24 @@ class Series:
         return _trusted(self.group, _cut(self.terms, precision), precision)
 
     def invert(self, target) -> "Series":
-        """Inverse certified so that self * result is 1 below ``target``."""
+        """Inverse certified so that self * result is 1 below ``target``.
+
+        Write ``self = r * t^g * (1 + eps)`` with every exponent of ``eps``
+        positive.  ``b = 1/(1 + eps)`` solves ``b = 1 - eps * b``, so
+        ``b_0 = 1`` and ``b_e = -sum(eps_x * b_(e-x) for x in supp eps)``,
+        and by Neumann's lemma the support of ``b`` lies in the monoid
+        generated by ``supp eps``.  One ascending pass computes it: once
+        ``b_f`` is final and nonzero, each ``f + x`` below the target
+        receives ``-eps_x * b_f`` through a min-heap, and the smallest
+        pending exponent is final because every contribution to it comes
+        from a smaller one.  Each product is formed once.
+
+        The pass ends exactly when ``v(eps)`` is not infinitesimal relative
+        to the target: then some ``n * v(eps)`` reaches the target, so only
+        sums of fewer than ``n`` exponents of ``eps`` lie below it, and
+        there are finitely many.  Otherwise ``NonTerminating`` is raised
+        before any coefficient is computed.
+        """
         target = element(self.group, target)
         if not self.terms:
             if self.precision is None:
@@ -280,36 +321,40 @@ class Series:
                 f"precision {self.precision} cannot certify an inverse to {target}"
             )
         unit = self.shift(-g).scale(1 / r)
-        eps = unit - Series.one(self.group)
+        one = Series.one(self.group)
+        eps = unit - one
         if not eps.terms:
             inverse = Series.monomial(self.group, -g, 1 / r)
             if self.precision is None:
                 return inverse
             return inverse.truncate_to(target - g)
-        total = Series.one(self.group)
-        neg_eps = -eps
-        power = neg_eps.truncate_to(target)
-        # The precision check above keeps every power certified to
-        # ``target``, and the leading exponent of eps^k is k * v(eps), so
-        # the loop ends iff some k * v(eps) >= target: exactly when v(eps)
-        # is not infinitesimal relative to the target.
+        # Only the terms of eps below the target reach the inverse below it.
+        steps = tuple((x, -c) for x, c in _cut(eps.terms, target))
         v_eps = eps.terms[0][0]
-        if power.terms and arch_compare(target, v_eps) == "<":
+        if steps and arch_compare(target, v_eps) == "<":
             raise NonTerminating(
                 "geometric expansion does not reach the target precision: the "
                 f"archimedean class of v(eps) = {v_eps} is infinitesimal relative "
                 f"to the class of the target {target}"
             )
-        rounds = 0
-        while power.terms:
-            total = total + power
-            power = power._mul(neg_eps, target)
-            rounds += 1
-            if rounds > 10000:
-                # finite, but more rounds than this expansion may spend
-                raise NonTerminating(
-                    "geometric expansion does not reach the target precision"
-                )
+        terms = []
+        pending = [_Pending(one.terms[0][0], Fraction(1))]
+        while pending:
+            first = heappop(pending)
+            f, b = first.exponent, first.value
+            # Contributions come from strictly smaller exponents, all of
+            # them popped already, so the run at f sums to the final b_f.
+            while pending and pending[0].exponent.compare(f) == 0:
+                b += heappop(pending).value
+            if not b:
+                continue
+            terms.append((f, b))
+            for x, c in steps:
+                e = f + x
+                if e.compare(target) >= 0:
+                    break
+                heappush(pending, _Pending(e, c * b))
+        total = _trusted(self.group, tuple(terms), None)
         result = total.scale(1 / r).shift(-g)
         precision = target - g
         return _trusted(self.group, _cut(result.terms, precision), precision)

@@ -178,6 +178,23 @@ class TestDerivations:
         assert code == 1
         assert "leibniz" in err
 
+    def test_exp_deriv_refuses_uncertified_table(self, capsys):
+        # check-deriv reports leibniz n/a for this table (above): the gate
+        # refuses it, instead of an unmapped exponent stopping it later.
+        code, out, err = run(
+            capsys,
+            "exp-deriv",
+            "--precision=5",
+            "table{map: {1: t^(2)}, gain: 1}",
+            "t^(1)",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "ERROR: DomainError: table derivation is uncertified: no sample "
+            "evaluated the leibniz check; refusing to exponentiate\n"
+        )
+
 
 class TestSelftest:
     @pytest.mark.parametrize("group", ["Q", "lex2", "surreal1"])

@@ -9,7 +9,10 @@ constructor that coerces and normalizes:
 * ``a * b`` is ``make`` on every pairwise product at the product precision,
 * ``compare`` and ``agrees`` read the ``make``-built difference series,
 * ``truncate_to`` is ``make`` on the terms at the lesser precision,
-* ``invert`` is the geometric expansion built from those definitions.
+* ``invert`` is the geometric expansion ``sum (-eps)^k`` built from those
+  definitions,
+* ``apply_derivation`` of a ``PhiShift`` is ``make`` on the translated and
+  scaled terms at the input precision plus the gain.
 
 "The same" means equal terms tuples and equal precision or, when the
 definition refuses, the same error type with the same message.  Every
@@ -19,17 +22,31 @@ result must also hold the normalized invariant.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from hahnaut.errors import DescriptorMismatch, HahnError, InsufficientPrecision
+from hahnaut.derivations import (
+    MonomialDerivation,
+    PhiShift,
+    apply_derivation,
+    make_phi_derivation,
+)
+from hahnaut.errors import (
+    DescriptorMismatch,
+    HahnError,
+    InsufficientPrecision,
+    NonTerminating,
+)
 from hahnaut.groups import (
     INTEGERS,
     RATIONALS,
     GroupElement,
+    arch_compare,
     element,
     embed_rational,
     lex_power,
+    scaling_functional,
+    standard_functional,
     surreal_depth,
 )
 from hahnaut.sampling import Sampler
@@ -110,16 +127,25 @@ def ref_truncate(s, p):
 
 
 def ref_invert(s, target):
-    """The geometric expansion, for an exact series with a leading term."""
+    """The geometric expansion, for a series with a leading term whose
+    precision (if finite) is at least ``target + v(s)``."""
     target = element(s.group, target)
     g, r = s.terms[0]
     unit = s.shift(-g).scale(1 / r)
     eps = ref_difference(unit, Series.one(s.group))
     if not eps.terms:
-        return Series.monomial(s.group, -g, 1 / r)
+        inverse = Series.monomial(s.group, -g, 1 / r)
+        return inverse if s.precision is None else ref_truncate(inverse, target - g)
     neg_eps = eps.scale(-1)
     total = Series.one(s.group)
     power = ref_truncate(neg_eps, target)
+    v_eps = eps.terms[0][0]
+    if power.terms and arch_compare(target, v_eps) == "<":
+        raise NonTerminating(
+            "geometric expansion does not reach the target precision: the "
+            f"archimedean class of v(eps) = {v_eps} is infinitesimal relative "
+            f"to the class of the target {target}"
+        )
     while power.terms:
         total = ref_add(total, power)
         power = ref_truncate(ref_mul(power, neg_eps), target)
@@ -214,6 +240,30 @@ def test_seeded_inverse_matches_definition(name):
         assert_same(Series.invert, ref_invert, s, target)
 
 
+@pytest.mark.parametrize("name", GROUPS)
+def test_seeded_inverse_of_truncated_input_matches_definition(name):
+    group = GROUPS[name]
+    smp = Sampler(303)
+    for _ in range(25):
+        s = smp.invertible_series(group, max_terms=5)
+        target = embed_rational(group, smp.rng.randint(1, 6))
+        # the least precision that certifies the target, or a little more
+        extra = embed_rational(group, smp.rng.choice([0, 0, 1, 2]))
+        truncated = s.truncate_to(target + s.terms[0][0] + extra)
+        assert_same(Series.invert, ref_invert, truncated, target)
+
+
+def test_inverse_with_a_zero_coefficient_matches_definition():
+    # 1/(1 + t + t^2) = (1 - t)/(1 - t^3): the coefficients run 1, -1, 0
+    # with period 3, so a term is left out at every t^(3k+2).
+    s = Series.make(RATIONALS, [(0, 1), (1, 1), (2, 1)])
+    target = embed_rational(RATIONALS, 12)
+    assert_same(Series.invert, ref_invert, s, target)
+    assert [(ex.value, c) for ex, c in s.invert(target).terms] == [
+        (k, (1, -1)[k % 3]) for k in range(12) if k % 3 != 2
+    ]
+
+
 def test_mismatched_groups_refused_alike():
     a = Series.monomial(RATIONALS, 1)
     b = Series.monomial(lex_power(2), 1)
@@ -272,3 +322,103 @@ def test_drawn_pairs_match_definitions(case):
     assert_pair(a, a + b)
     assert_pair(a.truncate_to(p), a)
     assert_same(Series.truncate_to, ref_truncate, a, p)
+
+
+def units(group):
+    """Series of up to 8 terms, exact or cut at the least precision that
+    certifies the target, with a target: drawn, or ``j`` steps of v(eps)
+    past the last exponent of eps, so that every term takes part."""
+    return st.tuples(
+        st.lists(st.tuples(exponents(group), coefficients), min_size=1, max_size=8),
+        exponents(group) | st.integers(0, 2),
+        st.booleans(),
+    ).map(lambda case: unit_case(group, *case))
+
+
+def unit_case(group, terms, target, truncated):
+    s = Series.make(group, terms)
+    if not s.terms:
+        return s, element(group, 0)
+    g = s.terms[0][0]
+    if isinstance(target, int):
+        steps, target = target, s.terms[-1][0] - g
+        for _ in range(steps if len(s.terms) > 1 else 0):
+            target = target + (s.terms[1][0] - g)
+    if truncated:
+        s = s.truncate_to(target + g)
+    return s, target
+
+
+def few_summands(s, target, most=6):
+    """The expansion is refused, or sums of at most ``most`` exponents of
+    eps reach the target (which keeps the geometric reference small)."""
+    if len(s.terms) < 2:
+        return True
+    v_eps = s.terms[1][0] - s.terms[0][0]
+    if v_eps.compare(target) < 0 and arch_compare(target, v_eps) == "<":
+        return True
+    reach = v_eps
+    for _ in range(most - 1):
+        if reach.compare(target) >= 0:
+            return True
+        reach = reach + v_eps
+    return reach.compare(target) >= 0
+
+
+@given(st.sampled_from(list(GROUPS.values())).flatmap(units))
+def test_drawn_inverses_match_definition(case):
+    s, target = case
+    assume(s.terms and few_summands(s, target))
+    assert_same(Series.invert, ref_invert, s, target)
+
+
+# -- derivation images ---------------------------------------------------------------
+
+
+def ref_apply_phi(d, s):
+    precision = None if s.precision is None else s.precision + d.gain
+    phi, shift = d.rule.phi, d.rule.shift
+    terms = [(ex + shift, c * phi(ex)) for ex, c in s.terms]
+    return Series.make(d.group, terms, precision)
+
+
+LEX2 = lex_power(2)
+PHI_DERIVATIONS = [
+    make_phi_derivation(scaling_functional(INTEGERS, 2), 1),
+    make_phi_derivation(scaling_functional(RATIONALS, Fraction(-1, 2)), Fraction(1, 2)),
+    # hand-built gains below and above the shift: the image is cut at the
+    # input precision plus the gain, not plus the shift
+    MonomialDerivation(
+        RATIONALS,
+        PhiShift(scaling_functional(RATIONALS, 1), element(RATIONALS, 2)),
+        element(RATIONALS, Fraction(1, 2)),
+    ),
+    MonomialDerivation(
+        RATIONALS,
+        PhiShift(scaling_functional(RATIONALS, 3), element(RATIONALS, 1)),
+        element(RATIONALS, 2),
+    ),
+    # phi vanishes on the generator (1,0): those terms leave the image
+    make_phi_derivation(standard_functional(LEX2, [0, 3]), (0, 1)),
+    make_phi_derivation(standard_functional(LEX2, [2, -1]), (1, -2)),
+]
+
+
+@pytest.mark.parametrize("index", range(len(PHI_DERIVATIONS)))
+def test_seeded_phi_images_match_definition(index):
+    d = PHI_DERIVATIONS[index]
+    smp = Sampler(404)
+    for _ in range(40):
+        precision = None if smp.rng.random() < 0.4 else smp.exponent(d.group)
+        s = smp.series(d.group, max_terms=6, precision=precision)
+        assert_same(apply_derivation, ref_apply_phi, d, s)
+
+
+@given(
+    st.sampled_from(PHI_DERIVATIONS).flatmap(
+        lambda d: st.tuples(st.just(d), series(d.group))
+    )
+)
+def test_drawn_phi_images_match_definition(case):
+    d, s = case
+    assert_same(apply_derivation, ref_apply_phi, d, s)

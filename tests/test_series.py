@@ -122,8 +122,8 @@ def one_plus(group, exponent):
 
 
 class TestInversionTermination:
-    """The geometric expansion of 1/(1 + eps) to a target ends iff some
-    k * v(eps) reaches the target; otherwise it is refused at once."""
+    """The expansion of 1/(1 + eps) to a target ends iff some k * v(eps)
+    reaches the target; otherwise it is refused at once."""
 
     @pytest.mark.parametrize(
         "group, exponent, target, v_eps, target_text",
@@ -162,6 +162,18 @@ class TestInversionTermination:
         inverse = s.invert(target)
         assert inverse.precision == target
         assert (s * inverse).agrees(Series.one(group))
+
+    def test_long_finite_expansion_is_computed(self):
+        # 20 000 terms below the target, each one step of t^(1/20000).
+        n = 20000
+        s = one_plus(Q, Fraction(1, n))
+        inverse = s.invert(embed_rational(Q, 1))
+        assert len(inverse.terms) == n
+        assert [(ex.value, c) for ex, c in inverse.terms] == [
+            (Fraction(k, n), (-1) ** k) for k in range(n)
+        ]
+        assert inverse.precision == embed_rational(Q, 1)
+        assert (s * inverse).agrees(Series.one(Q))
 
 
 class TestLeadingTermAndOrder:
