@@ -25,8 +25,10 @@ those tables and certifies that the residual fixes leading terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 from . import derivations as deriv_mod
 from . import groups
@@ -48,7 +50,7 @@ from .sampling import (
     canonical_series,
     first_counterexample,
 )
-from .series import Series, _pmin
+from .series import Series, _cut, _pmin, _trusted
 
 
 # -- coefficient-side factor data ------------------------------------------
@@ -65,6 +67,11 @@ class PartialCharacter:
     descriptor: GroupDescriptor
     lattice: tuple[GroupElement, ...]
     values: tuple[Fraction, ...]
+    # the dual basis of the lattice on its coordinates, derived once from
+    # ``lattice``: duals[i] . coordinates(lattice[j]) == (i == j)
+    _duals: tuple[tuple[Fraction, ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         lattice = tuple(groups.element(self.descriptor, g) for g in self.lattice)
@@ -75,8 +82,17 @@ class PartialCharacter:
             raise DomainError("lattice and value lists differ in length")
         if any(v <= 0 for v in values):
             raise DomainError("character values must be positive")
-        if lattice and not groups._solve_linear(groups._coordinates(list(lattice)))[0]:
-            raise DomainError("character lattice must be Q-linearly independent")
+        duals = []
+        if lattice:
+            # With the coordinates as columns, the unit vectors are all
+            # solvable exactly when the lattice is independent.
+            n = len(lattice)
+            units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            columns = list(zip(*groups._coordinates(list(lattice))))
+            _, duals = groups._solve_linear(columns, units)
+            if None in duals:
+                raise DomainError("character lattice must be Q-linearly independent")
+        object.__setattr__(self, "_duals", tuple(map(tuple, duals)))
 
     def __call__(self, g: GroupElement) -> Fraction:
         g = groups.element(self.descriptor, g)
@@ -84,19 +100,22 @@ class PartialCharacter:
             return Fraction(1)
         if not self.lattice:
             return Fraction(1)  # the trivial character is identically 1
-        vectors = groups._coordinates(list(self.lattice) + [g])
-        _, (coeffs,) = groups._solve_linear(vectors[:-1], vectors[-1:])
-        if coeffs is None or any(q.denominator != 1 for q in coeffs):
+        *basis, vector = groups._coordinates(list(self.lattice) + [g])
+        # The duals give the only candidate coefficients, and g is in the
+        # span exactly when they rebuild it; a lattice with as many elements
+        # as coordinates spans them all.  A self-similar g with an exponent
+        # the lattice lacks has more coordinates than the lattice has
+        # elements, and every lattice coordinate there is 0.
+        coeffs = [reduce(add, map(mul, dual, vector)) for dual in self._duals]
+        spanned = len(coeffs) == len(vector) or vector == [
+            reduce(add, map(mul, coeffs, column)) for column in zip(*basis)
+        ]
+        if not spanned or any(q.denominator != 1 for q in coeffs):
             raise DomainError(f"{g} is not in the integer span of the lattice")
         out = Fraction(1)
         for q, v in zip(coeffs, self.values):
             out *= v ** int(q)
         return out
-
-    def reciprocal(self) -> "PartialCharacter":
-        return PartialCharacter(
-            self.descriptor, self.lattice, tuple(1 / v for v in self.values)
-        )
 
 
 @dataclass(frozen=True)
@@ -193,6 +212,14 @@ class TableMonomial(Node):
     """Monomial action given by a finite table (factorization scaffolding)."""
 
     entries: tuple[tuple[GroupElement, GroupElement, Fraction], ...]
+    # exponent -> (image, factor) and image -> (exponent, factor), derived
+    # once from ``entries``
+    _forward: dict = field(init=False, compare=False, repr=False)
+    _backward: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_forward", {g: (e, c) for g, e, c in self.entries})
+        object.__setattr__(self, "_backward", {e: (g, c) for g, e, c in self.entries})
 
 
 @dataclass(frozen=True)
@@ -315,6 +342,13 @@ def _map_precision(precision, mapper):
     return None if precision is None else mapper(precision)
 
 
+def _relabelled(group, terms, precision) -> Series:
+    """The image of a node whose exponent map is strictly increasing and
+    whose coefficient factors are positive: its terms are already
+    normalized, so only the cut at the mapped precision is left."""
+    return _trusted(group, _cut(tuple(terms), precision), precision)
+
+
 def _apply_node(node, s, inverted, precision, path):
     try:
         return _dispatch(node, s, inverted, precision, path)
@@ -340,11 +374,11 @@ def _dispatch(node, s, inverted, precision, path):
         direction = "inverse" if inverted else "forward"
         terms = [(node.tau.apply(ex, direction), c) for ex, c in s.terms]
         prec = _map_precision(s.precision, lambda p: node.tau.apply(p, direction))
-        return Series.make(group, terms, prec)
+        return _relabelled(group, terms, prec)
     if isinstance(node, CharacterLift):
-        chi = node.chi.reciprocal() if inverted else node.chi
-        terms = [(ex, c * chi(ex)) for ex, c in s.terms]
-        return Series.make(group, terms, s.precision)
+        chi = node.chi
+        terms = [(ex, c / chi(ex) if inverted else c * chi(ex)) for ex, c in s.terms]
+        return _relabelled(group, terms, s.precision)
     if isinstance(node, InternalMult):
         if not inverted:
             return s * node.unit
@@ -357,7 +391,7 @@ def _dispatch(node, s, inverted, precision, path):
             factor = node.scaling(ex) if not inverted else 1 / node.scaling(target)
             terms.append((target, c * factor))
         prec = _map_precision(s.precision, lambda p: node.zeta.apply(p, direction))
-        return Series.make(group, terms, prec)
+        return _relabelled(group, terms, prec)
     if isinstance(node, ExpDerivation):
         d = node.derivation if not inverted else deriv_mod.negate_derivation(
             node.derivation
@@ -372,7 +406,7 @@ def _dispatch(node, s, inverted, precision, path):
             image = node.tau.forward(ex)
             staged.append((image, c * node.chi(image)))
         prec = _map_precision(s.precision, node.tau.forward)
-        inner = Series.make(group, staged, prec)
+        inner = _relabelled(group, staged, prec)
         return _apply_node(node.sigma.node, inner, False, precision, path + ["theta"])
     if isinstance(node, TauBuild):
         if inverted:
@@ -383,16 +417,14 @@ def _dispatch(node, s, inverted, precision, path):
             for ex, c in s.terms
         ]
         prec = _map_precision(s.precision, lambda p: node.zeta.apply(p, "forward"))
-        inner = Series.make(group, staged, prec)
+        inner = _relabelled(group, staged, prec)
         return _apply_node(node.nu.node, inner, False, precision, path + ["tau"])
     if isinstance(node, TableMonomial):
         if s.precision is not None:
             raise SampleInsufficiency(
                 "table reconstructions only apply to exact series"
             )
-        forward = {g: (e, c) for g, e, c in node.entries}
-        backward = {e: (g, c) for g, e, c in node.entries}
-        table = backward if inverted else forward
+        table = node._backward if inverted else node._forward
         terms = []
         for ex, c in s.terms:
             if ex not in table:
@@ -439,14 +471,15 @@ _ONE_AUT_NODES = (Identity, ExpDerivation)
 _INTERNAL_NODES = (Identity, ExpDerivation, InternalMult)
 
 
-def _fixes_leading_term(a: Automorphism, precision):
-    """The law ``lt(a(s)) == lt(s)``, skipping the zero series."""
+def _fixes_leading_term(image):
+    """The law ``lt(a(s)) == lt(s)`` for ``image(s) = a(s)``, skipping the
+    zero series."""
 
     def law(s):
         if not s.terms:
             return None
-        image = apply_aut(a, s, precision)
-        return bool(image.terms) and image.leading_term() == s.leading_term()
+        moved = image(s)
+        return bool(moved.terms) and moved.leading_term() == s.leading_term()
 
     return law
 
@@ -460,7 +493,8 @@ def is_one_aut(
     while len(samples) < spec.count:
         samples.append(sampler.series(a.group))
     return first_counterexample(
-        _fixes_leading_term(a, precision), ((s,) for s in samples[: spec.count])
+        _fixes_leading_term(lambda s: apply_aut(a, s, precision)),
+        ((s,) for s in samples[: spec.count]),
     )
 
 
@@ -502,13 +536,19 @@ def construct_tau(
 def induced_maps(a: Automorphism, samples, precision=None):
     """For each sample g: the induced exponent image v(a(t^g)) and the
     leading coefficient factor of a(t^g)."""
-    rows = []
+    return [row for row, _ in _induced(a, samples, precision)]
+
+
+def _induced(a: Automorphism, samples, precision):
+    """``induced_maps`` rows, each with the monomial t^g and its image."""
+    out = []
     for g in samples:
         g = groups.element(a.group, g)
-        image = apply_aut(a, Series.monomial(a.group, g), precision)
+        monomial = Series.monomial(a.group, g)
+        image = apply_aut(a, monomial, precision)
         lt = image.leading_term()
-        rows.append((g, lt.valuation, lt.coefficient))
-    return rows
+        out.append(((g, lt.valuation, lt.coefficient), (monomial, image)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -542,7 +582,10 @@ def classify_aut(
     """Evaluate the classification predicates on a seeded sample.
 
     Results are sample-relative certificates, not proofs; each failure
-    carries the first witness found.
+    carries the first witness found.  Each sample object is applied once:
+    its image is kept with it, keyed by ``id``, and holding the sample
+    keeps a temporary such as ``x + y`` from passing its id on.  A raising
+    image is not kept, so the same typed error comes from the same sample.
     """
     sampler = Sampler(spec.seed)
     group = a.group
@@ -550,7 +593,7 @@ def classify_aut(
     while len(samples) < max(spec.count, 8):
         samples.append(sampler.series(group))
     samples = samples[: max(spec.count, 8)]
-    base = canonical_series(group)
+    base = samples[:4]  # the canonical series, shared with the singles
     pairs = [(a1, a2) for a1 in base for a2 in base]
     while len(pairs) < spec.count:
         pairs.append((sampler.series(group), sampler.series(group)))
@@ -558,9 +601,13 @@ def classify_aut(
 
     singles = [(x,) for x in samples]
     zero = groups.zero(group)
+    images = {}
 
     def image(s):
-        return apply_aut(a, s, precision)
+        entry = images.get(id(s))
+        if entry is None:
+            entry = images[id(s)] = (s, apply_aut(a, s, precision))
+        return entry[1]
 
     def order_law(positive):
         img = image(positive)
@@ -595,7 +642,7 @@ def classify_aut(
     if multiplicative.status == "fail":
         one_aut = CheckResult("n/a", note="not multiplicative")
     else:
-        one_aut = first_counterexample(_fixes_leading_term(a, precision), singles)
+        one_aut = first_counterexample(_fixes_leading_term(image), singles)
 
     return ClassifyReport(
         additive,
@@ -627,7 +674,8 @@ def factorize_aut(
     leading-term-fixing residual, certified on the sampled exponents."""
     if mode not in ("field", "group"):
         raise DomainError(f"unknown factorization mode {mode!r}")
-    rows = induced_maps(a, samples, precision)
+    induced = _induced(a, samples, precision)
+    rows = [row for row, _ in induced]
     images = [e for _, e, _ in rows]
     if len(set(images)) != len(images):
         raise SampleInsufficiency("induced exponent map is not injective on samples")
@@ -637,11 +685,12 @@ def factorize_aut(
 
     rebuilt = compose_aut([residual, reconstruction])
     table = {g: c for g, _, c in rows}
-    sampled = [Series.monomial(a.group, g) for g in table]
+    # the exponents are distinct (the images are), so these are one per row
+    sampled = [monomial for _, (monomial, _) in induced]
+    direct = {id(monomial): image for _, (monomial, image) in induced}
 
     def roundtrip_law(monomial):
-        direct = apply_aut(a, monomial, precision)
-        return direct.agrees(apply_aut(rebuilt, monomial, precision))
+        return direct[id(monomial)].agrees(apply_aut(rebuilt, monomial, precision))
 
     def coefficient_law(x, y):
         g, h = x.v(), y.v()
@@ -652,7 +701,7 @@ def factorize_aut(
     roundtrip = first_counterexample(roundtrip_law, ((m,) for m in sampled))
     # t^e has leading term LeadingTerm(e, 1), which the residual must fix.
     residual_check = first_counterexample(
-        _fixes_leading_term(residual, precision),
+        _fixes_leading_term(lambda s: apply_aut(residual, s, precision)),
         ((Series.monomial(a.group, e),) for e in images),
     )
     label = "residual_one_aut" if mode == "field" else "residual_internal"

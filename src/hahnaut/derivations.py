@@ -13,7 +13,16 @@ Two rule families are supported:
 Every derivation carries a certified valuation gain ``gain > 0``
 (contracting), which bounds the number of summands in the exponential
 ``a |-> sum_i D^i(a)/i!`` and makes it a leading-term-fixing field
-automorphism.
+automorphism.  For a table the contraction law ``v(image) >= key + gain``
+is decided exactly, entry by entry; Leibniz and additivity are sampled.
+
+``exp_apply`` evaluates that exponential below ``P = min(precision, target)``
+with no round guard.  For ``PhiShift`` each term ``c t^g`` gives one
+ascending row ``a_0 = c``, ``a_i = a_(i-1) * (phi(g) + (i-1)*phi(shift)) / i``
+at ``g + i*shift``; it ends exactly when some multiple of the shift reaches
+``P - g`` or ``-phi(g)/phi(shift)`` is a nonnegative integer, and any other
+row is refused before a coefficient is computed.  A table whose images
+start above their keys is done within one round more than it has entries.
 """
 
 from __future__ import annotations
@@ -29,9 +38,9 @@ from .errors import (
     UnmappedExponent,
 )
 from . import groups
-from .groups import GroupDescriptor, GroupElement, LinearFunctional
+from .groups import GroupDescriptor, GroupElement, LinearFunctional, arch_compare
 from .sampling import CheckResult, SampleSpec, Sampler, first_counterexample
-from .series import Series, _cut, _trusted
+from .series import Series, _cut, _merge_rows, _pmin, _trusted
 
 
 @dataclass(frozen=True)
@@ -60,6 +69,11 @@ def make_phi_derivation(phi: LinearFunctional, shift) -> MonomialDerivation:
     return MonomialDerivation(phi.descriptor, PhiShift(phi, shift), shift)
 
 
+def _contracts(key: GroupElement, image: Series, gain: GroupElement) -> bool:
+    """The contraction law of one table entry: ``v(image) >= key + gain``."""
+    return not image.terms or image.terms[0][0].compare(key + gain) >= 0
+
+
 def make_table_derivation(
     group: GroupDescriptor,
     entries,
@@ -80,7 +94,7 @@ def make_table_derivation(
         g = groups.element(group, g)
         if image.group != group:
             raise DescriptorMismatch("table image over the wrong group")
-        if validate and image.terms and image.v().compare(g + gain) < 0:
+        if validate and not _contracts(g, image, gain):
             raise NonContracting(
                 f"image of t^{g} starts below the certified gain"
             )
@@ -100,11 +114,15 @@ def negate_derivation(d: MonomialDerivation) -> MonomialDerivation:
     )
 
 
-def apply_derivation(d: MonomialDerivation, s: Series) -> Series:
+def _check_group(d: MonomialDerivation, s: Series):
     if s.group is not d.group and s.group != d.group:
         raise DescriptorMismatch(
             f"derivation over {d.group} applied to series over {s.group}"
         )
+
+
+def apply_derivation(d: MonomialDerivation, s: Series) -> Series:
+    _check_group(d, s)
     precision = None if s.precision is None else s.precision + d.gain
     if isinstance(d.rule, PhiShift):
         phi, shift = d.rule.phi, d.rule.shift
@@ -132,23 +150,101 @@ def apply_derivation(d: MonomialDerivation, s: Series) -> Series:
 
 
 def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
-    """Evaluate sum_i D^i(s)/i! truncated below ``target``."""
+    """Evaluate sum_i D^i(s)/i! truncated below ``target``.
+
+    The result has precision ``P = min(s.precision, target)``.
+
+    For ``PhiShift``, ``D(t^g) = phi(g) t^(g+shift)`` and ``phi`` is
+    additive, so ``D^i(c t^g)/i!`` is ``a_i t^(g+i*shift)`` with
+    ``a_0 = c`` and ``a_i = a_(i-1) * (phi(g) + (i-1)*phi(shift)) / i``.
+    Each term of ``s`` below ``P`` gives that ascending row up to its first
+    exponent at or past ``P`` or its first zero factor, and the rows are
+    summed by one pairwise merge.  The row from ``g`` is infinite exactly
+    when every ``g + i*shift`` stays below ``P``, that is
+    ``arch_compare(P - g, shift)`` is ``<``, and no factor vanishes, that
+    is ``-phi(g)/phi(shift)`` is not a nonnegative integer.  Such a row is
+    refused with ``NonTerminating`` before any coefficient is computed.
+    ``phi`` is called on every term of ``s``, then on ``g + shift`` for the
+    least ``g`` whose image survives below the target, as the first two
+    rounds of ``D`` call it, so the same ``OutsideSpan`` comes first.
+
+    For ``TableRule``, ``D^i(s)`` is built round by round.  When every
+    image starts above its key (``v(image) >= key + gain`` with a positive
+    gain), the least key present in ``D^i(s)`` rises strictly with ``i``:
+    ``D`` reads only the terms at keys, each image lies above its key, and
+    cuts only drop terms.  So after ``n = len(entries)`` rounds no key is
+    left, and round ``n + 1`` is zero.  A round ``n + 1`` that is still
+    nonzero proves that some image does not start above its key: it is
+    refused with ``NonTerminating``.
+    """
+    if isinstance(d.rule, PhiShift):
+        return _exp_phi_shift(d, s, groups.element(s.group, target))
     total = s.truncate_to(target)
     term = s
-    i = 1
     factorial = 1
-    while True:
+    n = len(d.rule.entries)
+    for i in range(1, n + 2):
         term = apply_derivation(d, term).truncate_to(target)
         if not term.terms:
-            break
+            return total
         factorial *= i
         total = total + term.scale(Fraction(1, factorial))
-        i += 1
-        if i > 10000:
+    raise NonTerminating(
+        f"table derivation does not contract: D^{n + 1}(s) is still nonzero, "
+        f"but a table of {n} entries whose images start above their keys "
+        f"vanishes by then"
+    )
+
+
+def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
+    """``exp_apply`` for a ``PhiShift``: one row per term, as documented there."""
+    _check_group(d, s)
+    phi, shift = d.rule.phi, d.rule.shift
+    zero = groups.zero(d.group)
+    if shift.compare(zero) <= 0 or d.gain.compare(zero) <= 0:
+        raise NonContracting(
+            f"shift {shift} and gain {d.gain} must both be strictly positive"
+        )
+    ks = [phi(ex) for ex, _ in s.terms]
+    # phi(shift), read off the least image that survives the first round
+    survives = _pmin(target, None if s.precision is None else s.precision + d.gain)
+    k_shift = None
+    for (ex, _), k in zip(s.terms, ks):
+        if k and (ex + shift).compare(survives) < 0:
+            k_shift = phi(ex + shift) - k
+            break
+    precision = _pmin(s.precision, target)
+    terms = [(g, c, k) for (g, c), k in zip(s.terms, ks) if g.compare(precision) < 0]
+    for g, _, k in terms:
+        if not _factor_vanishes(k, k_shift) and arch_compare(precision - g, shift) == "<":
             raise NonTerminating(
-                "derivation gain is infinitesimal relative to the target"
+                "exponential series does not reach the target precision: the "
+                f"archimedean class of the shift {shift} is infinitesimal relative "
+                f"to the class of {precision - g}, the gap from t^{g} to the "
+                f"precision {precision}, and no factor phi(g) + i*phi(shift) vanishes"
             )
-    return total
+    rows = []
+    for g, c, k in terms:
+        row = [(g, c)]
+        ex, a, factor, i = g, c, k, 1
+        while factor:
+            ex = ex + shift
+            if ex.compare(precision) >= 0:
+                break
+            a = a * factor / i
+            row.append((ex, a))
+            factor += k_shift
+            i += 1
+        rows.append(row)
+    return _trusted(d.group, tuple(_merge_rows(rows)), precision)
+
+
+def _factor_vanishes(k: Fraction, k_shift: Fraction | None) -> bool:
+    """Whether ``k + j*k_shift`` is 0 for some integer ``j >= 0``."""
+    if not k_shift:
+        return not k
+    j = -k / k_shift
+    return j.denominator == 1 and j >= 0
 
 
 def exp_derivation(
@@ -217,7 +313,9 @@ def check_derivation(d: MonomialDerivation, spec: SampleSpec = SampleSpec()) -> 
     Returns the first counterexample per law as a witness.  Samples a law
     cannot fail on are skipped: pairs with a zero member, and samples
     whose images leave a partial table's domain.  A law left without an
-    evaluated sample is ``n/a``.
+    evaluated sample is ``n/a``.  A table's contraction law is decided
+    exactly on every entry instead, with the monomial of the first key
+    that breaks it as the witness.
     """
     sampler = Sampler(spec.seed)
     exps = _candidate_exponents(d)
@@ -234,11 +332,9 @@ def check_derivation(d: MonomialDerivation, spec: SampleSpec = SampleSpec()) -> 
         return Series.make(d.group, terms)
 
     pairs = [(a, b) for a in monomials for b in monomials]
-    singles = list(monomials)
     while len(pairs) < spec.count:
         pairs.append((random_combo(), random_combo()))
-    while len(singles) < spec.count:
-        singles.append(random_combo())
+    pairs = pairs[: spec.count]
 
     def sampled(holds):
         """``holds`` with the skips listed above; zero members make every
@@ -270,11 +366,22 @@ def check_derivation(d: MonomialDerivation, spec: SampleSpec = SampleSpec()) -> 
         da = apply_derivation(d, a)
         return not da.terms or da.v().compare(a.v()) > 0
 
-    pairs = pairs[: spec.count]
+    def contraction() -> CheckResult:
+        if isinstance(d.rule, TableRule):
+            broken = next(
+                (g for g, image in d.rule.entries if not _contracts(g, image, d.gain)),
+                None,
+            )
+            if broken is None:
+                return CheckResult("pass")
+            return CheckResult("fail", (Series.monomial(d.group, broken),))
+        singles = list(monomials)
+        while len(singles) < spec.count:
+            singles.append(random_combo())
+        return first_counterexample(contracting, ((a,) for a in singles[: spec.count]))
+
     return DerivationReport(
         leibniz=first_counterexample(leibniz, pairs),
         additive=first_counterexample(additive, pairs),
-        contracting=first_counterexample(
-            contracting, ((a,) for a in singles[: spec.count])
-        ),
+        contracting=contraction(),
     )

@@ -42,7 +42,7 @@ class NonContracting(HahnError):
 
 
 class NonTerminating(HahnError):
-    """Defensive guard: an exponential sum would not terminate."""
+    """An expansion would not reach the target precision in finitely many terms."""
 
 
 class UnmappedExponent(HahnError):

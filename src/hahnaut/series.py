@@ -44,7 +44,7 @@ from .errors import (
     NonTerminating,
     ZeroSeries,
 )
-from .groups import _ORDER_SYMBOL, GroupDescriptor, GroupElement, arch_compare, element
+from .groups import GroupDescriptor, GroupElement, arch_compare, element
 
 _exponent = itemgetter(0)
 
@@ -87,6 +87,18 @@ def _merge(a: tuple, b: tuple) -> list:
     out.extend(a[i:])
     out.extend(b[j:])
     return out
+
+
+def _merge_rows(rows: list) -> list:
+    """Sum of normalized term lists, merged pairwise as a bottom-up merge
+    sort would, so like exponents meet and collapse without hashing an
+    exponent (a surreal exponent hashes a whole series)."""
+    while len(rows) > 1:
+        merged = [_merge(rows[k], rows[k + 1]) for k in range(0, len(rows) - 1, 2)]
+        if len(rows) % 2:
+            merged.append(rows[-1])
+        rows = merged
+    return rows[0] if rows else []
 
 
 class _Pending:
@@ -253,10 +265,7 @@ class Series:
 
         Each row of products ``ea + eb`` ascends with ``eb``, so a row stops
         at the first product at or past the result's precision and later
-        rows start no lower.  The ascending rows are then merged pairwise,
-        as a bottom-up merge sort would, so like exponents meet and collapse
-        without hashing an exponent (a surreal exponent hashes a whole
-        series).
+        rows start no lower.  ``_merge_rows`` then sums the rows.
         """
         self._check(other)
         if self.is_exact_zero() or other.is_exact_zero():
@@ -278,12 +287,7 @@ class Series:
             if not row:
                 break
             rows.append(row)
-        while len(rows) > 1:
-            merged = [_merge(rows[k], rows[k + 1]) for k in range(0, len(rows) - 1, 2)]
-            if len(rows) % 2:
-                merged.append(rows[-1])
-            rows = merged
-        return _trusted(self.group, tuple(rows[0]) if rows else (), precision)
+        return _trusted(self.group, tuple(_merge_rows(rows)), precision)
 
     def truncate_to(self, p) -> "Series":
         precision = _pmin(self.precision, element(self.group, p))
@@ -432,26 +436,3 @@ class Series:
         from .parsing import format_series  # lazy: avoids an import cycle
 
         return format_series(self)
-
-
-# -- operation-style aliases ------------------------------------------------
-
-
-def series_invert(s: Series, target_precision) -> Series:
-    return s.invert(target_precision)
-
-
-def leading_term(s: Series) -> LeadingTerm:
-    return s.leading_term()
-
-
-def series_compare(a: Series, b: Series) -> str:
-    return _ORDER_SYMBOL[a.compare(b)]
-
-
-def coefficient_at(s: Series, g) -> Fraction:
-    return s.coefficient_at(g)
-
-
-def truncate_to(s: Series, p) -> Series:
-    return s.truncate_to(p)

@@ -1,10 +1,15 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from hahnaut import groups
+from hahnaut import automorphisms, groups
 from hahnaut.automorphisms import (
+    Automorphism,
+    ClassifyReport,
+    FactorizationResult,
     PartialCharacter,
+    TableMonomial,
     ScalingFamily,
     apply_aut,
     classify_aut,
@@ -24,19 +29,33 @@ from hahnaut.automorphisms import (
 from hahnaut.derivations import exp_derivation, make_phi_derivation
 from hahnaut.errors import (
     DomainError,
+    HahnError,
     InsufficientPrecision,
     NotInfinitesimal,
     NotInternal,
     NotOneAut,
+    SampleInsufficiency,
 )
 from hahnaut.groups import (
     RATIONALS,
+    LinearFunctional,
     PiecewiseLinear,
     PositiveScalar,
+    Translation,
+    TriangularMatrix,
     embed_rational,
+    lex_power,
     scaling_functional,
+    standard_functional,
+    surreal_depth,
 )
-from hahnaut.sampling import SampleSpec, Sampler
+from hahnaut.sampling import (
+    CheckResult,
+    SampleSpec,
+    Sampler,
+    canonical_series,
+    first_counterexample,
+)
 from hahnaut.series import Series
 
 Q = RATIONALS
@@ -46,6 +65,20 @@ ONE = Series.one(Q)
 
 def S(*terms, precision=None):
     return Series.make(Q, [(Fraction(e), Fraction(c)) for e, c in terms], precision)
+
+
+def solved_character(chi, g):
+    """``chi(g)`` by a fresh elimination over the lattice and ``g``."""
+    if g.is_zero() or not chi.lattice:
+        return Fraction(1)
+    vectors = groups._coordinates(list(chi.lattice) + [g])
+    _, (coeffs,) = groups._solve_linear(vectors[:-1], vectors[-1:])
+    if coeffs is None or any(q.denominator != 1 for q in coeffs):
+        raise DomainError(f"{g} is not in the integer span of the lattice")
+    out = Fraction(1)
+    for q, v in zip(coeffs, chi.values):
+        out *= v ** int(q)
+    return out
 
 
 def chi_two():
@@ -76,6 +109,28 @@ class TestPartialCharacter:
     def test_values_must_be_positive(self):
         with pytest.raises(DomainError):
             PartialCharacter(Q, (embed_rational(Q, 1),), (Fraction(-2),))
+
+    @pytest.mark.parametrize("kind", ["Q", "lex2", "surreal1"])
+    def test_matches_a_fresh_elimination_per_call(self, kind):
+        # the lattice spans all coordinates, part of them, or (surreal1)
+        # only some of the exponents the samples use
+        group = {"Q": Q, "lex2": lex_power(2), "surreal1": surreal_depth(1)}[kind]
+        smp = Sampler(11)
+        for size in (1, 2, 3):
+            lattice = [smp.nonzero_exponent(group) for _ in range(size)]
+            values = [smp.positive_rational() for _ in range(size)]
+            try:
+                chi = PartialCharacter(group, tuple(lattice), tuple(values))
+            except DomainError as exc:
+                assert str(exc) == "character lattice must be Q-linearly independent"
+                continue
+            for _ in range(40):
+                g = smp.exponent(group)
+                if smp.rng.random() < 0.5:  # a point of the lattice
+                    g = sum(
+                        (x.scale(smp.rng.randint(-2, 2)) for x in lattice), groups.zero(group)
+                    )
+                assert outcome(chi, g) == outcome(solved_character, chi, g)
 
     def test_dependent_lattice_rejected(self):
         with pytest.raises(DomainError):
@@ -398,3 +453,234 @@ class TestFactorize:
         ]
         assert [(g.value, c) for g, c in result.coefficients] == [(-1, 1), (0, 3), (1, 1)]
         assert result.ok
+
+
+# -- certificates against their unmemoized definitions ---------------------------
+
+
+def fixes_leading_term(a, precision):
+    def law(s):
+        if not s.terms:
+            return None
+        image = apply_aut(a, s, precision)
+        return bool(image.terms) and image.leading_term() == s.leading_term()
+
+    return law
+
+
+def ref_classify(a, spec, precision=None):
+    """``classify_aut`` with every law applying ``a`` afresh."""
+    sampler = Sampler(spec.seed)
+    group = a.group
+    samples = canonical_series(group)
+    while len(samples) < max(spec.count, 8):
+        samples.append(sampler.series(group))
+    samples = samples[: max(spec.count, 8)]
+    base = canonical_series(group)
+    pairs = [(a1, a2) for a1 in base for a2 in base]
+    while len(pairs) < spec.count:
+        pairs.append((sampler.series(group), sampler.series(group)))
+    pairs = pairs[: spec.count]
+    singles = [(x,) for x in samples]
+    zero = groups.zero(group)
+
+    def image(s):
+        return apply_aut(a, s, precision)
+
+    def order_law(positive):
+        img = image(positive)
+        return bool(img.terms) and img.terms[0][1] > 0
+
+    def valuation_law(x, y):
+        if not x.terms or not y.terms:
+            return None
+        ix, iy = image(x), image(y)
+        if not ix.terms or not iy.terms:
+            return False
+        return ix.v().compare(iy.v()) == x.v().compare(y.v())
+
+    def internal_law(x):
+        if not x.terms:
+            return None
+        img = image(x)
+        if not img.terms or img.v() != x.v():
+            return False
+        return x.v() != zero or img.terms[0][1] == x.terms[0][1]
+
+    additive = first_counterexample(
+        lambda x, y: image(x + y).agrees(image(x) + image(y)), pairs
+    )
+    multiplicative = first_counterexample(
+        lambda x, y: image(x * y).agrees(image(x) * image(y)), pairs
+    )
+    positives = ((x if x.terms[0][1] > 0 else -x,) for x in samples if x.terms)
+    order_preserving = first_counterexample(order_law, positives)
+    valuation_preserving = first_counterexample(valuation_law, pairs)
+    internal = first_counterexample(internal_law, singles)
+    if multiplicative.status == "fail":
+        one_aut = CheckResult("n/a", note="not multiplicative")
+    else:
+        one_aut = first_counterexample(fixes_leading_term(a, precision), singles)
+    return ClassifyReport(
+        additive, multiplicative, order_preserving, valuation_preserving, internal, one_aut
+    )
+
+
+def ref_factorize(a, mode, samples, precision=None):
+    """``factorize_aut`` with the round trip applying ``a`` afresh."""
+    if mode not in ("field", "group"):
+        raise DomainError(f"unknown factorization mode {mode!r}")
+    rows = induced_maps(a, samples, precision)
+    images = [e for _, e, _ in rows]
+    if len(set(images)) != len(images):
+        raise SampleInsufficiency("induced exponent map is not injective on samples")
+    entries = tuple((g, e, c) for g, e, c in rows)
+    reconstruction = Automorphism(a.group, TableMonomial(entries))
+    residual = compose_aut([a, invert_aut(reconstruction)])
+    rebuilt = compose_aut([residual, reconstruction])
+    table = {g: c for g, _, c in rows}
+    sampled = [Series.monomial(a.group, g) for g in table]
+
+    def roundtrip_law(monomial):
+        direct = apply_aut(a, monomial, precision)
+        return direct.agrees(apply_aut(rebuilt, monomial, precision))
+
+    def coefficient_law(x, y):
+        g, h = x.v(), y.v()
+        if g + h not in table:
+            return None
+        return table[g + h] == table[g] * table[h]
+
+    roundtrip = first_counterexample(roundtrip_law, ((m,) for m in sampled))
+    residual_check = first_counterexample(
+        fixes_leading_term(residual, precision),
+        ((Series.monomial(a.group, e),) for e in images),
+    )
+    label = "residual_one_aut" if mode == "field" else "residual_internal"
+    certificates = [("roundtrip", roundtrip), (label, residual_check)]
+    if mode == "field":
+        mult = first_counterexample(
+            coefficient_law,
+            ((x, y) for x in sampled for y in sampled),
+            note="no sampled sums inside the table",
+        )
+        certificates.append(("coefficient_multiplicative", mult))
+    return FactorizationResult(
+        mode,
+        tuple((g, e) for g, e, _ in rows),
+        tuple((g, c) for g, _, c in rows),
+        residual,
+        tuple(certificates),
+    )
+
+
+LEX2 = lex_power(2)
+SURREAL1 = surreal_depth(1)
+
+
+def kind_data(group):
+    """Per group: an additive automorphism, a character on the sampled
+    exponents, an infinitesimal eps, an exponent translation or bijection,
+    a derivation, and exponents to factorize on."""
+    q = Fraction
+    if group == Q:
+        return (
+            PositiveScalar(Q, 2),
+            chi_two(),
+            T,
+            halving_zeta(),
+            make_phi_derivation(scaling_functional(Q, q(1, 2)), 1),
+            [-1, 0, 1, 2],
+        )
+    if group == LEX2:
+        e = lambda *v: groups.element(LEX2, v)  # noqa: E731
+        return (
+            TriangularMatrix(LEX2, ((2, 0), (1, 1))),
+            PartialCharacter(LEX2, (e(1, 0), e(0, 1)), (q(2), q(1, 3))),
+            Series.monomial(LEX2, (1, 0)),
+            Translation(e(0, 1)),
+            make_phi_derivation(standard_functional(LEX2, [1, 2]), (1, 0)),
+            [e(0, 0), e(1, 0), e(0, 1), e(1, -1)],
+        )
+    # the sampled surreal1 exponents are sums of c t^k, k = -3..4, with c
+    # in steps of 1/12
+    units = [groups.element(group, Series.monomial(Q, k, q(1, 12))) for k in range(-3, 5)]
+    phi = LinearFunctional(group, tuple((u, q(k, 3)) for k, u in enumerate(units, -2)))
+    big = groups.element(group, Series.monomial(Q, -3))
+    one = embed_rational(group, 1)
+    return (
+        PositiveScalar(group, 2),
+        PartialCharacter(group, tuple(units), tuple(q(k + 2, 2) for k in range(8))),
+        Series.monomial(group, one),
+        Translation(one),
+        make_phi_derivation(phi, big),
+        [groups.zero(group), one, -one, -big],
+    )
+
+
+def node_kinds(group):
+    """One automorphism per node kind, with its factorization mode."""
+    tau, chi, eps, zeta, d, _ = kind_data(group)
+    target = embed_rational(group, 6)
+    scaling = ScalingFamily(group, 2, ((groups.zero(group), Fraction(3)),))
+    exp = exp_derivation(d, target)
+    ext = make_external_field(tau)
+    lift = make_character_lift(chi)
+    mult = make_internal_mult(eps)
+    relabel = make_external_group(zeta, scaling)
+    return [
+        ("identity", identity_aut(group), "field"),
+        ("external_field", ext, "field"),
+        ("character", lift, "field"),
+        ("internal_mult", mult, "group"),
+        ("external_group", relabel, "group"),
+        ("exp", exp, "field"),
+        ("inverse_exp", invert_aut(exp), "field"),
+        ("theta", construct_theta(exp, chi, tau), "field"),
+        ("tau", construct_tau(mult, zeta, scaling), "group"),
+        ("inverse", invert_aut(compose_aut([lift, ext, relabel])), "group"),
+        ("inverse_mult", invert_aut(mult), "group"),
+        ("compose", compose_aut([exp, lift, ext]), "field"),
+    ]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HahnError as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("group", [Q, LEX2, SURREAL1], ids=str)
+def test_certificates_match_unmemoized_definitions(group):
+    precision = embed_rational(group, 6)
+    samples = kind_data(group)[-1]
+    for _, aut, mode in node_kinds(group):
+        for spec in (SampleSpec(7, 12), SampleSpec(3, 30)):
+            assert repr(outcome(classify_aut, aut, spec, precision)) == repr(
+                outcome(ref_classify, aut, spec, precision)
+            )
+        got = outcome(factorize_aut, aut, mode, samples, precision)
+        assert repr(got) == repr(outcome(ref_factorize, aut, mode, samples, precision))
+        if isinstance(got, FactorizationResult):
+            residual = got.residual
+            assert repr(outcome(classify_aut, residual, SampleSpec(5, 12), precision)) == repr(
+                outcome(ref_classify, residual, SampleSpec(5, 12), precision)
+            )
+
+
+def test_classify_applies_each_sample_once(monkeypatch):
+    applied = []
+    original = automorphisms.apply_aut
+
+    def counting(a, s, precision=None):
+        applied.append(s)  # held, so no two samples share an id here
+        return original(a, s, precision)
+
+    monkeypatch.setattr(automorphisms, "apply_aut", counting)
+    precision = embed_rational(Q, 6)
+    for _, aut, _ in node_kinds(Q):
+        applied.clear()
+        classify_aut(aut, SampleSpec(7, 30), precision)
+        assert applied
+        assert max(Counter(map(id, applied)).values()) == 1

@@ -1,6 +1,13 @@
+import time
+
 import pytest
 
 from hahnaut.cli import run_command
+
+# 5 -> 5*t^(5) does not contract, and no sample pair reaches t^5
+NON_CONTRACTING_TABLE = (
+    "table{map: {1: t^(2), 2: 2*t^(3), 5: 5*t^(5)}, gain: 1, zero_default: true}"
+)
 
 
 def run(capsys, *argv):
@@ -177,6 +184,61 @@ class TestDerivations:
         )
         assert code == 1
         assert "leibniz" in err
+
+    def test_check_deriv_contraction_is_exact(self, capsys):
+        # the one sample pair never reaches t^5; the exact law does
+        code, out, err = run(
+            capsys, "check-deriv", "--sample-count=1", NON_CONTRACTING_TABLE
+        )
+        assert code == 1
+        assert out == (
+            "leibniz: pass\n"
+            "contracting: fail\n"
+            "witness: t^(5)\n"
+            "additive: pass\n"
+        )
+        assert err == ""
+
+    def test_exp_deriv_refuses_non_contracting_table_promptly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "exp-deriv",
+            "--precision=8",
+            "--sample-count=1",
+            NON_CONTRACTING_TABLE,
+            "t^(5)",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "ERROR: DomainError: table derivation fails the contracting check; "
+            "refusing to exponentiate\n"
+        )
+
+    def test_check_deriv_holds_a_table_to_its_declared_gain(self, capsys):
+        # t^1 -> t^2 gains 1, short of the declared 2
+        code, out, _ = run(capsys, "check-deriv", "table{map: {1: t^(2)}, gain: 2}")
+        assert code == 1
+        assert out == (
+            "leibniz: n/a (no sample evaluated)\n"
+            "contracting: fail\n"
+            "witness: t^(1)\n"
+            "additive: pass\n"
+        )
+
+    def test_check_deriv_contracting_table_passes_contraction(self, capsys):
+        code, out, _ = run(
+            capsys, "check-deriv", "--seed=7", "table{map: {1: t^(2), 2: t^(3)}, gain: 1}"
+        )
+        assert code == 1
+        assert out == (
+            "leibniz: fail\n"
+            "witness: t^(1) , t^(1)\n"
+            "contracting: pass\n"
+            "additive: pass\n"
+        )
 
     def test_exp_deriv_refuses_uncertified_table(self, capsys):
         # check-deriv reports leibniz n/a for this table (above): the gate

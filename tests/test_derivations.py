@@ -1,8 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from hahnaut.derivations import (
+    MonomialDerivation,
+    PhiShift,
     apply_derivation,
     check_derivation,
     exp_apply,
@@ -14,9 +17,20 @@ from hahnaut.automorphisms import apply_aut
 from hahnaut.errors import (
     DomainError,
     NonContracting,
+    NonTerminating,
+    OutsideSpan,
     UnmappedExponent,
 )
-from hahnaut.groups import RATIONALS, embed_rational, scaling_functional
+from hahnaut.groups import (
+    RATIONALS,
+    LinearFunctional,
+    element,
+    embed_rational,
+    lex_power,
+    scaling_functional,
+    standard_functional,
+    surreal_depth,
+)
 from hahnaut.sampling import SampleSpec
 from hahnaut.series import Series
 
@@ -120,6 +134,114 @@ class TestExponential:
         assert exp_apply(neg, forward, target).agrees(s.truncate_to(target))
 
 
+LEX2 = lex_power(2)
+SURREAL1 = surreal_depth(1)
+
+
+def lex(*terms, precision=None):
+    return Series.make(LEX2, list(terms), precision)
+
+
+def timed(fn, *args):
+    start = time.perf_counter()
+    try:
+        return fn(*args)
+    finally:
+        assert time.perf_counter() - start < 1.0
+
+
+class TestExponentialTermination:
+    """A ``PhiShift`` row ends iff it reaches the precision or meets a zero
+    factor, and is refused at once otherwise; a table's rounds are bounded
+    by its number of entries."""
+
+    def test_lex2_row_below_the_target_class_is_refused(self):
+        d = make_phi_derivation(standard_functional(LEX2, [1, 2]), (0, 1))
+        s = lex(((0, 1), 1), ((1, 1), 1))
+        with pytest.raises(NonTerminating) as raised:
+            timed(exp_apply, d, s, element(LEX2, (1, 0)))
+        assert str(raised.value) == (
+            "exponential series does not reach the target precision: the "
+            "archimedean class of the shift (0,1) is infinitesimal relative to "
+            "the class of (1,-1), the gap from t^(0,1) to the precision (1,0), "
+            "and no factor phi(g) + i*phi(shift) vanishes"
+        )
+
+    def test_surreal1_row_below_the_target_class_is_refused(self):
+        small = element(SURREAL1, Series.monomial(Q, 1))
+        one = embed_rational(SURREAL1, 1)
+        phi = LinearFunctional(SURREAL1, ((one, 1), (small, 2)))
+        d = make_phi_derivation(phi, small)
+        s = Series.make(SURREAL1, [(small, 1), (one + small, 1)])
+        with pytest.raises(NonTerminating) as raised:
+            timed(exp_apply, d, s, one)
+        assert str(raised.value) == (
+            "exponential series does not reach the target precision: the "
+            "archimedean class of the shift [t^(1)] is infinitesimal relative to "
+            "the class of [1 - t^(1)], the gap from t^[t^(1)] to the precision "
+            "[1], and no factor phi(g) + i*phi(shift) vanishes"
+        )
+
+    def test_lex2_row_ended_by_a_zero_factor_is_computed(self):
+        # phi(0,-2) = -2 and phi(shift) = 1: the third factor is 0
+        d = make_phi_derivation(standard_functional(LEX2, [1, 1]), (0, 1))
+        image = timed(exp_apply, d, lex(((0, -2), 1)), element(LEX2, (1, 0)))
+        assert [(e.value, c) for e, c in image.terms] == [
+            ((0, -2), 1),
+            ((0, -1), -2),
+            ((0, 0), 1),
+        ]
+        assert image.precision == element(LEX2, (1, 0))
+
+    def test_truncated_lex2_input_is_computed_below_its_precision(self):
+        # every row would stay below the target (1,0), but the answer is
+        # only known below the input's precision (0,3), which they reach
+        d = make_phi_derivation(standard_functional(LEX2, [1, 2]), (0, 1))
+        s = lex(((0, 1), 1), precision=(0, 3))
+        image = timed(exp_apply, d, s, element(LEX2, (1, 0)))
+        assert [(e.value, c) for e, c in image.terms] == [((0, 1), 1), ((0, 2), 2)]
+        assert image.precision == element(LEX2, (0, 3))
+
+    def test_long_finite_rows_are_computed(self):
+        # D(t^g) = 20000 g t^(g + 1/20000): from t^(1/20000) every factor
+        # is i, so 19 999 coefficients 1 lie below t^1
+        n = 20000
+        d = make_phi_derivation(scaling_functional(Q, n), Fraction(1, n))
+        image = timed(exp_apply, d, Series.monomial(Q, Fraction(1, n)), embed_rational(Q, 1))
+        assert [(e.value, c) for e, c in image.terms] == [
+            (Fraction(k, n), 1) for k in range(1, n)
+        ]
+        assert image.precision == embed_rational(Q, 1)
+
+    def test_shift_outside_the_span_fails_as_the_second_round_did(self):
+        d = make_phi_derivation(LinearFunctional(LEX2, (((1, 0), 1),)), (0, 1))
+        with pytest.raises(OutsideSpan, match=r"^\(1,1\) is not in the Q-span"):
+            exp_apply(d, lex(((1, 0), 1)), element(LEX2, (3, 0)))
+
+    def test_non_positive_shift_is_refused(self):
+        d = MonomialDerivation(Q, PhiShift(scaling_functional(Q, 1), element(Q, -1)), element(Q, 1))
+        with pytest.raises(NonContracting):
+            exp_apply(d, T, embed_rational(Q, 5))
+
+    def test_table_rounds_end_within_its_entries(self):
+        # D(t) = t^2, D(t^2) = 2 t^3, D(t^3) = 0: round 3 = 2 + 1 is zero
+        d = make_table_derivation(
+            Q, {1: Series.monomial(Q, 2), 2: Series.monomial(Q, 3, 2)}, 1, zero_default=True
+        )
+        image = exp_apply(d, T, embed_rational(Q, 8))
+        assert [(e.value, c) for e, c in image.terms] == [(1, 1), (2, 1), (3, 1)]
+
+    def test_table_past_its_bound_is_refused(self):
+        # t^1 -> t^1 never contracts: round 2 of a 1-entry table is nonzero
+        d = make_table_derivation(Q, {1: T}, 1, validate=False)
+        with pytest.raises(NonTerminating) as raised:
+            timed(exp_apply, d, T, embed_rational(Q, 5))
+        assert str(raised.value) == (
+            "table derivation does not contract: D^2(s) is still nonzero, but a "
+            "table of 1 entries whose images start above their keys vanishes by then"
+        )
+
+
 class TestCheckDerivation:
     def test_phi_shift_passes_all_laws(self):
         report = check_derivation(phi_id_shift_one(), SampleSpec(7, 50))
@@ -156,3 +278,23 @@ class TestCheckDerivation:
         )
         with pytest.raises(DomainError):
             exp_derivation(d, 5)
+
+    def test_table_contraction_is_exact(self):
+        # one sample evaluates no t^5, yet the entry 5 -> 5 t^5 is checked
+        d = make_table_derivation(
+            Q,
+            {1: Series.monomial(Q, 2), 2: Series.monomial(Q, 3, 2), 5: Series.monomial(Q, 5, 5)},
+            1,
+            zero_default=True,
+            validate=False,
+        )
+        report = check_derivation(d, SampleSpec(7, 1))
+        assert report.contracting.status == "fail"
+        assert report.contracting.witness == (Series.monomial(Q, 5),)
+        with pytest.raises(DomainError, match="fails the contracting check"):
+            exp_derivation(d, 8, verify=SampleSpec(7, 1))
+
+    def test_table_contraction_holds_the_declared_gain(self):
+        # t^1 -> t^2 rises by 1, short of the declared gain 2
+        d = make_table_derivation(Q, {1: Series.monomial(Q, 2)}, 2, validate=False)
+        assert check_derivation(d, SampleSpec(7, 5)).contracting.status == "fail"

@@ -12,7 +12,11 @@ constructor that coerces and normalizes:
 * ``invert`` is the geometric expansion ``sum (-eps)^k`` built from those
   definitions,
 * ``apply_derivation`` of a ``PhiShift`` is ``make`` on the translated and
-  scaled terms at the input precision plus the gain.
+  scaled terms at the input precision plus the gain,
+* ``exp_apply`` of a ``PhiShift`` is the round loop ``sum D^i(s)/i!``
+  built from those definitions,
+* the images of the relabelling automorphism nodes are ``make`` on the
+  relabelled and rescaled terms at the mapped precision.
 
 "The same" means equal terms tuples and equal precision or, when the
 definition refuses, the same error type with the same message.  Every
@@ -25,10 +29,21 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from hahnaut.automorphisms import (
+    Automorphism,
+    CharacterLift,
+    ExternalField,
+    ExternalGroup,
+    PartialCharacter,
+    ScalingFamily,
+    apply_aut,
+    invert_aut,
+)
 from hahnaut.derivations import (
     MonomialDerivation,
     PhiShift,
     apply_derivation,
+    exp_apply,
     make_phi_derivation,
 )
 from hahnaut.errors import (
@@ -41,6 +56,11 @@ from hahnaut.groups import (
     INTEGERS,
     RATIONALS,
     GroupElement,
+    LinearFunctional,
+    PiecewiseLinear,
+    PositiveScalar,
+    Translation,
+    TriangularMatrix,
     arch_compare,
     element,
     embed_rational,
@@ -422,3 +442,216 @@ def test_seeded_phi_images_match_definition(index):
 def test_drawn_phi_images_match_definition(case):
     d, s = case
     assert_same(apply_derivation, ref_apply_phi, d, s)
+
+
+# -- exponentials -------------------------------------------------------------------
+
+
+def ref_loop(d, s, target, rounds):
+    """``sum D^i(s)/i!`` below ``target``, one round of ``D`` at a time;
+    None when round ``rounds`` is still nonzero."""
+    total = ref_truncate(s, target)
+    term = s
+    factorial = 1
+    for i in range(1, rounds + 1):
+        term = ref_truncate(ref_apply_phi(d, term), target)
+        if not term.terms:
+            return total
+        factorial *= i
+        total = ref_add(total, term.scale(Fraction(1, factorial)))
+    return None
+
+
+def ref_exp(d, s, target, rounds=40):
+    """``exp_apply`` as a round loop on the definitions.
+
+    The rounds stop at the target (and the input precision plus the gain),
+    not at ``P = min(s.precision, target)``: a truncated input can keep
+    them going past ``P`` although the answer below ``P`` is settled.  So
+    where the loop is still going after ``rounds`` rounds, it runs again on
+    ``s`` cut at ``P`` with target ``P``; what still goes on then is
+    refused, naming the first term whose own row goes on.  The cases drawn
+    here end within far fewer rounds whenever they end.
+    """
+    target = element(s.group, target)
+    result = ref_loop(d, s, target, rounds)
+    if result is not None:
+        return result
+    precision = pmin(s.precision, target)
+    result = ref_loop(d, ref_truncate(s, precision), precision, rounds)
+    if result is not None:
+        return result
+    for g, c in s.terms:
+        if ref_loop(d, Series.make(s.group, [(g, c)]), precision, rounds) is None:
+            raise NonTerminating(
+                "exponential series does not reach the target precision: the "
+                f"archimedean class of the shift {d.rule.shift} is infinitesimal "
+                f"relative to the class of {precision - g}, the gap from t^{g} to "
+                f"the precision {precision}, and no factor phi(g) + i*phi(shift) "
+                "vanishes"
+            )
+    raise AssertionError("no row goes on")
+
+
+SURREAL1 = surreal_depth(1)
+
+
+def surreal_basis(values):
+    """A functional on the surreal1 elements spanned by t^k, k = -3..4."""
+    return LinearFunctional(
+        SURREAL1,
+        tuple(
+            (element(SURREAL1, Series.monomial(RATIONALS, k)), v)
+            for k, v in zip(range(-3, 5), values)
+        ),
+    )
+
+
+EXP_DERIVATIONS = PHI_DERIVATIONS + [
+    # an infinitesimal shift: a row from g that stays below a target of
+    # class 0 is refused unless g_1 + g_2 is an integer <= 0, where a
+    # factor vanishes
+    make_phi_derivation(standard_functional(LEX2, [1, 1]), (0, 1)),
+    # phi(shift) lies outside the span: the second round raises
+    make_phi_derivation(LinearFunctional(LEX2, (((1, 0), 1),)), (0, 1)),
+    make_phi_derivation(surreal_basis([1, -2, 1, 3, 1, 1, -1, 2]), 1),
+    make_phi_derivation(
+        surreal_basis([2, 1, -1, 1, 1, 1, 3, 1]),
+        Series.monomial(RATIONALS, 1),
+    ),
+]
+
+
+def seeded_exp_cases(d, seed, count):
+    smp = Sampler(seed)
+    for _ in range(count):
+        precision = None if smp.rng.random() < 0.5 else smp.exponent(d.group)
+        s = smp.series(d.group, max_terms=4, precision=precision)
+        yield s, smp.exponent(d.group, lo=-1, hi=6)
+
+
+@pytest.mark.parametrize("index", range(len(EXP_DERIVATIONS)))
+def test_seeded_exponentials_match_round_loop(index):
+    d = EXP_DERIVATIONS[index]
+    for s, target in seeded_exp_cases(d, 505, 30):
+        assert_same(exp_apply, ref_exp, d, s, target)
+
+
+def small_exponents(group):
+    """``exponents``, but surreal1 elements stay in the span of t^-3..t^4."""
+    if group is not SURREAL1:
+        return exponents(group)
+    return st.lists(
+        st.tuples(st.integers(-3, 4), coefficients), max_size=2
+    ).map(lambda terms: element(group, Series.make(RATIONALS, terms)))
+
+
+def exp_cases(d):
+    return st.tuples(
+        st.just(d),
+        st.builds(
+            Series.make,
+            st.just(d.group),
+            st.lists(st.tuples(small_exponents(d.group), coefficients), max_size=4),
+            st.none() | small_exponents(d.group),
+        ),
+        small_exponents(d.group),
+    )
+
+
+@given(st.sampled_from(EXP_DERIVATIONS).flatmap(exp_cases))
+def test_drawn_exponentials_match_round_loop(case):
+    assert_same(exp_apply, ref_exp, *case)
+
+
+def test_exponential_rows_merge_like_exponents():
+    # the rows from t^0 and t^1 meet at every exponent from 1 on
+    d = make_phi_derivation(scaling_functional(RATIONALS, 1), 1)
+    s = Series.make(RATIONALS, [(0, 1), (1, -1), (2, 3)])
+    assert_same(exp_apply, ref_exp, d, s, embed_rational(RATIONALS, 7))
+
+
+# -- relabelling nodes ----------------------------------------------------------------
+
+
+def ref_relabel(node, s, inverted):
+    """The image of a relabelling node through ``Series.make``."""
+    direction = "inverse" if inverted else "forward"
+    precision = s.precision
+    if isinstance(node, ExternalField):
+        terms = [(node.tau.apply(ex, direction), c) for ex, c in s.terms]
+        if precision is not None:
+            precision = node.tau.apply(precision, direction)
+    elif isinstance(node, CharacterLift):
+        factor = (lambda ex: 1 / node.chi(ex)) if inverted else node.chi
+        terms = [(ex, c * factor(ex)) for ex, c in s.terms]
+    else:
+        terms = []
+        for ex, c in s.terms:
+            image = node.zeta.apply(ex, direction)
+            scale = 1 / node.scaling(image) if inverted else node.scaling(ex)
+            terms.append((image, c * scale))
+        if precision is not None:
+            precision = node.zeta.apply(precision, direction)
+    return Series.make(s.group, terms, precision)
+
+
+RELABELLING_NODES = [
+    (RATIONALS, ExternalField(PositiveScalar(RATIONALS, Fraction(3, 2)))),
+    (LEX2, ExternalField(TriangularMatrix(LEX2, ((2, 0), (-1, 3))))),
+    (SURREAL1, ExternalField(PositiveScalar(SURREAL1, 2))),
+    (
+        RATIONALS,
+        CharacterLift(
+            PartialCharacter(
+                RATIONALS, (embed_rational(RATIONALS, 1),), (Fraction(3, 2),)
+            )
+        ),
+    ),
+    (
+        LEX2,
+        CharacterLift(
+            PartialCharacter(
+                LEX2,
+                (element(LEX2, (1, 0)), element(LEX2, (1, 1))),
+                (Fraction(2), Fraction(1, 3)),
+            )
+        ),
+    ),
+    (
+        RATIONALS,
+        ExternalGroup(
+            PiecewiseLinear((Fraction(0),), (Fraction(1), Fraction(2))),
+            ScalingFamily(
+                RATIONALS, Fraction(2), ((embed_rational(RATIONALS, 0), Fraction(5)),)
+            ),
+        ),
+    ),
+    (
+        LEX2,
+        ExternalGroup(
+            Translation(element(LEX2, (0, 1))), ScalingFamily(LEX2, Fraction(1, 2))
+        ),
+    ),
+    (
+        SURREAL1,
+        ExternalGroup(
+            Translation(embed_rational(SURREAL1, 1)),
+            ScalingFamily(SURREAL1, 3, ((embed_rational(SURREAL1, 1), Fraction(1, 4)),)),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("index", range(len(RELABELLING_NODES)))
+def test_seeded_relabelling_images_match_definition(index):
+    group, node = RELABELLING_NODES[index]
+    aut = Automorphism(group, node)
+    smp = Sampler(606)
+    for _ in range(30):
+        precision = None if smp.rng.random() < 0.4 else smp.exponent(group)
+        s = smp.series(group, max_terms=5, precision=precision)
+        assert_same(apply_aut, lambda a, x: ref_relabel(node, x, False), aut, s)
+        assert_same(
+            apply_aut, lambda a, x: ref_relabel(node, x, True), invert_aut(aut), s
+        )

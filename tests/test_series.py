@@ -12,13 +12,7 @@ from hahnaut.errors import (
 )
 from hahnaut.groups import RATIONALS, element, embed_rational, lex_power, surreal_depth
 from hahnaut.sampling import Sampler
-from hahnaut.series import (
-    Series,
-    coefficient_at,
-    leading_term,
-    series_compare,
-    series_invert,
-)
+from hahnaut.series import Series
 
 Q = RATIONALS
 
@@ -85,7 +79,7 @@ class TestMultiplication:
 
 class TestInversion:
     def test_monomial_inverse_is_exact(self):
-        inv = series_invert(Series.monomial(Q, -1, 2), embed_rational(Q, 8))
+        inv = Series.monomial(Q, -1, 2).invert(embed_rational(Q, 8))
         assert inv.precision is None
         assert [(e.value, c) for e, c in inv.terms] == [(1, Fraction(1, 2))]
 
@@ -178,46 +172,46 @@ class TestInversionTermination:
 
 class TestLeadingTermAndOrder:
     def test_leading_term(self):
-        lt = leading_term(S((-2, 3), (1, 5)))
+        lt = S((-2, 3), (1, 5)).leading_term()
         assert (lt.valuation.value, lt.coefficient) == (-2, 3)
 
     def test_constant_leading_term(self):
-        lt = leading_term(Series.constant(Q, 7))
+        lt = Series.constant(Q, 7).leading_term()
         assert (lt.valuation.value, lt.coefficient) == (0, 7)
 
     def test_empty_with_finite_precision_errs(self):
         with pytest.raises(InsufficientPrecision):
-            leading_term(Series(Q, (), embed_rational(Q, 5)))
+            Series(Q, (), embed_rational(Q, 5)).leading_term()
 
     def test_exact_zero_errs(self):
         with pytest.raises(ZeroSeries):
-            leading_term(Series.zero(Q))
+            Series.zero(Q).leading_term()
 
     def test_infinitesimal_comparison(self):
-        assert series_compare(T, Series.constant(Q, Fraction(1, 2))) == "<"
+        assert T.compare(Series.constant(Q, Fraction(1, 2))) == -1
 
     def test_positive_by_leading_coefficient(self):
-        assert series_compare(S((-2, 3), (1, 5)), Series.zero(Q)) == ">"
+        assert S((-2, 3), (1, 5)).compare(Series.zero(Q)) == 1
 
     def test_tail_decides_between_close_series(self):
         a = Series.monomial(Q, -1)
-        assert series_compare(a, a + Series.monomial(Q, 3)) == "<"
+        assert a.compare(a + Series.monomial(Q, 3)) == -1
 
     def test_inexact_tie_is_an_error(self):
         a = S((0, 1), precision=3)
         with pytest.raises(InsufficientPrecision):
-            series_compare(a, S((0, 1)))
+            a.compare(S((0, 1)))
 
 
 class TestCoefficientAndTruncate:
     def test_coefficient_lookup(self):
         s = S((-2, 3), (1, 5))
-        assert coefficient_at(s, embed_rational(Q, 1)) == 5
-        assert coefficient_at(s, embed_rational(Q, 0)) == 0
+        assert s.coefficient_at(embed_rational(Q, 1)) == 5
+        assert s.coefficient_at(embed_rational(Q, 0)) == 0
 
     def test_coefficient_beyond_precision_errs(self):
         with pytest.raises(InsufficientPrecision):
-            coefficient_at(S((0, 1), precision=2), embed_rational(Q, 3))
+            S((0, 1), precision=2).coefficient_at(embed_rational(Q, 3))
 
     def test_truncate_drops_and_tightens(self):
         s = S((0, 1), (1, 1), (2, 1)).truncate_to(embed_rational(Q, 2))
