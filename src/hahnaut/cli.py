@@ -8,6 +8,7 @@ at least one witness printed), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import automorphisms, derivations, groups, parsing
@@ -211,7 +212,10 @@ def _cmd_selftest(args, config):
 # -- argument plumbing -------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: ``parse_args`` reads it
+    and returns a fresh namespace, so every ``run_command`` can share it."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--group", default="Q", help="Z, Q, lexN or surrealD")
     shared.add_argument("--precision", default=None, help="finite precision bound")

@@ -14,21 +14,27 @@ Every derivation carries a certified valuation gain ``gain > 0``
 (contracting), which bounds the number of summands in the exponential
 ``a |-> sum_i D^i(a)/i!`` and makes it a leading-term-fixing field
 automorphism.  For a table the contraction law ``v(image) >= key + gain``
-is decided exactly, entry by entry; Leibniz and additivity are sampled.
+is decided exactly, entry by entry; Leibniz and additivity are sampled.  A
+``PhiShift`` raises valuations by its shift, so a gain above the shift is
+refused with ``NonContracting`` wherever the derivation is used.
 
 ``exp_apply`` evaluates that exponential below ``P = min(precision, target)``
 with no round guard.  For ``PhiShift`` each term ``c t^g`` gives one
 ascending row ``a_0 = c``, ``a_i = a_(i-1) * (phi(g) + (i-1)*phi(shift)) / i``
 at ``g + i*shift``; it ends exactly when some multiple of the shift reaches
 ``P - g`` or ``-phi(g)/phi(shift)`` is a nonnegative integer, and any other
-row is refused before a coefficient is computed.  A table whose images
-start above their keys is done within one round more than it has entries.
+row is refused before a coefficient is computed.  A row steps on integers:
+its factor is ``u / q`` over a fixed ``q``, and each term is one
+``Fraction`` built from the reduced numerator and denominator of the term
+before it.  A table whose images start above their keys is done within
+one round more than it has entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DescriptorMismatch,
@@ -114,6 +120,21 @@ def negate_derivation(d: MonomialDerivation) -> MonomialDerivation:
     )
 
 
+def _check_phi_gain(d: MonomialDerivation):
+    """Refuse a ``PhiShift`` whose gain exceeds its shift.
+
+    ``D(t^g) = phi(g) t^(g+shift)`` raises a valuation by the shift and no
+    more, so the unknown tail of a truncated input reaches ``D(s)`` from
+    ``s.precision + shift`` on: a larger gain would certify terms that
+    tail still changes.
+    """
+    if d.gain.compare(d.rule.shift) > 0:
+        raise NonContracting(
+            f"gain {d.gain} exceeds the shift {d.rule.shift}: a phi-shift "
+            "derivation raises valuations by its shift only"
+        )
+
+
 def _check_group(d: MonomialDerivation, s: Series):
     if s.group is not d.group and s.group != d.group:
         raise DescriptorMismatch(
@@ -125,6 +146,7 @@ def apply_derivation(d: MonomialDerivation, s: Series) -> Series:
     _check_group(d, s)
     precision = None if s.precision is None else s.precision + d.gain
     if isinstance(d.rule, PhiShift):
+        _check_phi_gain(d)
         phi, shift = d.rule.phi, d.rule.shift
         # Translation by ``shift`` keeps the exponents strictly ascending,
         # so only the terms phi kills are dropped, and the cut stays for a
@@ -205,6 +227,7 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
         raise NonContracting(
             f"shift {shift} and gain {d.gain} must both be strictly positive"
         )
+    _check_phi_gain(d)
     ks = [phi(ex) for ex, _ in s.terms]
     # phi(shift), read off the least image that survives the first round
     survives = _pmin(target, None if s.precision is None else s.precision + d.gain)
@@ -223,17 +246,25 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
                 f"to the class of {precision - g}, the gap from t^{g} to the "
                 f"precision {precision}, and no factor phi(g) + i*phi(shift) vanishes"
             )
+    # phi(g) + i*phi(shift) = (u + i*du) / q, with q the lcm of the
+    # denominators of phi(g) and phi(shift); a term is num * u / (den * q * i)
+    # from the reduced num / den before it, so each term stays reduced
+    ds = 1 if k_shift is None else k_shift.denominator
+    ns = 0 if k_shift is None else k_shift.numerator
     rows = []
     for g, c, k in terms:
         row = [(g, c)]
-        ex, a, factor, i = g, c, k, 1
-        while factor:
+        q = lcm(k.denominator, ds)
+        u, du = k.numerator * (q // k.denominator), ns * (q // ds)
+        ex, num, den, i = g, c.numerator, c.denominator, 1
+        while u:
             ex = ex + shift
             if ex.compare(precision) >= 0:
                 break
-            a = a * factor / i
+            a = Fraction(num * u, den * q * i)
             row.append((ex, a))
-            factor += k_shift
+            num, den = a.numerator, a.denominator
+            u += du
             i += 1
         rows.append(row)
     return _trusted(d.group, tuple(_merge_rows(rows)), precision)
@@ -256,15 +287,18 @@ def exp_derivation(
 
     Table rules are gated through :func:`check_derivation` on the
     ``verify`` sample first: a law that fails, or that no sample
-    evaluated, is refused.  The inverse of the result is the exponential
-    of the negated derivation.
+    evaluated, is refused.  A ``PhiShift`` whose gain exceeds its shift is
+    refused with ``NonContracting``.  The inverse of the result is the
+    exponential of the negated derivation.
     """
     from . import automorphisms
 
     target = groups.element(d.group, target_precision)
     if d.gain.compare(groups.zero(d.group)) <= 0:
         raise NonContracting("derivation gain must be strictly positive")
-    if isinstance(d.rule, TableRule):
+    if isinstance(d.rule, PhiShift):
+        _check_phi_gain(d)
+    else:
         for name, result in check_derivation(d, verify).as_items():
             if not result.ok:
                 raise DomainError(
@@ -315,8 +349,11 @@ def check_derivation(d: MonomialDerivation, spec: SampleSpec = SampleSpec()) -> 
     whose images leave a partial table's domain.  A law left without an
     evaluated sample is ``n/a``.  A table's contraction law is decided
     exactly on every entry instead, with the monomial of the first key
-    that breaks it as the witness.
+    that breaks it as the witness.  A ``PhiShift`` whose gain exceeds its
+    shift is refused with ``NonContracting``, as it is everywhere.
     """
+    if isinstance(d.rule, PhiShift):
+        _check_phi_gain(d)
     sampler = Sampler(spec.seed)
     exps = _candidate_exponents(d)
     monomials = [Series.monomial(d.group, g) for g in exps[:4]]

@@ -119,14 +119,19 @@ class GroupElement:
         return self.value == 0
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        if self.descriptor is not other.descriptor:
+        desc = self.descriptor
+        if desc is not other.descriptor:
             self._check(other)
-        kind = self.descriptor.kind
+        a, b = self.value, other.value
+        kind = desc.kind
         if kind == "LexPower":
-            val = tuple(a + b for a, b in zip(self.value, other.value))
+            val = tuple(x + y for x, y in zip(a, b))
+        elif kind == "Rationals" and a.denominator == 1 == b.denominator:
+            # integral exponents: one int add, no Fraction normalization
+            val = Fraction(a.numerator + b.numerator)
         else:
-            val = self.value + other.value
-        return GroupElement(self.descriptor, val)
+            val = a + b
+        return _trusted_element(desc, val)
 
     def __neg__(self) -> "GroupElement":
         kind = self.descriptor.kind
@@ -182,6 +187,21 @@ class GroupElement:
         from .parsing import format_group_element  # lazy: avoids an import cycle
 
         return format_group_element(self)
+
+
+def _trusted_element(descriptor: GroupDescriptor, value) -> GroupElement:
+    """A ``GroupElement`` from a value already of its kind's type, built
+    without the frozen dataclass ``__init__``: the exponent sums of the
+    series kernel come through here.
+
+    The fields are set one by one, in ``__init__``'s order, and never
+    through ``__dict__``: reading an instance's ``__dict__`` would give it
+    a dict of its own, more than twice the size of its inline fields.
+    """
+    g = object.__new__(GroupElement)
+    object.__setattr__(g, "descriptor", descriptor)
+    object.__setattr__(g, "value", value)
+    return g
 
 
 def zero(descriptor: GroupDescriptor) -> GroupElement:

@@ -274,12 +274,20 @@ class _Parser:
     # -- arithmetic expressions over series ---------------------------------
 
     def expression(self, config: SessionConfig) -> Series:
-        total = self.expr_product(config)
+        """A signed sum of products, added pairwise: exact addition is
+        associative and the precision is the least either way, and pairs
+        keep a long literal's merges from growing with its length."""
+        summands = [self.expr_product(config)]
         while self.peek.kind in ("+", "-"):
             op = self.advance().kind
             rhs = self.expr_product(config)
-            total = total + rhs if op == "+" else total - rhs
-        return total
+            summands.append(rhs if op == "+" else -rhs)
+        while len(summands) > 1:
+            pairs = [a + b for a, b in zip(summands[::2], summands[1::2])]
+            if len(summands) % 2:
+                pairs.append(summands[-1])
+            summands = pairs
+        return summands[0]
 
     def expr_product(self, config: SessionConfig) -> Series:
         total = self.expr_atom(config)

@@ -27,6 +27,12 @@ Inversion solves the coefficient recurrence of ``1/(1 + eps)`` in one
 ascending pass over the exponents below the target (``Series.invert``).
 The pass terminates exactly when ``v(eps)`` is not infinitesimal relative
 to the target; that is decided before it starts, and refused otherwise.
+
+Products and inverses compute on integers: an operand's coefficients are
+integer numerators over one common denominator, every pair product is an
+int product, and each output term becomes one normalized ``Fraction``, so
+the ``Fraction`` gcd is paid once per result term instead of once per
+pair.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import lcm
 from operator import itemgetter
 
 from .errors import (
@@ -92,7 +99,8 @@ def _merge(a: tuple, b: tuple) -> list:
 def _merge_rows(rows: list) -> list:
     """Sum of normalized term lists, merged pairwise as a bottom-up merge
     sort would, so like exponents meet and collapse without hashing an
-    exponent (a surreal exponent hashes a whole series)."""
+    exponent (a surreal exponent hashes a whole series).  The coefficients
+    may be ``Fraction``s or integer numerators over one denominator."""
     while len(rows) > 1:
         merged = [_merge(rows[k], rows[k + 1]) for k in range(0, len(rows) - 1, 2)]
         if len(rows) % 2:
@@ -101,19 +109,28 @@ def _merge_rows(rows: list) -> list:
     return rows[0] if rows else []
 
 
+def _numerators(terms) -> tuple[int, list]:
+    """``terms`` over the lcm ``d`` of their denominators: ``d`` and the
+    terms with each coefficient ``c`` replaced by the integer ``c * d``."""
+    d = lcm(*[c.denominator for _, c in terms])
+    return d, [(ex, c.numerator * (d // c.denominator)) for ex, c in terms]
+
+
 class _Pending:
-    """A contribution ``value`` to the inverse's coefficient at ``exponent``.
+    """A contribution ``value / d**power`` to the inverse's coefficient at
+    ``exponent``, where ``d`` is the common denominator of the steps.
 
     Heap entries order by ``GroupElement.compare`` alone: a tuple would
     fall back to the dataclass ``__eq__`` on its first field, and nothing
     here hashes an exponent (a surreal exponent hashes a whole series).
     """
 
-    __slots__ = ("exponent", "value")
+    __slots__ = ("exponent", "value", "power")
 
-    def __init__(self, exponent: GroupElement, value: Fraction):
+    def __init__(self, exponent: GroupElement, value: int, power: int):
         self.exponent = exponent
         self.value = value
+        self.power = power
 
     def __lt__(self, other: "_Pending") -> bool:
         return self.exponent.compare(other.exponent) < 0
@@ -263,9 +280,13 @@ class Series:
     def _mul(self, other: "Series", bound) -> "Series":
         """``(self * other).truncate_to(bound)``; ``bound=None`` gives the product.
 
-        Each row of products ``ea + eb`` ascends with ``eb``, so a row stops
-        at the first product at or past the result's precision and later
-        rows start no lower.  ``_merge_rows`` then sums the rows.
+        Each operand's coefficients are put over the lcm of its
+        denominators, ``da`` and ``db``, as integer numerators, so a pair
+        product is one int product.  Each row of products ``ea + eb``
+        ascends with ``eb``, so a row stops at the first product at or past
+        the result's precision and later rows start no lower.
+        ``_merge_rows`` then sums the rows' numerators, and each merged term
+        becomes one ``Fraction(n, da * db)``.
         """
         self._check(other)
         if self.is_exact_zero() or other.is_exact_zero():
@@ -276,18 +297,22 @@ class Series:
         if other.precision is not None:
             precision = _pmin(precision, other.precision + self._v_lower())
         precision = _pmin(precision, bound)
+        da, a = _numerators(self.terms)
+        db, b = _numerators(other.terms)
         rows = []
-        for ea, ca in self.terms:
+        for ea, na in a:
             row = []
-            for eb, cb in other.terms:
+            for eb, nb in b:
                 ex = ea + eb
                 if precision is not None and ex.compare(precision) >= 0:
                     break
-                row.append((ex, ca * cb))
+                row.append((ex, na * nb))
             if not row:
                 break
             rows.append(row)
-        return _trusted(self.group, tuple(_merge_rows(rows)), precision)
+        d = da * db
+        terms = tuple((ex, Fraction(n, d)) for ex, n in _merge_rows(rows))
+        return _trusted(self.group, terms, precision)
 
     def truncate_to(self, p) -> "Series":
         precision = _pmin(self.precision, element(self.group, p))
@@ -305,6 +330,13 @@ class Series:
         receives ``-eps_x * b_f`` through a min-heap, and the smallest
         pending exponent is final because every contribution to it comes
         from a smaller one.  Each product is formed once.
+
+        The arithmetic is on integers: the steps ``-eps_x`` are numerators
+        over their common denominator ``d``, and a ``b_f`` reached in ``k``
+        steps is a numerator over ``d**k``, so a contribution is one int
+        product.  The contributions at one exponent are summed over the
+        largest power among them, and each final ``b_f / r`` becomes one
+        ``Fraction``.
 
         The pass ends exactly when ``v(eps)`` is not infinitesimal relative
         to the target: then some ``n * v(eps)`` reaches the target, so only
@@ -324,44 +356,53 @@ class Series:
             raise InsufficientPrecision(
                 f"precision {self.precision} cannot certify an inverse to {target}"
             )
-        unit = self.shift(-g).scale(1 / r)
-        one = Series.one(self.group)
-        eps = unit - one
-        if not eps.terms:
-            inverse = Series.monomial(self.group, -g, 1 / r)
+        neg_g = -g
+        if len(self.terms) == 1:
+            inverse = Series.monomial(self.group, neg_g, 1 / r)
             if self.precision is None:
                 return inverse
             return inverse.truncate_to(target - g)
-        # Only the terms of eps below the target reach the inverse below it.
-        steps = tuple((x, -c) for x, c in _cut(eps.terms, target))
-        v_eps = eps.terms[0][0]
+        # The steps -eps_x of eps = self / (r t^g) - 1; only those below
+        # the target reach the inverse below it.
+        steps = tuple((ex + neg_g, -c / r) for ex, c in self.terms[1:])
+        v_eps = steps[0][0]
+        steps = _cut(steps, target)
         if steps and arch_compare(target, v_eps) == "<":
             raise NonTerminating(
                 "geometric expansion does not reach the target precision: the "
                 f"archimedean class of v(eps) = {v_eps} is infinitesimal relative "
                 f"to the class of the target {target}"
             )
+        d, steps = _numerators(steps)
+        rn, rd = r.numerator, r.denominator
+        powers = [1]
         terms = []
-        pending = [_Pending(one.terms[0][0], Fraction(1))]
+        pending = [_Pending(element(self.group, 0), 1, 0)]
         while pending:
             first = heappop(pending)
-            f, b = first.exponent, first.value
+            f, b, k = first.exponent, first.value, first.power
             # Contributions come from strictly smaller exponents, all of
             # them popped already, so the run at f sums to the final b_f.
             while pending and pending[0].exponent.compare(f) == 0:
-                b += heappop(pending).value
+                other = heappop(pending)
+                if other.power > k:
+                    b = b * powers[other.power - k] + other.value
+                    k = other.power
+                else:
+                    b += other.value * powers[k - other.power]
             if not b:
                 continue
-            terms.append((f, b))
+            terms.append((f + neg_g, Fraction(b * rd, powers[k] * rn)))
+            k += 1
+            if k == len(powers):
+                powers.append(powers[-1] * d)
             for x, c in steps:
                 e = f + x
                 if e.compare(target) >= 0:
                     break
-                heappush(pending, _Pending(e, c * b))
-        total = _trusted(self.group, tuple(terms), None)
-        result = total.scale(1 / r).shift(-g)
+                heappush(pending, _Pending(e, c * b, k))
         precision = target - g
-        return _trusted(self.group, _cut(result.terms, precision), precision)
+        return _trusted(self.group, _cut(tuple(terms), precision), precision)
 
     # -- order -------------------------------------------------------------
 

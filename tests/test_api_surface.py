@@ -1,5 +1,7 @@
 """Guard against dead API: every public name the package defines is used,
-and every name a module imports is referenced there."""
+and every name a module imports is referenced there.  Also keeps the
+package off ``Fraction`` internals, which differ between the Python
+versions it supports."""
 
 import ast
 import re
@@ -62,3 +64,25 @@ def test_every_imported_name_is_used():
             f"{path.name}: {name}" for name in imported_names(tree) if name not in used
         ]
     assert unused == []
+
+
+FRACTION_INTERNALS = {"_normalize", "_numerator", "_denominator", "_from_coprime_ints"}
+
+
+def test_no_private_fraction_attribute_is_used():
+    used = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used += [
+            f"{path.name}:{node.lineno}: {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in FRACTION_INTERNALS
+        ]
+        used += [
+            f"{path.name}:{node.lineno}: {kw.arg}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            for kw in node.keywords
+            if kw.arg in FRACTION_INTERNALS
+        ]
+    assert used == []

@@ -43,13 +43,16 @@ from hahnaut.derivations import (
     MonomialDerivation,
     PhiShift,
     apply_derivation,
+    check_derivation,
     exp_apply,
+    exp_derivation,
     make_phi_derivation,
 )
 from hahnaut.errors import (
     DescriptorMismatch,
     HahnError,
     InsufficientPrecision,
+    NonContracting,
     NonTerminating,
 )
 from hahnaut.groups import (
@@ -406,17 +409,18 @@ LEX2 = lex_power(2)
 PHI_DERIVATIONS = [
     make_phi_derivation(scaling_functional(INTEGERS, 2), 1),
     make_phi_derivation(scaling_functional(RATIONALS, Fraction(-1, 2)), Fraction(1, 2)),
-    # hand-built gains below and above the shift: the image is cut at the
-    # input precision plus the gain, not plus the shift
+    # hand-built gains below the shift: the image is cut at the input
+    # precision plus the gain, not plus the shift (a gain above the shift
+    # is refused, see test_phi_gain_above_the_shift_is_refused)
     MonomialDerivation(
         RATIONALS,
         PhiShift(scaling_functional(RATIONALS, 1), element(RATIONALS, 2)),
         element(RATIONALS, Fraction(1, 2)),
     ),
     MonomialDerivation(
-        RATIONALS,
-        PhiShift(scaling_functional(RATIONALS, 3), element(RATIONALS, 1)),
-        element(RATIONALS, 2),
+        INTEGERS,
+        PhiShift(scaling_functional(INTEGERS, 3), element(INTEGERS, 2)),
+        element(INTEGERS, 1),
     ),
     # phi vanishes on the generator (1,0): those terms leave the image
     make_phi_derivation(standard_functional(LEX2, [0, 3]), (0, 1)),
@@ -562,6 +566,158 @@ def exp_cases(d):
 @given(st.sampled_from(EXP_DERIVATIONS).flatmap(exp_cases))
 def test_drawn_exponentials_match_round_loop(case):
     assert_same(exp_apply, ref_exp, *case)
+
+
+def test_phi_gain_above_the_shift_is_refused():
+    # D(t^g) = g t^(g+1) with a declared gain of 2.  Cut at the input
+    # precision plus the gain, t + O(t^2) would map to t^2 + O(t^4), but
+    # t + t^(5/2), which agrees with it below t^2, maps to
+    # t^2 + 5/2 t^(7/2): the tail reaches the image from t^3 on.
+    phi = scaling_functional(RATIONALS, 1)
+    unsound = MonomialDerivation(
+        RATIONALS, PhiShift(phi, element(RATIONALS, 1)), element(RATIONALS, 2)
+    )
+    truncated = Series.make(RATIONALS, [(1, 1)], 2)
+    exact = Series.make(RATIONALS, [(1, 1), (Fraction(5, 2), 1)])
+    assert truncated.agrees(exact)
+    cut = ref_apply_phi(unsound, truncated)
+    assert cut.precision == element(RATIONALS, 4)
+    assert not cut.agrees(ref_apply_phi(unsound, exact))
+    sound = make_phi_derivation(phi, 1)
+    assert apply_derivation(sound, truncated).agrees(apply_derivation(sound, exact))
+    refusals = [
+        lambda: apply_derivation(unsound, truncated),
+        lambda: exp_apply(unsound, truncated, element(RATIONALS, 5)),
+        lambda: check_derivation(unsound),
+        lambda: exp_derivation(unsound, 5),
+    ]
+    for refused in refusals:
+        with pytest.raises(NonContracting, match=r"^gain 2 exceeds the shift 1: "):
+            refused()
+
+
+# -- integer-numerator kernels ---------------------------------------------------
+#
+# Products, inverses and exponential rows compute on integer numerators over
+# a common denominator.  Large and pairwise-coprime denominators make those
+# common denominators large, and the results must still equal the Fraction
+# definitions above.
+
+KERNEL_GROUPS = [INTEGERS, RATIONALS, LEX2, SURREAL1]
+PRIMES = [2, 3, 5, 7, 11, 13, 101, 65537, 998244353, 10**9 + 7, 2**61 - 1]
+
+
+def wide_coefficients():
+    return st.builds(
+        Fraction,
+        st.integers(-(10**12), 10**12).filter(bool),
+        st.sampled_from(PRIMES) | st.integers(1, 10**20),
+    )
+
+
+def wide_series(group, exps=exponents, min_size=0, max_size=6):
+    """Series whose coefficients have large denominators, pairwise coprime
+    when drawn from ``PRIMES`` (one term per denominator), exact or cut."""
+    coprime = st.lists(
+        st.tuples(exps(group), st.integers(-(10**6), 10**6).filter(bool), st.sampled_from(PRIMES)),
+        min_size=min_size,
+        max_size=max_size,
+        unique_by=lambda t: t[2],
+    ).map(lambda terms: [(ex, Fraction(n, p)) for ex, n, p in terms])
+    large = st.lists(
+        st.tuples(exps(group), wide_coefficients()), min_size=min_size, max_size=max_size
+    )
+    return st.builds(
+        Series.make, st.just(group), coprime | large, st.none() | exps(group)
+    )
+
+
+@given(
+    st.sampled_from(KERNEL_GROUPS).flatmap(
+        lambda g: st.tuples(wide_series(g), wide_series(g), exponents(g))
+    )
+)
+def test_drawn_wide_products_match_schoolbook(case):
+    a, b, p = case
+    mul = lambda x, y: x * y
+    assert_same(mul, ref_mul, a, b)
+    assert_same(mul, ref_mul, a.truncate_to(p), b)
+    assert_same(mul, ref_mul, a, a)
+
+
+@given(
+    st.sampled_from(KERNEL_GROUPS).flatmap(
+        lambda g: st.tuples(
+            wide_series(g, min_size=1, max_size=8), exponents(g) | st.integers(0, 2), st.booleans()
+        ).map(lambda case: unit_case(g, case[0].terms, *case[1:]))
+    )
+)
+def test_drawn_wide_inverses_match_definition(case):
+    s, target = case
+    assume(s.terms and few_summands(s, target))
+    assert_same(Series.invert, ref_invert, s, target)
+
+
+def wide_phi_derivations():
+    """Over Q, phi(g) = q g and a shift m + 1/P with large coprime
+    denominators, so every row factor has a large denominator; the shift
+    stays at least 1, so every row ends within a few rounds."""
+    return st.builds(
+        lambda q, m, prime: make_phi_derivation(
+            scaling_functional(RATIONALS, q), Fraction(m * prime + 1, prime)
+        ),
+        wide_coefficients(),
+        st.integers(1, 2),
+        st.sampled_from(PRIMES),
+    )
+
+
+@given(
+    (st.sampled_from(EXP_DERIVATIONS) | wide_phi_derivations()).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            wide_series(d.group, small_exponents, max_size=4),
+            small_exponents(d.group),
+        )
+    )
+)
+def test_drawn_wide_exponentials_match_round_loop(case):
+    assert_same(exp_apply, ref_exp, *case)
+
+
+def test_long_inverse_matches_definition():
+    s = Series.make(RATIONALS, [(0, 1), (1, Fraction(1, 3)), (2, Fraction(1, 5))])
+    target = embed_rational(RATIONALS, 400)
+    assert_same(Series.invert, ref_invert, s, target)
+    assert len(s.invert(target).terms) == 400
+
+
+def first_primes(n):
+    primes = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_thirty_coprime_denominators_match_definitions():
+    # t^0..t^29 with coefficients (-1)^k (k+1)/p_k over the first 30 primes:
+    # the common denominator is their product
+    s = Series.make(
+        RATIONALS,
+        [(k, Fraction((-1) ** k * (k + 1), p)) for k, p in enumerate(first_primes(30))],
+    )
+    assert_same(lambda x, y: x * y, ref_mul, s, s)
+    assert_same(lambda x, y: x * y, ref_mul, s.truncate_to(20), s)
+    target = embed_rational(RATIONALS, 30)
+    for d in (
+        make_phi_derivation(scaling_functional(RATIONALS, 1), 1),
+        make_phi_derivation(scaling_functional(RATIONALS, Fraction(-5, 7)), 1),
+    ):
+        assert_same(exp_apply, ref_exp, d, s, target)
+        assert_same(exp_apply, ref_exp, d, s.truncate_to(17), target)
 
 
 def test_exponential_rows_merge_like_exponents():

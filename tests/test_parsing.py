@@ -124,6 +124,27 @@ class TestExpressions:
         s = parse_expression("-(1 + t^(1)) + 1", Q_T)
         assert [(e.value, c) for e, c in s.terms] == [(1, -1)]
 
+    @pytest.mark.parametrize("count", [1, 2, 37, 64])
+    def test_long_signed_sum_equals_the_left_fold(self, count):
+        # summands that cancel, and quotients cut at the session precision
+        # at different bounds, so terms and precision both have to agree
+        config = SessionConfig(RATIONALS, groups.embed_rational(RATIONALS, 9))
+        smp = Sampler(count)
+        texts, summands = [], []
+        for k in range(count):
+            sign = smp.rng.choice("+-")
+            e = smp.rng.randint(-3, 6)
+            text = f"{smp.rng.randint(1, 9)}/{smp.rng.randint(1, 4)}*t^({e})"
+            if k % 5 == 4:
+                text = f"t^({e})/(1 + t^(1))"
+            texts.append((sign, text))
+            summands.append(parse_expression(text, config))
+        expression = " ".join(f"{sign} {text}" for sign, text in texts).lstrip("+ ")
+        folded = summands[0] if texts[0][0] == "+" else -summands[0]
+        for (sign, _), s in zip(texts[1:], summands[1:]):
+            folded = folded + s if sign == "+" else folded - s
+        assert parse_expression(expression, config) == folded
+
 
 class TestGroupElements:
     def test_rational(self):
