@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
 
 from . import derivations as deriv_mod
 from . import groups
@@ -67,8 +65,7 @@ class PartialCharacter:
     descriptor: GroupDescriptor
     lattice: tuple[GroupElement, ...]
     values: tuple[Fraction, ...]
-    # the dual basis of the lattice on its coordinates, derived once from
-    # ``lattice``: duals[i] . coordinates(lattice[j]) == (i == j)
+    # the dual basis of the lattice, derived once from ``lattice``
     _duals: tuple[tuple[Fraction, ...], ...] = field(
         init=False, compare=False, repr=False
     )
@@ -82,17 +79,10 @@ class PartialCharacter:
             raise DomainError("lattice and value lists differ in length")
         if any(v <= 0 for v in values):
             raise DomainError("character values must be positive")
-        duals = []
-        if lattice:
-            # With the coordinates as columns, the unit vectors are all
-            # solvable exactly when the lattice is independent.
-            n = len(lattice)
-            units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-            columns = list(zip(*groups._coordinates(list(lattice))))
-            _, duals = groups._solve_linear(columns, units)
-            if None in duals:
-                raise DomainError("character lattice must be Q-linearly independent")
-        object.__setattr__(self, "_duals", tuple(map(tuple, duals)))
+        duals = groups._dual_basis(lattice)
+        if duals is None:
+            raise DomainError("character lattice must be Q-linearly independent")
+        object.__setattr__(self, "_duals", duals)
 
     def __call__(self, g: GroupElement) -> Fraction:
         g = groups.element(self.descriptor, g)
@@ -100,17 +90,8 @@ class PartialCharacter:
             return Fraction(1)
         if not self.lattice:
             return Fraction(1)  # the trivial character is identically 1
-        *basis, vector = groups._coordinates(list(self.lattice) + [g])
-        # The duals give the only candidate coefficients, and g is in the
-        # span exactly when they rebuild it; a lattice with as many elements
-        # as coordinates spans them all.  A self-similar g with an exponent
-        # the lattice lacks has more coordinates than the lattice has
-        # elements, and every lattice coordinate there is 0.
-        coeffs = [reduce(add, map(mul, dual, vector)) for dual in self._duals]
-        spanned = len(coeffs) == len(vector) or vector == [
-            reduce(add, map(mul, coeffs, column)) for column in zip(*basis)
-        ]
-        if not spanned or any(q.denominator != 1 for q in coeffs):
+        coeffs = groups._span_coefficients(self.lattice, self._duals, g)
+        if coeffs is None or any(q.denominator != 1 for q in coeffs):
             raise DomainError(f"{g} is not in the integer span of the lattice")
         out = Fraction(1)
         for q, v in zip(coeffs, self.values):
@@ -371,10 +352,9 @@ def _dispatch(node, s, inverted, precision, path):
             s = _apply_node(part, s, inverted, precision, path + [f"compose[{i}]"])
         return s
     if isinstance(node, ExternalField):
-        direction = "inverse" if inverted else "forward"
-        terms = [(node.tau.apply(ex, direction), c) for ex, c in s.terms]
-        prec = _map_precision(s.precision, lambda p: node.tau.apply(p, direction))
-        return _relabelled(group, terms, prec)
+        image = node.tau.backward if inverted else node.tau.forward
+        terms = [(image(ex), c) for ex, c in s.terms]
+        return _relabelled(group, terms, _map_precision(s.precision, image))
     if isinstance(node, CharacterLift):
         chi = node.chi
         terms = [(ex, c / chi(ex) if inverted else c * chi(ex)) for ex, c in s.terms]
@@ -384,14 +364,13 @@ def _dispatch(node, s, inverted, precision, path):
             return s * node.unit
         return _internal_mult_inverse(node.unit, s, precision)
     if isinstance(node, ExternalGroup):
-        direction = "inverse" if inverted else "forward"
+        image = node.zeta.backward if inverted else node.zeta.forward
         terms = []
         for ex, c in s.terms:
-            target = node.zeta.apply(ex, direction)
+            target = image(ex)
             factor = node.scaling(ex) if not inverted else 1 / node.scaling(target)
             terms.append((target, c * factor))
-        prec = _map_precision(s.precision, lambda p: node.zeta.apply(p, direction))
-        return _relabelled(group, terms, prec)
+        return _relabelled(group, terms, _map_precision(s.precision, image))
     if isinstance(node, ExpDerivation):
         d = node.derivation if not inverted else deriv_mod.negate_derivation(
             node.derivation
@@ -412,11 +391,8 @@ def _dispatch(node, s, inverted, precision, path):
         if inverted:
             equivalent = Compose(_expansion(node))
             return _apply_node(equivalent, s, True, precision, path + ["tau"])
-        staged = [
-            (node.zeta.apply(ex, "forward"), c * node.scaling(ex))
-            for ex, c in s.terms
-        ]
-        prec = _map_precision(s.precision, lambda p: node.zeta.apply(p, "forward"))
+        staged = [(node.zeta.forward(ex), c * node.scaling(ex)) for ex, c in s.terms]
+        prec = _map_precision(s.precision, node.zeta.forward)
         inner = _relabelled(group, staged, prec)
         return _apply_node(node.nu.node, inner, False, precision, path + ["tau"])
     if isinstance(node, TableMonomial):
@@ -505,6 +481,8 @@ def construct_theta(
     spec: SampleSpec = SampleSpec(),
     precision=None,
 ) -> Automorphism:
+    if tau.descriptor != sigma.group or chi.descriptor != sigma.group:
+        raise DescriptorMismatch("sigma, chi and tau act on different groups")
     if not _built_from(sigma.node, _ONE_AUT_NODES):
         gate = is_one_aut(sigma, spec, precision)
         if not gate.ok:
@@ -521,6 +499,8 @@ def construct_tau(
     spec: SampleSpec = SampleSpec(),
     precision=None,
 ) -> Automorphism:
+    if zeta.descriptor != nu.group or scaling.descriptor != nu.group:
+        raise DescriptorMismatch("nu, zeta and the scaling act on different groups")
     if not _built_from(nu.node, _INTERNAL_NODES):
         gate = is_one_aut(nu, spec, precision)
         if not gate.ok:

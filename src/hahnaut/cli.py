@@ -14,7 +14,7 @@ import sys
 from . import automorphisms, derivations, groups, parsing
 from .errors import HahnError, ParseError
 from .groups import GroupDescriptor
-from .sampling import SampleSpec, Sampler
+from .sampling import SampleSpec, Sampler, first_counterexample
 from .series import Series
 
 
@@ -164,32 +164,31 @@ def _cmd_check_deriv(args, config):
 def _cmd_selftest(args, config):
     spec = SampleSpec(config.seed, max(config.sample_count, 20))
     failures = []
+    group = config.group
 
     sampler = Sampler(spec.seed)
-    group = config.group
-    for _ in range(spec.count):
-        a = sampler.series(group)
-        b = sampler.series(group)
-        c = sampler.series(group)
-        if not ((a + b) * c).agrees(a * c + b * c):
-            failures.append(("distributivity", (a, b, c)))
-            break
-    print("ring_axioms: " + ("fail" if failures else "pass"))
+    ring = first_counterexample(
+        lambda a, b, c: ((a + b) * c).agrees(a * c + b * c),
+        ([sampler.series(group) for _ in range(3)] for _ in range(spec.count)),
+    )
+    if not ring.ok:
+        failures.append(("distributivity", ring.witness))
+    print(f"ring_axioms: {ring.describe()}")
 
-    roundtrip_fail = None
-    for notation in ("t", "w"):
-        view = parsing.SessionConfig(
-            group, None, notation, config.seed, config.sample_count
-        )
-        sampler = Sampler(spec.seed)
-        for _ in range(spec.count):
-            s = sampler.series(group)
-            if parsing.parse_series(parsing.format_series(s, view), view) != s:
-                roundtrip_fail = s
-                break
-    if roundtrip_fail is not None:
-        failures.append(("parser_roundtrip", (roundtrip_fail,)))
-    print("parser_roundtrip: " + ("fail" if roundtrip_fail is not None else "pass"))
+    views = [
+        parsing.SessionConfig(group, None, notation, config.seed, config.sample_count)
+        for notation in ("t", "w")
+    ]
+    # both notations check the same samples, drawn from a fresh sampler
+    sampler = Sampler(spec.seed)
+    samples = [sampler.series(group) for _ in range(spec.count)]
+    roundtrip = first_counterexample(
+        lambda view, s: parsing.parse_series(parsing.format_series(s, view), view) == s,
+        ((view, s) for view in views for s in samples),
+    )
+    if not roundtrip.ok:
+        failures.append(("parser_roundtrip", roundtrip.witness[1:]))
+    print(f"parser_roundtrip: {roundtrip.describe()}")
 
     if group == groups.RATIONALS:
         phi = groups.scaling_functional(group, 1)

@@ -13,10 +13,12 @@ Two rule families are supported:
 Every derivation carries a certified valuation gain ``gain > 0``
 (contracting), which bounds the number of summands in the exponential
 ``a |-> sum_i D^i(a)/i!`` and makes it a leading-term-fixing field
-automorphism.  For a table the contraction law ``v(image) >= key + gain``
-is decided exactly, entry by entry; Leibniz and additivity are sampled.  A
-``PhiShift`` raises valuations by its shift, so a gain above the shift is
-refused with ``NonContracting`` wherever the derivation is used.
+automorphism.  Contraction is decided exactly for both rule kinds: a
+``PhiShift`` raises valuations by its shift, so it contracts exactly when
+``0 < gain <= shift``, and a table contracts exactly when every entry
+satisfies ``v(image) >= key + gain``.  A derivation that fails this is
+refused with ``NonContracting`` wherever its gain would certify a result;
+Leibniz and additivity are sampled.
 
 ``exp_apply`` evaluates that exponential below ``P = min(precision, target)``
 with no round guard.  For ``PhiShift`` each term ``c t^g`` gives one
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 from .errors import (
@@ -75,11 +78,6 @@ def make_phi_derivation(phi: LinearFunctional, shift) -> MonomialDerivation:
     return MonomialDerivation(phi.descriptor, PhiShift(phi, shift), shift)
 
 
-def _contracts(key: GroupElement, image: Series, gain: GroupElement) -> bool:
-    """The contraction law of one table entry: ``v(image) >= key + gain``."""
-    return not image.terms or image.terms[0][0].compare(key + gain) >= 0
-
-
 def make_table_derivation(
     group: GroupDescriptor,
     entries,
@@ -89,24 +87,22 @@ def make_table_derivation(
 ) -> MonomialDerivation:
     """Derivation from a finite exponent-to-series table.
 
-    ``validate=False`` skips the per-entry valuation check so that broken
-    tables can still be handed to ``check_derivation`` for diagnosis.
+    ``validate=False`` skips the contraction check so that broken tables
+    can still be handed to ``check_derivation`` for diagnosis.
     """
     gain = groups.element(group, gain)
-    if gain.compare(groups.zero(group)) <= 0:
-        raise NonContracting(f"gain {gain} must be strictly positive")
     table = []
     for g, image in entries.items() if isinstance(entries, dict) else entries:
         g = groups.element(group, g)
         if image.group != group:
             raise DescriptorMismatch("table image over the wrong group")
-        if validate and not _contracts(g, image, gain):
-            raise NonContracting(
-                f"image of t^{g} starts below the certified gain"
-            )
         table.append((g, image))
     table.sort(key=lambda t: t[0])
-    return MonomialDerivation(group, TableRule(tuple(table), zero_default), gain)
+    d = MonomialDerivation(group, TableRule(tuple(table), zero_default), gain)
+    _check_gain(d)
+    if validate:
+        _check_table(d)
+    return d
 
 
 def negate_derivation(d: MonomialDerivation) -> MonomialDerivation:
@@ -120,19 +116,36 @@ def negate_derivation(d: MonomialDerivation) -> MonomialDerivation:
     )
 
 
-def _check_phi_gain(d: MonomialDerivation):
-    """Refuse a ``PhiShift`` whose gain exceeds its shift.
+def _check_gain(d: MonomialDerivation):
+    """Refuse a non-positive gain, or a ``PhiShift`` gain above its shift.
 
     ``D(t^g) = phi(g) t^(g+shift)`` raises a valuation by the shift and no
     more, so the unknown tail of a truncated input reaches ``D(s)`` from
     ``s.precision + shift`` on: a larger gain would certify terms that
     tail still changes.
     """
-    if d.gain.compare(d.rule.shift) > 0:
+    if d.gain.compare(groups.zero(d.group)) <= 0:
+        raise NonContracting(f"gain {d.gain} must be strictly positive")
+    if isinstance(d.rule, PhiShift) and d.gain.compare(d.rule.shift) > 0:
         raise NonContracting(
             f"gain {d.gain} exceeds the shift {d.rule.shift}: a phi-shift "
             "derivation raises valuations by its shift only"
         )
+
+
+def _broken_key(d: MonomialDerivation) -> GroupElement | None:
+    """The least table key whose image starts below ``key + gain``, or None."""
+    for g, image in d.rule.entries:
+        if image.terms and image.terms[0][0].compare(g + d.gain) < 0:
+            return g
+    return None
+
+
+def _check_table(d: MonomialDerivation):
+    """Refuse a table that does not contract by its gain."""
+    broken = _broken_key(d)
+    if broken is not None:
+        raise NonContracting(f"image of t^{broken} starts below the certified gain")
 
 
 def _check_group(d: MonomialDerivation, s: Series):
@@ -144,9 +157,9 @@ def _check_group(d: MonomialDerivation, s: Series):
 
 def apply_derivation(d: MonomialDerivation, s: Series) -> Series:
     _check_group(d, s)
+    _check_gain(d)
     precision = None if s.precision is None else s.precision + d.gain
     if isinstance(d.rule, PhiShift):
-        _check_phi_gain(d)
         phi, shift = d.rule.phi, d.rule.shift
         # Translation by ``shift`` keeps the exponents strictly ascending,
         # so only the terms phi kills are dropped, and the cut stays for a
@@ -157,6 +170,10 @@ def apply_derivation(d: MonomialDerivation, s: Series) -> Series:
             if k:
                 terms.append((ex + shift, c * k))
         return _trusted(d.group, _cut(tuple(terms), precision), precision)
+    if precision is not None:
+        # a broken table certifies nothing below this precision; exact
+        # inputs stay allowed, as the sampled laws of check_derivation use them
+        _check_table(d)
     table = dict(d.rule.entries)
     total = Series.zero(d.group)
     for ex, c in s.terms:
@@ -190,44 +207,34 @@ def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
     least ``g`` whose image survives below the target, as the first two
     rounds of ``D`` call it, so the same ``OutsideSpan`` comes first.
 
-    For ``TableRule``, ``D^i(s)`` is built round by round.  When every
-    image starts above its key (``v(image) >= key + gain`` with a positive
-    gain), the least key present in ``D^i(s)`` rises strictly with ``i``:
-    ``D`` reads only the terms at keys, each image lies above its key, and
-    cuts only drop terms.  So after ``n = len(entries)`` rounds no key is
-    left, and round ``n + 1`` is zero.  A round ``n + 1`` that is still
-    nonzero proves that some image does not start above its key: it is
-    refused with ``NonTerminating``.
+    For ``TableRule``, ``D^i(s)`` is built round by round.  A table some
+    image of which starts below ``key + gain`` is refused with
+    ``NonContracting`` first.  Every other image starts above its key, so
+    the least key present in ``D^i(s)`` rises strictly with ``i``: ``D``
+    reads only the terms at keys, each image lies above its key, and cuts
+    only drop terms.  So after ``n = len(entries)`` rounds no key is left,
+    and round ``n + 1`` is zero at the latest.
     """
+    target = groups.element(s.group, target)
+    _check_group(d, s)
+    _check_gain(d)
     if isinstance(d.rule, PhiShift):
-        return _exp_phi_shift(d, s, groups.element(s.group, target))
+        return _exp_phi_shift(d, s, target)
+    _check_table(d)
     total = s.truncate_to(target)
     term = s
     factorial = 1
-    n = len(d.rule.entries)
-    for i in range(1, n + 2):
+    for i in count(1):
         term = apply_derivation(d, term).truncate_to(target)
         if not term.terms:
             return total
         factorial *= i
         total = total + term.scale(Fraction(1, factorial))
-    raise NonTerminating(
-        f"table derivation does not contract: D^{n + 1}(s) is still nonzero, "
-        f"but a table of {n} entries whose images start above their keys "
-        f"vanishes by then"
-    )
 
 
 def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
     """``exp_apply`` for a ``PhiShift``: one row per term, as documented there."""
-    _check_group(d, s)
     phi, shift = d.rule.phi, d.rule.shift
-    zero = groups.zero(d.group)
-    if shift.compare(zero) <= 0 or d.gain.compare(zero) <= 0:
-        raise NonContracting(
-            f"shift {shift} and gain {d.gain} must both be strictly positive"
-        )
-    _check_phi_gain(d)
     ks = [phi(ex) for ex, _ in s.terms]
     # phi(shift), read off the least image that survives the first round
     survives = _pmin(target, None if s.precision is None else s.precision + d.gain)
@@ -285,20 +292,17 @@ def exp_derivation(
 ):
     """Exponential of a contracting derivation, as an automorphism node.
 
-    Table rules are gated through :func:`check_derivation` on the
-    ``verify`` sample first: a law that fails, or that no sample
-    evaluated, is refused.  A ``PhiShift`` whose gain exceeds its shift is
-    refused with ``NonContracting``.  The inverse of the result is the
-    exponential of the negated derivation.
+    A gain that is not positive, or a ``PhiShift`` gain above its shift,
+    is refused with ``NonContracting``.  Table rules are gated through
+    :func:`check_derivation` on the ``verify`` sample first: a law that
+    fails, or that no sample evaluated, is refused.  The inverse of the
+    result is the exponential of the negated derivation.
     """
     from . import automorphisms
 
     target = groups.element(d.group, target_precision)
-    if d.gain.compare(groups.zero(d.group)) <= 0:
-        raise NonContracting("derivation gain must be strictly positive")
-    if isinstance(d.rule, PhiShift):
-        _check_phi_gain(d)
-    else:
+    _check_gain(d)
+    if isinstance(d.rule, TableRule):
         for name, result in check_derivation(d, verify).as_items():
             if not result.ok:
                 raise DomainError(
@@ -347,13 +351,13 @@ def check_derivation(d: MonomialDerivation, spec: SampleSpec = SampleSpec()) -> 
     Returns the first counterexample per law as a witness.  Samples a law
     cannot fail on are skipped: pairs with a zero member, and samples
     whose images leave a partial table's domain.  A law left without an
-    evaluated sample is ``n/a``.  A table's contraction law is decided
-    exactly on every entry instead, with the monomial of the first key
-    that breaks it as the witness.  A ``PhiShift`` whose gain exceeds its
-    shift is refused with ``NonContracting``, as it is everywhere.
+    evaluated sample is ``n/a``.  The contraction law is decided exactly
+    instead: a gain that is not positive, or a ``PhiShift`` gain above its
+    shift, is refused with ``NonContracting``, so a ``PhiShift`` that gets
+    this far passes, and a table fails with the monomial of the first key
+    that breaks it as the witness.
     """
-    if isinstance(d.rule, PhiShift):
-        _check_phi_gain(d)
+    _check_gain(d)
     sampler = Sampler(spec.seed)
     exps = _candidate_exponents(d)
     monomials = [Series.monomial(d.group, g) for g in exps[:4]]
@@ -398,27 +402,12 @@ def check_derivation(d: MonomialDerivation, spec: SampleSpec = SampleSpec()) -> 
             apply_derivation(d, a) + apply_derivation(d, b)
         )
 
-    @sampled
-    def contracting(a):
-        da = apply_derivation(d, a)
-        return not da.terms or da.v().compare(a.v()) > 0
-
-    def contraction() -> CheckResult:
-        if isinstance(d.rule, TableRule):
-            broken = next(
-                (g for g, image in d.rule.entries if not _contracts(g, image, d.gain)),
-                None,
-            )
-            if broken is None:
-                return CheckResult("pass")
-            return CheckResult("fail", (Series.monomial(d.group, broken),))
-        singles = list(monomials)
-        while len(singles) < spec.count:
-            singles.append(random_combo())
-        return first_counterexample(contracting, ((a,) for a in singles[: spec.count]))
-
+    contracting = CheckResult("pass")
+    broken = _broken_key(d) if isinstance(d.rule, TableRule) else None
+    if broken is not None:
+        contracting = CheckResult("fail", (Series.monomial(d.group, broken),))
     return DerivationReport(
         leibniz=first_counterexample(leibniz, pairs),
         additive=first_counterexample(additive, pairs),
-        contracting=contraction(),
+        contracting=contracting,
     )

@@ -28,6 +28,7 @@ import bisect
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -368,6 +369,40 @@ def _solve_linear(
     return rank == n, solutions
 
 
+def _dual_basis(basis: Sequence[GroupElement]):
+    """The dual basis of ``basis`` on its coordinates, or None when the
+    basis is Q-linearly dependent: ``duals[i] . coordinates(basis[j])``
+    is 1 when ``i == j`` and 0 otherwise."""
+    if not basis:
+        return ()
+    # With the coordinates as columns, the unit vectors are all solvable
+    # exactly when the basis is independent.
+    n = len(basis)
+    units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    columns = list(zip(*_coordinates(list(basis))))
+    _, duals = _solve_linear(columns, units)
+    if None in duals:
+        return None
+    return tuple(map(tuple, duals))
+
+
+def _span_coefficients(basis, duals, g: GroupElement) -> list[Fraction] | None:
+    """The coefficients of ``g`` over the independent, nonempty ``basis``
+    with dual basis ``duals``, or None when ``g`` is outside its Q-span."""
+    *vectors, vector = _coordinates(list(basis) + [g])
+    # The duals give the only candidate coefficients, and g is in the span
+    # exactly when they rebuild it; a basis with as many elements as
+    # coordinates spans them all.  A self-similar g with an exponent the
+    # basis lacks has more coordinates than the basis has elements, and
+    # every basis coordinate there is 0.
+    coeffs = [functools.reduce(add, map(mul, dual, vector)) for dual in duals]
+    if len(coeffs) == len(vector) or vector == [
+        functools.reduce(add, map(mul, coeffs, column)) for column in zip(*vectors)
+    ]:
+        return coeffs
+    return None
+
+
 # -- Q-linear functionals ---------------------------------------------------
 
 
@@ -381,17 +416,23 @@ class LinearFunctional:
 
     descriptor: GroupDescriptor
     generators: tuple[tuple[GroupElement, Fraction], ...]
+    # the dual basis of the generators, derived once from ``generators``
+    _duals: tuple[tuple[Fraction, ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         gens = tuple(
             (element(self.descriptor, g), Fraction(v)) for g, v in self.generators
         )
         object.__setattr__(self, "generators", gens)
-        # For the self-similar kind independence is only decidable on the
-        # finite exponent set actually touched; it is checked at evaluation.
-        if self.descriptor.kind != "SurrealDepth" and gens:
-            if not _solve_linear(_coordinates([g for g, _ in gens]))[0]:
-                raise DomainError("functional generators are Q-linearly dependent")
+        # A self-similar generator is an exact series with finite support,
+        # so its rank does not change when more exponents are touched:
+        # independence is decided here for every kind.
+        duals = _dual_basis([g for g, _ in gens])
+        if duals is None:
+            raise DomainError("functional generators are Q-linearly dependent")
+        object.__setattr__(self, "_duals", duals)
 
     def __call__(self, g: GroupElement) -> Fraction:
         g = element(self.descriptor, g)
@@ -403,12 +444,8 @@ class LinearFunctional:
             # __post_init__ leaves exactly one, nonzero, generator here
             ((gen, v),) = self.generators
             return Fraction(g.value) / gen.value * v
-        vectors = _coordinates([gen for gen, _ in self.generators] + [g])
-        independent, (coeffs,) = _solve_linear(vectors[:-1], vectors[-1:])
-        if self.descriptor.kind == "SurrealDepth" and not independent:
-            raise DomainError(
-                "functional generators are dependent on the touched exponents"
-            )
+        basis = [gen for gen, _ in self.generators]
+        coeffs = _span_coefficients(basis, self._duals, g)
         if coeffs is None:
             raise OutsideSpan(f"{g} is not in the Q-span of the generators")
         return sum(
@@ -454,25 +491,7 @@ def scaling_functional(descriptor: GroupDescriptor, q) -> LinearFunctional:
 # -- strictly order-preserving bijections ----------------------------------
 
 
-class _Bijection:
-    """Shared forward/backward dispatch for monotone maps and automorphisms."""
-
-    def forward(self, g: GroupElement) -> GroupElement:
-        raise NotImplementedError
-
-    def backward(self, g: GroupElement) -> GroupElement:
-        raise NotImplementedError
-
-    def apply(self, g: GroupElement, direction: str = "forward") -> GroupElement:
-        g = element(self.descriptor, g)
-        if direction == "forward":
-            return self.forward(g)
-        if direction == "inverse":
-            return self.backward(g)
-        raise DomainError(f"unknown direction {direction!r}")
-
-
-class MonotoneMap(_Bijection):
+class MonotoneMap:
     """A strictly order-preserving bijection of the group."""
 
 
@@ -554,10 +573,10 @@ class PiecewiseLinear(MonotoneMap):
 
 
 @dataclass(frozen=True)
-class _Composite(_Bijection):
+class _Composite:
     """Function composition: the first listed map is applied last."""
 
-    parts: tuple[_Bijection, ...]
+    parts: tuple
 
     def __post_init__(self):
         if not self.parts:
@@ -592,7 +611,7 @@ def identity_map(descriptor: GroupDescriptor) -> MonotoneMap:
 # -- additive order-preserving automorphisms -------------------------------
 
 
-class AdditiveAutomorphism(_Bijection):
+class AdditiveAutomorphism:
     """An additive, order-preserving automorphism with exact inverse."""
 
 
@@ -648,11 +667,10 @@ class TriangularMatrix(AdditiveAutomorphism):
                     raise InvalidMap(
                         "a generator image must not touch more dominant coordinates"
                     )
-        # Solving with the rows as columns against the unit vectors gives
-        # the rows of the inverse: (A^T)^-1 e_k is row k of A^-1.
-        units = [[Fraction(1 if j == k else 0) for j in range(n)] for k in range(n)]
-        _, inverse = _solve_linear(rows, units)
-        object.__setattr__(self, "_inverse", tuple(map(tuple, inverse)))
+        # The rows of A^-1 are the dual basis of the columns of A, which
+        # are the images of the unit vectors.
+        images = [GroupElement(self.descriptor, column) for column in zip(*rows)]
+        object.__setattr__(self, "_inverse", _dual_basis(images))
 
     def _mat_apply(self, rows, vec):
         return tuple(

@@ -137,6 +137,11 @@ class _Parser:
         if tok.text != word:
             raise ParseError(f"expected keyword {word!r}, got {tok.text!r}", tok.pos)
 
+    def field(self, word: str):
+        """The label ``word:`` of a ``word: value`` field."""
+        self.keyword(word)
+        self.expect(":")
+
     def at_keyword(self, word: str) -> bool:
         return self.peek.kind == "ident" and self.peek.text == word
 
@@ -359,18 +364,15 @@ class _Parser:
             return groups.PositiveScalar(group, q)
         if tok.text == "piecewise":
             self.expect("{")
-            self.keyword("breaks")
-            self.expect(":")
+            self.field("breaks")
             breaks = self.rational_list()
             self.expect(",")
-            self.keyword("slopes")
-            self.expect(":")
+            self.field("slopes")
             slopes = self.rational_list()
             anchor = Fraction(0)
             if self.peek.kind == ",":
                 self.advance()
-                self.keyword("at")
-                self.expect(":")
+                self.field("at")
                 anchor = self.rational()
             self.expect("}")
             if group != RATIONALS:
@@ -411,44 +413,42 @@ class _Parser:
 
     # -- derivations ---------------------------------------------------------
 
+    def phi_shift(self, config: SessionConfig):
+        """A ``phi: <functional>, shift: <exponent>`` body, as ``(phi, shift)``."""
+        self.field("phi")
+        phi = self.functional(config)
+        self.expect(",")
+        self.field("shift")
+        return phi, self.group_element(config.group)
+
     def derivation(self, config: SessionConfig) -> derivations.MonomialDerivation:
         tok = self.expect("ident", "a derivation spec")
         group = config.group
         if tok.text == "deriv":
             self.expect("{")
-            self.keyword("phi")
-            self.expect(":")
-            phi = self.functional(config)
-            self.expect(",")
-            self.keyword("shift")
-            self.expect(":")
-            shift = self.group_element(group)
+            phi, shift = self.phi_shift(config)
             self.expect("}")
             return derivations.make_phi_derivation(phi, shift)
         if tok.text == "table":
             self.expect("{")
-            self.keyword("map")
-            self.expect(":")
+            self.field("map")
             self.expect("{")
             entries = self.separated(
                 lambda: self.pair(group, lambda: self.series_sum(config))
             )
             self.expect("}")
             self.expect(",")
-            self.keyword("gain")
-            self.expect(":")
+            self.field("gain")
             gain = self.group_element(group)
             zero_default = False
-            validate = False
             if self.peek.kind == ",":
                 self.advance()
-                self.keyword("zero_default")
-                self.expect(":")
+                self.field("zero_default")
                 flag = self.expect("ident", "true or false")
                 zero_default = flag.text == "true"
             self.expect("}")
             return derivations.make_table_derivation(
-                group, entries, gain, zero_default, validate=validate
+                group, entries, gain, zero_default, validate=False
             )
         raise ParseError(f"unknown derivation spec {tok.text!r}", tok.pos)
 
@@ -475,8 +475,7 @@ class _Parser:
             return automorphisms.identity_aut(group)
         if name == "external_field":
             self.expect("{")
-            self.keyword("tau")
-            self.expect(":")
+            self.field("tau")
             tau = self.additive_aut(config)
             self.expect("}")
             return automorphisms.make_external_field(tau)
@@ -492,43 +491,32 @@ class _Parser:
             return automorphisms.make_character_lift(chi)
         if name == "internal_mult":
             self.expect("{")
-            self.keyword("eps")
-            self.expect(":")
+            self.field("eps")
             eps = self.series_sum(config)
             self.expect("}")
             return automorphisms.make_internal_mult(eps)
         if name == "external_group":
             self.expect("{")
-            self.keyword("zeta")
-            self.expect(":")
+            self.field("zeta")
             zeta = self.monotone_map(config)
             default = Fraction(1)
             exceptions = []
             if self.peek.kind == ",":
                 self.advance()
                 if self.at_keyword("scale"):
-                    self.advance()
-                    self.expect(":")
+                    self.field("scale")
                     exceptions = self.pairs(config, stop_words=("default",))
                 if self.at_keyword("default"):
-                    self.advance()
-                    self.expect(":")
+                    self.field("default")
                     default = self.rational()
             self.expect("}")
             scaling = automorphisms.ScalingFamily(group, default, tuple(exceptions))
             return automorphisms.make_external_group(zeta, scaling)
         if name == "exp_derivation":
             self.expect("{")
-            self.keyword("phi")
-            self.expect(":")
-            phi = self.functional(config)
+            phi, shift = self.phi_shift(config)
             self.expect(",")
-            self.keyword("shift")
-            self.expect(":")
-            shift = self.group_element(group)
-            self.expect(",")
-            self.keyword("precision")
-            self.expect(":")
+            self.field("precision")
             target = self.group_element(group)
             self.expect("}")
             d = derivations.make_phi_derivation(phi, shift)

@@ -137,16 +137,12 @@ class Sampler:
         offsets = sorted(self.rng.sample(range(-3, 9), n_extra + 1))
         terms = []
         for off in offsets:
-            base = groups.embed_rational(group, off)
+            ex = groups.embed_rational(group, off)
             if group.kind == "LexPower":
                 tail = tuple(
                     self.rng.randint(-2, 2) for _ in range(group.param - 1)
                 )
                 ex = groups.element(group, (Fraction(off),) + tuple(map(Fraction, tail)))
-            elif group.kind == "SurrealDepth" and group.param >= 1:
-                ex = base
-            else:
-                ex = base
             terms.append((ex, self.nonzero_rational()))
         return Series.make(group, terms)
 

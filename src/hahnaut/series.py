@@ -40,7 +40,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from math import lcm
 from operator import itemgetter
 
@@ -114,26 +113,6 @@ def _numerators(terms) -> tuple[int, list]:
     terms with each coefficient ``c`` replaced by the integer ``c * d``."""
     d = lcm(*[c.denominator for _, c in terms])
     return d, [(ex, c.numerator * (d // c.denominator)) for ex, c in terms]
-
-
-class _Pending:
-    """A contribution ``value / d**power`` to the inverse's coefficient at
-    ``exponent``, where ``d`` is the common denominator of the steps.
-
-    Heap entries order by ``GroupElement.compare`` alone: a tuple would
-    fall back to the dataclass ``__eq__`` on its first field, and nothing
-    here hashes an exponent (a surreal exponent hashes a whole series).
-    """
-
-    __slots__ = ("exponent", "value", "power")
-
-    def __init__(self, exponent: GroupElement, value: int, power: int):
-        self.exponent = exponent
-        self.value = value
-        self.power = power
-
-    def __lt__(self, other: "_Pending") -> bool:
-        return self.exponent.compare(other.exponent) < 0
 
 
 def _trusted(group: GroupDescriptor, terms: tuple, precision) -> "Series":
@@ -327,9 +306,10 @@ class Series:
         and by Neumann's lemma the support of ``b`` lies in the monoid
         generated by ``supp eps``.  One ascending pass computes it: once
         ``b_f`` is final and nonzero, each ``f + x`` below the target
-        receives ``-eps_x * b_f`` through a min-heap, and the smallest
-        pending exponent is final because every contribution to it comes
-        from a smaller one.  Each product is formed once.
+        receives ``-eps_x * b_f``, summed on arrival into the one pending
+        entry of its exponent.  The pending entries ascend, and the first
+        is final because every contribution to it comes from a smaller
+        exponent.  Each product is formed once.
 
         The arithmetic is on integers: the steps ``-eps_x`` are numerators
         over their common denominator ``d``, and a ``b_f`` reached in ``k``
@@ -377,19 +357,11 @@ class Series:
         rn, rd = r.numerator, r.denominator
         powers = [1]
         terms = []
-        pending = [_Pending(element(self.group, 0), 1, 0)]
+        # [exponent, numerator, power] per distinct exponent, ascending and
+        # found by bisection: unlike a dict, that hashes no surreal exponent
+        pending = [[element(self.group, 0), 1, 0]]
         while pending:
-            first = heappop(pending)
-            f, b, k = first.exponent, first.value, first.power
-            # Contributions come from strictly smaller exponents, all of
-            # them popped already, so the run at f sums to the final b_f.
-            while pending and pending[0].exponent.compare(f) == 0:
-                other = heappop(pending)
-                if other.power > k:
-                    b = b * powers[other.power - k] + other.value
-                    k = other.power
-                else:
-                    b += other.value * powers[k - other.power]
+            f, b, k = pending.pop(0)
             if not b:
                 continue
             terms.append((f + neg_g, Fraction(b * rd, powers[k] * rn)))
@@ -400,7 +372,15 @@ class Series:
                 e = f + x
                 if e.compare(target) >= 0:
                     break
-                heappush(pending, _Pending(e, c * b, k))
+                i = bisect_left(pending, e, key=_exponent)
+                if i == len(pending) or pending[i][0].compare(e):
+                    pending.insert(i, [e, 0, k])
+                entry = pending[i]
+                if entry[2] < k:
+                    entry[1] = entry[1] * powers[k - entry[2]] + c * b
+                    entry[2] = k
+                else:
+                    entry[1] += c * b * powers[entry[2] - k]
         precision = target - g
         return _trusted(self.group, _cut(tuple(terms), precision), precision)
 

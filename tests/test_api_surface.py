@@ -1,5 +1,6 @@
 """Guard against dead API: every public name the package defines is used,
-and every name a module imports is referenced there.  Also keeps the
+every private one is referenced outside its own definition, and every
+name a module imports is referenced there.  Also keeps the
 package off ``Fraction`` internals, which differ between the Python
 versions it supports."""
 
@@ -40,6 +41,40 @@ def test_every_public_name_is_referenced():
     unreferenced = sorted(
         name for name, count in definitions.items() if words[name] <= count
     )
+    assert unreferenced == []
+
+
+def private_definitions(path: Path):
+    """Private module-level functions and classes, and private methods,
+    each with the lines of its own definition."""
+    tree = ast.parse(path.read_text())
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    nodes = [node for node in tree.body if isinstance(node, defs)]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            nodes += [item for item in node.body if isinstance(item, defs)]
+    for node in nodes:
+        if node.name.startswith("_") and not node.name.endswith("__"):
+            yield node.name, range(node.lineno, node.end_lineno + 1)
+
+
+def test_every_private_name_is_referenced_outside_its_definition():
+    sources = {
+        path: path.read_text().splitlines()
+        for top in ("src", "tests", "bench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    unreferenced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, own in private_definitions(path):
+            word = re.compile(rf"\b{name}\b")
+            if not any(
+                word.search(line)
+                for other, lines in sources.items()
+                for number, line in enumerate(lines, 1)
+                if not (other == path and number in own)
+            ):
+                unreferenced.append(f"{path.name}: {name}")
     assert unreferenced == []
 
 

@@ -28,6 +28,7 @@ from hahnaut.automorphisms import (
 )
 from hahnaut.derivations import exp_derivation, make_phi_derivation
 from hahnaut.errors import (
+    DescriptorMismatch,
     DomainError,
     HahnError,
     InsufficientPrecision,
@@ -324,6 +325,17 @@ class TestConstructions:
         )
         image = apply_aut(aut, S((-1, 1), (0, 1)))
         assert [(e.value, c) for e, c in image.terms] == [(-1, 1), (0, 4), (1, 3)]
+
+    def test_parts_on_another_group_are_refused(self):
+        # the exponent maps are called without coercing their argument, so
+        # a part on another group is refused when the node is built
+        lex2 = lex_power(2)
+        with pytest.raises(DescriptorMismatch, match="act on different groups"):
+            construct_theta(
+                identity_aut(Q), chi_two(), TriangularMatrix(lex2, ((1, 0), (0, 1)))
+            )
+        with pytest.raises(DescriptorMismatch, match="act on different groups"):
+            construct_tau(identity_aut(lex2), halving_zeta(), ScalingFamily(lex2))
 
     def test_tau_agrees_with_composition(self):
         nu = make_internal_mult(T)

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from hahnaut import parsing
 from hahnaut.cli import run_command
 
 # 5 -> 5*t^(5) does not contract, and no sample pair reaches t^5
@@ -150,6 +151,22 @@ class TestDerivations:
         assert code == 0
         assert out == "RESULT: 6*t^(3)\n"
 
+    def test_derive_refuses_non_contracting_table_on_truncated_input(self, capsys):
+        # 3 -> t^(3/2) falls below 3 + 1/2: t^(1) + t^(3) agrees with the
+        # input below t^2 but maps to t^(3/2) + t^(2), so t^(2) (mod t^(5/2))
+        # would be unsound
+        code, out, err = run(
+            capsys,
+            "derive",
+            "table{map: {1: t^(2), 3: t^(3/2)}, gain: 1/2, zero_default: true}",
+            "t^(1) (mod t^(2))",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "ERROR: NonContracting: image of t^3 starts below the certified gain\n"
+        )
+
     def test_check_deriv_negative_control(self, capsys):
         code, out, _ = run(
             capsys, "check-deriv", "table{map: {1: t^(2), 2: t^(3)}, gain: 1}"
@@ -265,3 +282,24 @@ class TestSelftest:
         assert code == 0
         assert "ring_axioms: pass" in out
         assert "parser_roundtrip: pass" in out
+
+    def test_round_trip_reports_its_first_failure(self, capsys, monkeypatch):
+        # reading back fails on 3-term series in t notation and on 2-term
+        # ones in w notation: the witness is the first t failure, not a
+        # later w one
+        parse_series = parsing.parse_series
+
+        def broken(text, config):
+            s = parse_series(text, config)
+            return -s if len(s.terms) == {"t": 3, "w": 2}[config.notation] else s
+
+        monkeypatch.setattr(parsing, "parse_series", broken)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert out == (
+            "ring_axioms: pass\n"
+            "parser_roundtrip: fail\n"
+            "exp_derivation_oracle: pass\n"
+            "failed: parser_roundtrip\n"
+            "witness: -2*t^(-2) + 9 - 8*t^(3)\n"
+        )

@@ -232,14 +232,35 @@ class TestExponentialTermination:
         assert [(e.value, c) for e, c in image.terms] == [(1, 1), (2, 1), (3, 1)]
 
     def test_table_past_its_bound_is_refused(self):
-        # t^1 -> t^1 never contracts: round 2 of a 1-entry table is nonzero
+        # t^1 -> t^1 never contracts, so the exponential is refused before
+        # its first round
         d = make_table_derivation(Q, {1: T}, 1, validate=False)
-        with pytest.raises(NonTerminating) as raised:
+        with pytest.raises(NonContracting) as raised:
             timed(exp_apply, d, T, embed_rational(Q, 5))
-        assert str(raised.value) == (
-            "table derivation does not contract: D^2(s) is still nonzero, but a "
-            "table of 1 entries whose images start above their keys vanishes by then"
+        assert str(raised.value) == "image of t^1 starts below the certified gain"
+
+    @pytest.mark.parametrize("target", [4, 6])
+    def test_non_contracting_table_is_refused_on_exact_input(self, target):
+        # t -> t^5 -> t^2 -> 0 ends, but t^5 -> t^2 falls below 5 + 1: the
+        # rounds gave t (mod t^4) below t^4 and t + 1/2 t^2 + t^5 below t^6
+        d = make_table_derivation(
+            Q, {1: Series.monomial(Q, 5), 5: Series.monomial(Q, 2)}, 1,
+            zero_default=True, validate=False,
         )
+        with pytest.raises(NonContracting, match=r"^image of t\^5 starts below"):
+            exp_apply(d, T, embed_rational(Q, target))
+
+    def test_non_contracting_table_is_refused_on_truncated_input(self):
+        # t^3 -> t^(3/2) falls below 3 + 1/2: t + O(t^2) would map to
+        # t^2 + O(t^(5/2)), but t + t^3, which agrees with it, maps to
+        # t^(3/2) + t^2
+        d = make_table_derivation(
+            Q, {1: Series.monomial(Q, 2), 3: Series.monomial(Q, Fraction(3, 2))},
+            Fraction(1, 2), zero_default=True, validate=False,
+        )
+        assert apply_derivation(d, S((1, 1), (3, 1))) == S((Fraction(3, 2), 1), (2, 1))
+        with pytest.raises(NonContracting, match=r"^image of t\^3 starts below"):
+            apply_derivation(d, S((1, 1), precision=2))
 
 
 class TestCheckDerivation:

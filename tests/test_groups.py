@@ -8,6 +8,7 @@ from hahnaut import groups
 from hahnaut.errors import (
     DescriptorMismatch,
     DomainError,
+    HahnError,
     InvalidMap,
     OutsideSpan,
     ZeroArgument,
@@ -141,6 +142,46 @@ class TestLinearFunctional:
                     (embed_rational(RATIONALS, 2), Fraction(3)),
                 ),
             )
+
+    @pytest.mark.parametrize("group", [LEX2, lex_power(3), SURREAL1], ids=str)
+    def test_matches_a_fresh_elimination_per_call(self, group):
+        # the generators span all coordinates, part of them, or (surreal1)
+        # only some of the exponents the arguments use
+        smp = Sampler(11)
+        for size in (1, 2, 3) * 3:
+            gens = [smp.nonzero_exponent(group) for _ in range(size)]
+            values = [smp.rational() for _ in range(size)]
+            independent, _ = groups._solve_linear(groups._coordinates(gens))
+            try:
+                phi = LinearFunctional(group, tuple(zip(gens, values)))
+            except DomainError as exc:
+                assert not independent
+                assert str(exc) == "functional generators are Q-linearly dependent"
+                continue
+            assert independent
+            for _ in range(40):
+                g = smp.exponent(group)
+                if smp.rng.random() < 0.5:  # a point of the span
+                    g = sum((x.scale(smp.rational()) for x in gens), zero(group))
+                assert outcome(phi, g) == outcome(solved_functional, phi, g)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HahnError as exc:
+        return (type(exc), str(exc))
+
+
+def solved_functional(phi, g):
+    """``phi(g)`` by a fresh elimination over the generators and ``g``."""
+    if g.is_zero():
+        return Fraction(0)
+    vectors = groups._coordinates([gen for gen, _ in phi.generators] + [g])
+    _, (coeffs,) = groups._solve_linear(vectors[:-1], vectors[-1:])
+    if coeffs is None:
+        raise OutsideSpan(f"{g} is not in the Q-span of the generators")
+    return sum((q * v for q, (_, v) in zip(coeffs, phi.generators)), Fraction(0))
 
 
 class TestMonotoneMaps:
@@ -286,16 +327,19 @@ class TestElimination:
 
     @pytest.mark.parametrize("argument", [Fraction(1), Series.monomial(RATIONALS, 1)])
     def test_surreal_dependence_is_reported_first(self, argument):
-        # linear([1]: 1, [2]: 3): the generators are dependent on every
-        # touched exponent set, whether or not the argument is in their span
-        phi = LinearFunctional(
-            SURREAL1,
-            (
-                (embed_rational(SURREAL1, 1), Fraction(1)),
-                (embed_rational(SURREAL1, 2), Fraction(3)),
-            ),
-        )
-        with pytest.raises(DomainError, match="dependent on the touched exponents"):
+        # linear([1]: 1, [2]: 3): the generators are dependent, and that is
+        # refused when the functional is built, before any argument, in
+        # their span or not, is evaluated
+        with pytest.raises(
+            DomainError, match="^functional generators are Q-linearly dependent$"
+        ):
+            phi = LinearFunctional(
+                SURREAL1,
+                (
+                    (embed_rational(SURREAL1, 1), Fraction(1)),
+                    (embed_rational(SURREAL1, 2), Fraction(3)),
+                ),
+            )
             phi(element(SURREAL1, argument))
 
 

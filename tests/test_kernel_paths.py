@@ -732,23 +732,23 @@ def test_exponential_rows_merge_like_exponents():
 
 def ref_relabel(node, s, inverted):
     """The image of a relabelling node through ``Series.make``."""
-    direction = "inverse" if inverted else "forward"
     precision = s.precision
     if isinstance(node, ExternalField):
-        terms = [(node.tau.apply(ex, direction), c) for ex, c in s.terms]
+        image = node.tau.backward if inverted else node.tau.forward
+        terms = [(image(ex), c) for ex, c in s.terms]
         if precision is not None:
-            precision = node.tau.apply(precision, direction)
+            precision = image(precision)
     elif isinstance(node, CharacterLift):
         factor = (lambda ex: 1 / node.chi(ex)) if inverted else node.chi
         terms = [(ex, c * factor(ex)) for ex, c in s.terms]
     else:
+        image = node.zeta.backward if inverted else node.zeta.forward
         terms = []
         for ex, c in s.terms:
-            image = node.zeta.apply(ex, direction)
-            scale = 1 / node.scaling(image) if inverted else node.scaling(ex)
-            terms.append((image, c * scale))
+            scale = 1 / node.scaling(image(ex)) if inverted else node.scaling(ex)
+            terms.append((image(ex), c * scale))
         if precision is not None:
-            precision = node.zeta.apply(precision, direction)
+            precision = image(precision)
     return Series.make(s.group, terms, precision)
 
 
