@@ -65,10 +65,8 @@ class PartialCharacter:
     descriptor: GroupDescriptor
     lattice: tuple[GroupElement, ...]
     values: tuple[Fraction, ...]
-    # the dual basis of the lattice, derived once from ``lattice``
-    _duals: tuple[tuple[Fraction, ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
+    # the span of the lattice, derived once from ``lattice``
+    _span: groups._Span = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         lattice = tuple(groups.element(self.descriptor, g) for g in self.lattice)
@@ -79,10 +77,10 @@ class PartialCharacter:
             raise DomainError("lattice and value lists differ in length")
         if any(v <= 0 for v in values):
             raise DomainError("character values must be positive")
-        duals = groups._dual_basis(lattice)
-        if duals is None:
+        span = groups._span_of(lattice)
+        if span is None:
             raise DomainError("character lattice must be Q-linearly independent")
-        object.__setattr__(self, "_duals", duals)
+        object.__setattr__(self, "_span", span)
 
     def __call__(self, g: GroupElement) -> Fraction:
         g = groups.element(self.descriptor, g)
@@ -90,7 +88,7 @@ class PartialCharacter:
             return Fraction(1)
         if not self.lattice:
             return Fraction(1)  # the trivial character is identically 1
-        coeffs = groups._span_coefficients(self.lattice, self._duals, g)
+        coeffs = groups._span_coefficients(self._span, g)
         if coeffs is None or any(q.denominator != 1 for q in coeffs):
             raise DomainError(f"{g} is not in the integer span of the lattice")
         out = Fraction(1)

@@ -26,10 +26,15 @@ ascending row ``a_0 = c``, ``a_i = a_(i-1) * (phi(g) + (i-1)*phi(shift)) / i``
 at ``g + i*shift``; it ends exactly when some multiple of the shift reaches
 ``P - g`` or ``-phi(g)/phi(shift)`` is a nonnegative integer, and any other
 row is refused before a coefficient is computed.  A row steps on integers:
-its factor is ``u / q`` over a fixed ``q``, and each term is one
-``Fraction`` built from the reduced numerator and denominator of the term
-before it.  A table whose images start above their keys is done within
-one round more than it has entries.
+its factor is ``u / q`` over a fixed ``q``, and each term is the reduced
+numerator and denominator of ``num * u / (den * q * i)`` from the term
+before it.  On Z and Q the rows step on int exponent keys
+(``series._Keys``), and the terms at each key are summed once, over the
+lcm of their denominators, into one ``Fraction``; a key one row reaches
+keeps that row's term.  The other kinds build each term as a ``Fraction``
+and sum the rows with the pairwise merge ``Series`` products use.  A table
+whose images start above their keys is done within one round more than it
+has entries.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     DescriptorMismatch,
@@ -49,7 +54,7 @@ from .errors import (
 from . import groups
 from .groups import GroupDescriptor, GroupElement, LinearFunctional, arch_compare
 from .sampling import CheckResult, SampleSpec, Sampler, first_counterexample
-from .series import Series, _cut, _merge_rows, _pmin, _trusted
+from .series import Series, _Keys, _cut, _merge_rows, _pmin, _trusted
 
 
 @dataclass(frozen=True)
@@ -198,8 +203,9 @@ def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
     ``a_0 = c`` and ``a_i = a_(i-1) * (phi(g) + (i-1)*phi(shift)) / i``.
     Each term of ``s`` below ``P`` gives that ascending row up to its first
     exponent at or past ``P`` or its first zero factor, and the rows are
-    summed by one pairwise merge.  The row from ``g`` is infinite exactly
-    when every ``g + i*shift`` stays below ``P``, that is
+    summed: per int exponent key on Z and Q, by one pairwise merge on the
+    other kinds.  The row from ``g`` is infinite exactly when every
+    ``g + i*shift`` stays below ``P``, that is
     ``arch_compare(P - g, shift)`` is ``<``, and no factor vanishes, that
     is ``-phi(g)/phi(shift)`` is not a nonnegative integer.  Such a row is
     refused with ``NonTerminating`` before any coefficient is computed.
@@ -253,28 +259,63 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
                 f"to the class of {precision - g}, the gap from t^{g} to the "
                 f"precision {precision}, and no factor phi(g) + i*phi(shift) vanishes"
             )
-    # phi(g) + i*phi(shift) = (u + i*du) / q, with q the lcm of the
-    # denominators of phi(g) and phi(shift); a term is num * u / (den * q * i)
-    # from the reduced num / den before it, so each term stays reduced
+    if not d.group.rank_one:
+        rows = []
+        for g, c, k in terms:
+            row, ex = [], g
+            for num, den in _row(c, k, k_shift):
+                row.append((ex, Fraction(num, den)))
+                ex = ex + shift
+                if ex.compare(precision) >= 0:
+                    break
+            rows.append(row)
+        return _trusted(d.group, tuple(_merge_rows(rows)), precision)
+    keys = _Keys(d.group, [precision, shift] + [g for g, _, _ in terms])
+    key = keys.key
+    stop, step = key(precision), key(shift)
+    # every (numerator, denominator) at each key, summed once below
+    parts = {}
+    for g, c, k in terms:
+        for ex, a in zip(range(key(g), stop, step), _row(c, k, k_shift)):
+            parts.setdefault(ex, []).append(a)
+    out = []
+    for ex in sorted(parts):
+        summands = parts[ex]
+        if len(summands) == 1:
+            num, den = summands[0]
+        else:
+            den = lcm(*[b for _, b in summands])
+            num = sum(a * (den // b) for a, b in summands)
+            if not num:
+                continue
+        out.append((keys.element(ex), Fraction(num, den)))
+    return _trusted(d.group, tuple(out), precision)
+
+
+def _row(c: Fraction, k: Fraction, k_shift: Fraction | None):
+    """The coefficients ``a_0 = c, a_1, ...`` of the row of ``c t^g`` with
+    ``phi(g) = k``, up to its first zero factor, each as its reduced
+    numerator and denominator.
+
+    ``phi(g) + i*phi(shift) = (u + i*du) / q``, with ``q`` the lcm of the
+    denominators of ``phi(g)`` and ``phi(shift)``; a term is
+    ``num * u / (den * q * i)`` from the reduced ``num / den`` before it,
+    reduced by their gcd.
+    """
+    num, den = c.numerator, c.denominator
+    yield num, den
     ds = 1 if k_shift is None else k_shift.denominator
     ns = 0 if k_shift is None else k_shift.numerator
-    rows = []
-    for g, c, k in terms:
-        row = [(g, c)]
-        q = lcm(k.denominator, ds)
-        u, du = k.numerator * (q // k.denominator), ns * (q // ds)
-        ex, num, den, i = g, c.numerator, c.denominator, 1
-        while u:
-            ex = ex + shift
-            if ex.compare(precision) >= 0:
-                break
-            a = Fraction(num * u, den * q * i)
-            row.append((ex, a))
-            num, den = a.numerator, a.denominator
-            u += du
-            i += 1
-        rows.append(row)
-    return _trusted(d.group, tuple(_merge_rows(rows)), precision)
+    q = lcm(k.denominator, ds)
+    u, du = k.numerator * (q // k.denominator), ns * (q // ds)
+    i = 1
+    while u:
+        num, den = num * u, den * q * i
+        common = gcd(num, den)
+        num, den = num // common, den // common
+        yield num, den
+        u += du
+        i += 1
 
 
 def _factor_vanishes(k: Fraction, k_shift: Fraction | None) -> bool:

@@ -29,7 +29,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DescriptorMismatch,
@@ -56,6 +56,14 @@ class GroupDescriptor:
             raise DomainError("LexPower arity must be >= 1")
         if self.kind == "SurrealDepth" and self.param < 0:
             raise DomainError("SurrealDepth depth must be >= 0")
+
+    @property
+    def rank_one(self) -> bool:
+        """Whether this is Z or Q, the rank-one kinds whose elements are
+        single rationals (``int`` or ``Fraction`` values).  ``lex_power(1)``
+        is rank one as a group too, but its values are 1-tuples and it
+        takes the general paths."""
+        return self.kind in ("Integers", "Rationals")
 
     @property
     def exponent_group(self) -> "GroupDescriptor":
@@ -286,10 +294,9 @@ def arch_compare(g: GroupElement, h: GroupElement) -> str:
     g._check(h)
     if g.is_zero() or h.is_zero():
         raise ZeroArgument("the natural valuation is undefined at 0")
-    kind = g.descriptor.kind
-    if kind in ("Integers", "Rationals"):
+    if g.descriptor.rank_one:
         return "="
-    if kind == "LexPower":
+    if g.descriptor.kind == "LexPower":
         ig = min(i for i, c in enumerate(g.value) if c != 0)
         ih = min(i for i, c in enumerate(h.value) if c != 0)
         return _ORDER_SYMBOL[(ig > ih) - (ig < ih)]
@@ -301,25 +308,45 @@ def arch_compare(g: GroupElement, h: GroupElement) -> str:
 # -- exact rational linear algebra -----------------------------------------
 
 
-def _coordinates(elements: Sequence[GroupElement]) -> list[list[Fraction]]:
-    """Coordinate vectors of elements w.r.t. a common finite Q-basis."""
+def _exponent_index(elements: Sequence[GroupElement]) -> dict | None:
+    """Each exponent of self-similar ``elements``, ascending, to its
+    coordinate position; None for the other kinds, whose coordinates are
+    fixed."""
     desc = elements[0].descriptor
-    kind = desc.kind
-    if kind in ("Integers", "Rationals"):
+    if desc.kind != "SurrealDepth" or desc.param == 0:
+        return None
+    keys = sorted({ex for e in elements for ex, _ in e.value.terms})
+    return {k: i for i, k in enumerate(keys)}
+
+
+def _coordinates(
+    elements: Sequence[GroupElement], index: dict | None = None
+) -> list[list[Fraction] | None]:
+    """Coordinate vectors of elements w.r.t. a common finite Q-basis.
+
+    A self-similar element's coordinates are its coefficients at the
+    exponents ``index`` numbers, by default at every exponent of
+    ``elements``; an element with an exponent outside ``index`` has none,
+    and gets None.
+    """
+    desc = elements[0].descriptor
+    if desc.rank_one:
         return [[Fraction(e.value)] for e in elements]
-    if kind == "LexPower":
+    if desc.kind == "LexPower":
         return [list(e.value) for e in elements]
     if desc.param == 0:
         return [[Fraction(0)] for _ in elements]
-    keys: list[GroupElement] = sorted(
-        {ex for e in elements for ex, _ in e.value.terms}
-    )
-    index = {k: i for i, k in enumerate(keys)}
+    if index is None:
+        index = _exponent_index(elements)
     vecs = []
     for e in elements:
-        row = [Fraction(0)] * len(keys)
+        row = [Fraction(0)] * len(index)
         for ex, c in e.value.terms:
-            row[index[ex]] = c
+            i = index.get(ex)
+            if i is None:
+                row = None
+                break
+            row[i] = c
         vecs.append(row)
     return vecs
 
@@ -369,35 +396,48 @@ def _solve_linear(
     return rank == n, solutions
 
 
-def _dual_basis(basis: Sequence[GroupElement]):
-    """The dual basis of ``basis`` on its coordinates, or None when the
-    basis is Q-linearly dependent: ``duals[i] . coordinates(basis[j])``
-    is 1 when ``i == j`` and 0 otherwise."""
+class _Span(NamedTuple):
+    """The Q-span of an independent basis, derived once for every
+    evaluation: ``index`` numbers the basis exponents of a self-similar
+    kind (None for the other kinds), ``columns`` are the basis coordinate
+    vectors as columns, and ``duals`` is the dual basis:
+    ``duals[i] . coordinates(basis[j])`` is 1 when ``i == j`` and 0
+    otherwise."""
+
+    index: dict | None
+    columns: list
+    duals: tuple
+
+
+def _span_of(basis: Sequence[GroupElement]) -> _Span | None:
+    """The span of ``basis``, or None when the basis is Q-linearly
+    dependent."""
     if not basis:
-        return ()
+        return _Span(None, [], ())
+    index = _exponent_index(basis)
+    columns = list(zip(*_coordinates(basis, index)))
     # With the coordinates as columns, the unit vectors are all solvable
     # exactly when the basis is independent.
     n = len(basis)
     units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    columns = list(zip(*_coordinates(list(basis))))
     _, duals = _solve_linear(columns, units)
     if None in duals:
         return None
-    return tuple(map(tuple, duals))
+    return _Span(index, columns, tuple(map(tuple, duals)))
 
 
-def _span_coefficients(basis, duals, g: GroupElement) -> list[Fraction] | None:
-    """The coefficients of ``g`` over the independent, nonempty ``basis``
-    with dual basis ``duals``, or None when ``g`` is outside its Q-span."""
-    *vectors, vector = _coordinates(list(basis) + [g])
+def _span_coefficients(span: _Span, g: GroupElement) -> list[Fraction] | None:
+    """The coefficients of ``g`` over the independent, nonempty basis of
+    ``span``, or None when ``g`` is outside its Q-span."""
+    (vector,) = _coordinates([g], span.index)
+    if vector is None:
+        return None  # an exponent no basis element has
     # The duals give the only candidate coefficients, and g is in the span
     # exactly when they rebuild it; a basis with as many elements as
-    # coordinates spans them all.  A self-similar g with an exponent the
-    # basis lacks has more coordinates than the basis has elements, and
-    # every basis coordinate there is 0.
-    coeffs = [functools.reduce(add, map(mul, dual, vector)) for dual in duals]
+    # coordinates spans them all.
+    coeffs = [functools.reduce(add, map(mul, dual, vector)) for dual in span.duals]
     if len(coeffs) == len(vector) or vector == [
-        functools.reduce(add, map(mul, coeffs, column)) for column in zip(*vectors)
+        functools.reduce(add, map(mul, coeffs, column)) for column in span.columns
     ]:
         return coeffs
     return None
@@ -416,10 +456,8 @@ class LinearFunctional:
 
     descriptor: GroupDescriptor
     generators: tuple[tuple[GroupElement, Fraction], ...]
-    # the dual basis of the generators, derived once from ``generators``
-    _duals: tuple[tuple[Fraction, ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
+    # the span of the generators, derived once from ``generators``
+    _span: _Span = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         gens = tuple(
@@ -429,10 +467,10 @@ class LinearFunctional:
         # A self-similar generator is an exact series with finite support,
         # so its rank does not change when more exponents are touched:
         # independence is decided here for every kind.
-        duals = _dual_basis([g for g, _ in gens])
-        if duals is None:
+        span = _span_of([g for g, _ in gens])
+        if span is None:
             raise DomainError("functional generators are Q-linearly dependent")
-        object.__setattr__(self, "_duals", duals)
+        object.__setattr__(self, "_span", span)
 
     def __call__(self, g: GroupElement) -> Fraction:
         g = element(self.descriptor, g)
@@ -440,12 +478,11 @@ class LinearFunctional:
             return Fraction(0)
         if not self.generators:
             raise OutsideSpan(f"{g} is outside the span of an empty generator list")
-        if self.descriptor.kind in ("Integers", "Rationals"):
+        if self.descriptor.rank_one:
             # __post_init__ leaves exactly one, nonzero, generator here
             ((gen, v),) = self.generators
             return Fraction(g.value) / gen.value * v
-        basis = [gen for gen, _ in self.generators]
-        coeffs = _span_coefficients(basis, self._duals, g)
+        coeffs = _span_coefficients(self._span, g)
         if coeffs is None:
             raise OutsideSpan(f"{g} is not in the Q-span of the generators")
         return sum(
@@ -463,14 +500,13 @@ def standard_functional(
 ) -> LinearFunctional:
     """Functional on the standard generators (1, or the lex unit vectors)."""
     values = [Fraction(v) for v in values]
-    kind = descriptor.kind
-    if kind in ("Integers", "Rationals"):
+    if descriptor.rank_one:
         if len(values) != 1:
             raise DomainError("one value expected for a rank-one group")
         return LinearFunctional(
             descriptor, ((embed_rational(descriptor, 1), values[0]),)
         )
-    if kind == "LexPower":
+    if descriptor.kind == "LexPower":
         if len(values) != descriptor.param:
             raise DomainError(f"{descriptor.param} values expected")
         gens = []
@@ -670,7 +706,7 @@ class TriangularMatrix(AdditiveAutomorphism):
         # The rows of A^-1 are the dual basis of the columns of A, which
         # are the images of the unit vectors.
         images = [GroupElement(self.descriptor, column) for column in zip(*rows)]
-        object.__setattr__(self, "_inverse", _dual_basis(images))
+        object.__setattr__(self, "_inverse", _span_of(images).duals)
 
     def _mat_apply(self, rows, vec):
         return tuple(

@@ -86,10 +86,9 @@ class Sampler:
 
     def exponent(self, group: GroupDescriptor, lo: int = -3, hi: int = 4) -> GroupElement:
         """A group element on the integer lattice of the standard generators."""
-        kind = group.kind
-        if kind in ("Integers", "Rationals"):
+        if group.rank_one:
             return groups.embed_rational(group, self.rng.randint(lo, hi))
-        if kind == "LexPower":
+        if group.kind == "LexPower":
             return groups.element(
                 group, tuple(self.rng.randint(lo, hi) for _ in range(group.param))
             )

@@ -33,6 +33,15 @@ integer numerators over one common denominator, every pair product is an
 int product, and each output term becomes one normalized ``Fraction``, so
 the ``Fraction`` gcd is paid once per result term instead of once per
 pair.
+
+On the rank-one groups Z and Q the exponents compute on integers too.
+``_Keys`` maps every exponent in play to the int key ``value * L``, with
+``L`` the lcm of their denominators (1 on Z), so an exponent sum is an int
+add, an order test an int compare, and like exponents meet in a dict keyed
+by int; each output exponent is built once, from its key.  The other kinds
+keep ``GroupElement`` exponents, summed by the pairwise ``_merge_rows``
+and ordered by ``compare``: a lex or surreal exponent has no such int key,
+and hashing a surreal exponent would hash a whole series.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from operator import itemgetter
 
@@ -50,7 +60,13 @@ from .errors import (
     NonTerminating,
     ZeroSeries,
 )
-from .groups import GroupDescriptor, GroupElement, arch_compare, element
+from .groups import (
+    GroupDescriptor,
+    GroupElement,
+    _trusted_element,
+    arch_compare,
+    element,
+)
 
 _exponent = itemgetter(0)
 
@@ -119,11 +135,68 @@ def _trusted(group: GroupDescriptor, terms: tuple, precision) -> "Series":
     """A ``Series`` from terms that already hold the normalized invariant.
 
     Nothing is checked or coerced, and the frozen dataclass ``__init__``
-    is skipped: this is the constructor of every kernel fast path.
+    is skipped: this is the constructor of every kernel fast path.  The
+    fields are set one by one, in ``__init__``'s order, as
+    ``groups._trusted_element`` sets them, so the instance gets no
+    ``__dict__`` of its own.
     """
     s = object.__new__(Series)
-    s.__dict__.update(group=group, terms=terms, precision=precision)
+    object.__setattr__(s, "group", group)
+    object.__setattr__(s, "terms", terms)
+    object.__setattr__(s, "precision", precision)
     return s
+
+
+class _Keys:
+    """The exponents of a rank-one group as int keys, and back.
+
+    Each exponent ``e`` in play becomes the key ``e.value * scale``, with
+    ``scale`` the lcm of the denominators of ``exponents`` (1 on Z), so a
+    sum of exponents is an int sum and an order test an int compare.  A
+    key goes back through ``_trusted_element``: an ``int`` value on Z, a
+    ``Fraction(k, scale)`` on Q.
+    """
+
+    __slots__ = ("group", "scale")
+
+    def __init__(self, group: GroupDescriptor, exponents):
+        self.group = group
+        self.scale = lcm(*[e.value.denominator for e in exponents])
+
+    def key(self, e: GroupElement) -> int:
+        v = e.value
+        return v.numerator * (self.scale // v.denominator)
+
+    def element(self, k: int) -> GroupElement:
+        if self.group.kind == "Rationals":
+            return _trusted_element(self.group, Fraction(k, self.scale))
+        return _trusted_element(self.group, k)
+
+
+def _keyed_products(group: GroupDescriptor, a: list, b: list, precision) -> list:
+    """``Series._mul``'s summed rows on Z and Q: the nonzero sums of the
+    numerator products of ``a`` and ``b`` below ``precision``, ascending."""
+    if not (a and b):
+        return []
+    exponents = [ex for ex, _ in a + b]
+    if precision is not None:
+        exponents.append(precision)
+    keys = _Keys(group, exponents)
+    key = keys.key
+    b = [(key(eb), nb) for eb, nb in b]
+    # an exact product stops past its last key
+    stop = key(a[-1][0]) + b[-1][0] + 1 if precision is None else key(precision)
+    sums = {}
+    for ea, na in a:
+        ka = key(ea)
+        if ka + b[0][0] >= stop:
+            break
+        for kb, nb in b:
+            k = ka + kb
+            if k >= stop:
+                break
+            sums[k] = sums.get(k, 0) + na * nb
+    return [(keys.element(k), n) for k in sorted(sums) if (n := sums[k])]
 
 
 @dataclass(frozen=True)
@@ -263,9 +336,14 @@ class Series:
         denominators, ``da`` and ``db``, as integer numerators, so a pair
         product is one int product.  Each row of products ``ea + eb``
         ascends with ``eb``, so a row stops at the first product at or past
-        the result's precision and later rows start no lower.
-        ``_merge_rows`` then sums the rows' numerators, and each merged term
-        becomes one ``Fraction(n, da * db)``.
+        the result's precision and later rows start no lower.  Each summed
+        term becomes one ``Fraction(n, da * db)``.
+
+        On Z and Q the exponents are int keys (``_Keys``) and the rows sum
+        into a dict keyed by int, sorted once.  The other kinds sum the
+        rows with ``_merge_rows``: ordering their exponents takes
+        ``GroupElement.compare``, and hashing a surreal exponent would hash
+        a whole series.
         """
         self._check(other)
         if self.is_exact_zero() or other.is_exact_zero():
@@ -278,19 +356,23 @@ class Series:
         precision = _pmin(precision, bound)
         da, a = _numerators(self.terms)
         db, b = _numerators(other.terms)
-        rows = []
-        for ea, na in a:
-            row = []
-            for eb, nb in b:
-                ex = ea + eb
-                if precision is not None and ex.compare(precision) >= 0:
+        if self.group.rank_one:
+            sums = _keyed_products(self.group, a, b, precision)
+        else:
+            rows = []
+            for ea, na in a:
+                row = []
+                for eb, nb in b:
+                    ex = ea + eb
+                    if precision is not None and ex.compare(precision) >= 0:
+                        break
+                    row.append((ex, na * nb))
+                if not row:
                     break
-                row.append((ex, na * nb))
-            if not row:
-                break
-            rows.append(row)
+                rows.append(row)
+            sums = _merge_rows(rows)
         d = da * db
-        terms = tuple((ex, Fraction(n, d)) for ex, n in _merge_rows(rows))
+        terms = tuple((ex, Fraction(n, d)) for ex, n in sums)
         return _trusted(self.group, terms, precision)
 
     def truncate_to(self, p) -> "Series":
@@ -317,6 +399,11 @@ class Series:
         product.  The contributions at one exponent are summed over the
         largest power among them, and each final ``b_f / r`` becomes one
         ``Fraction``.
+
+        On Z and Q the pending entries are ``[numerator, power]`` in a dict
+        keyed by the int exponent key (``_Keys``), with the keys in a heap.
+        The other kinds keep them in one ascending list found by bisection,
+        which orders by ``compare`` and hashes no surreal exponent.
 
         The pass ends exactly when ``v(eps)`` is not infinitesimal relative
         to the target: then some ``n * v(eps)`` reaches the target, so only
@@ -357,30 +444,62 @@ class Series:
         rn, rd = r.numerator, r.denominator
         powers = [1]
         terms = []
-        # [exponent, numerator, power] per distinct exponent, ascending and
-        # found by bisection: unlike a dict, that hashes no surreal exponent
-        pending = [[element(self.group, 0), 1, 0]]
-        while pending:
-            f, b, k = pending.pop(0)
-            if not b:
-                continue
-            terms.append((f + neg_g, Fraction(b * rd, powers[k] * rn)))
-            k += 1
-            if k == len(powers):
-                powers.append(powers[-1] * d)
-            for x, c in steps:
-                e = f + x
-                if e.compare(target) >= 0:
-                    break
-                i = bisect_left(pending, e, key=_exponent)
-                if i == len(pending) or pending[i][0].compare(e):
-                    pending.insert(i, [e, 0, k])
-                entry = pending[i]
-                if entry[2] < k:
-                    entry[1] = entry[1] * powers[k - entry[2]] + c * b
-                    entry[2] = k
-                else:
-                    entry[1] += c * b * powers[entry[2] - k]
+        if self.group.rank_one:
+            keys = _Keys(self.group, [target, neg_g] + [x for x, _ in steps])
+            key = keys.key
+            kt, kg = key(target), key(neg_g)
+            steps = [(key(x), c) for x, c in steps]
+            # [numerator, power] per distinct key, and the keys in a heap
+            pending = {0: [1, 0]}
+            heap = [0]
+            while heap:
+                f = heappop(heap)
+                b, k = pending.pop(f)
+                if not b:
+                    continue
+                terms.append((keys.element(f + kg), Fraction(b * rd, powers[k] * rn)))
+                k += 1
+                if k == len(powers):
+                    powers.append(powers[-1] * d)
+                for x, c in steps:
+                    e = f + x
+                    if e >= kt:
+                        break
+                    entry = pending.get(e)
+                    if entry is None:
+                        pending[e] = [c * b, k]
+                        heappush(heap, e)
+                    elif entry[1] < k:
+                        entry[0] = entry[0] * powers[k - entry[1]] + c * b
+                        entry[1] = k
+                    else:
+                        entry[0] += c * b * powers[entry[1] - k]
+        else:
+            # [exponent, numerator, power] per distinct exponent, ascending
+            # and found by bisection: unlike a dict, that hashes no surreal
+            # exponent
+            pending = [[element(self.group, 0), 1, 0]]
+            while pending:
+                f, b, k = pending.pop(0)
+                if not b:
+                    continue
+                terms.append((f + neg_g, Fraction(b * rd, powers[k] * rn)))
+                k += 1
+                if k == len(powers):
+                    powers.append(powers[-1] * d)
+                for x, c in steps:
+                    e = f + x
+                    if e.compare(target) >= 0:
+                        break
+                    i = bisect_left(pending, e, key=_exponent)
+                    if i == len(pending) or pending[i][0].compare(e):
+                        pending.insert(i, [e, 0, k])
+                    entry = pending[i]
+                    if entry[2] < k:
+                        entry[1] = entry[1] * powers[k - entry[2]] + c * b
+                        entry[2] = k
+                    else:
+                        entry[1] += c * b * powers[entry[2] - k]
         precision = target - g
         return _trusted(self.group, _cut(tuple(terms), precision), precision)
 

@@ -16,7 +16,10 @@ constructor that coerces and normalizes:
 * ``exp_apply`` of a ``PhiShift`` is the round loop ``sum D^i(s)/i!``
   built from those definitions,
 * the images of the relabelling automorphism nodes are ``make`` on the
-  relabelled and rescaled terms at the mapped precision.
+  relabelled and rescaled terms at the mapped precision,
+* ``*``, ``invert`` and ``exp_apply`` over Z and Q, which compute on int
+  exponent keys, are the general path's results on the same case embedded
+  in lex1.
 
 "The same" means equal terms tuples and equal precision or, when the
 definition refuses, the same error type with the same message.  Every
@@ -811,3 +814,193 @@ def test_seeded_relabelling_images_match_definition(index):
         assert_same(
             apply_aut, lambda a, x: ref_relabel(node, x, True), invert_aut(aut), s
         )
+
+
+# -- rank-one int keys against the general path -----------------------------------
+#
+# On Z and Q, ``*``, ``invert`` and ``exp_apply`` compute on int exponent
+# keys.  lex1 is rank one as well but takes the general path, so a Z or Q
+# case embedded there and mapped back must give the same terms and
+# precision, or the same error type (messages print lex1 exponents as
+# tuples).
+
+LEX1 = lex_power(1)
+# large and pairwise coprime, so the key scale of a case reaches 10**18
+DENOMINATORS = [1, 2, 3, 7, 999_999_937, 10**9 + 7]
+
+
+def keyed_exponents(group, lo=-6, hi=9):
+    """Z exponents, or Q exponents ``k + n/d`` off any one lattice."""
+    if group is INTEGERS:
+        return st.integers(lo, hi).map(lambda k: element(group, k))
+    return st.builds(
+        lambda k, n, d: element(group, k + Fraction(n, d)),
+        st.integers(lo, hi),
+        st.integers(0, 3),
+        st.sampled_from(DENOMINATORS),
+    )
+
+
+def keyed_series(group, max_size=6):
+    return st.builds(
+        Series.make,
+        st.just(group),
+        st.lists(st.tuples(keyed_exponents(group), coefficients), max_size=max_size),
+        st.none() | keyed_exponents(group),
+    )
+
+
+def to_lex1(x):
+    """A Z or Q exponent or series (or None) embedded in lex1."""
+    if x is None:
+        return None
+    if isinstance(x, GroupElement):
+        return element(LEX1, (x.value,))
+    return Series.make(
+        LEX1, [(to_lex1(ex), c) for ex, c in x.terms], to_lex1(x.precision)
+    )
+
+
+def from_lex1(group, x):
+    if x is None:
+        return None
+    if isinstance(x, GroupElement):
+        (value,) = x.value
+        if group is INTEGERS:
+            assert value.denominator == 1
+            value = int(value)
+        return element(group, value)
+    terms = [(from_lex1(group, ex), c) for ex, c in x.terms]
+    return Series.make(group, terms, from_lex1(group, x.precision))
+
+
+def assert_keyed_like_general(group, fn, keyed_args, general_args):
+    """``fn`` on Z or Q arguments against ``fn`` on their lex1 embedding."""
+    got, want = outcome(fn, *keyed_args), outcome(fn, *general_args)
+    if want[0] != "value":
+        assert got[0] == want[0]
+        return
+    assert got[0] == "value"
+    fast, general = got[1], from_lex1(group, want[1])
+    assert_normalized(fast)
+    assert (fast.terms, fast.precision) == (general.terms, general.precision)
+    # int or Fraction, not merely equal values
+    value_type = int if group is INTEGERS else Fraction
+    exps = [ex for ex, _ in fast.terms]
+    if fast.precision is not None:
+        exps.append(fast.precision)
+    assert all(type(ex.value) is value_type for ex in exps)
+
+
+def keyed_groups():
+    return st.sampled_from([INTEGERS, RATIONALS])
+
+
+@given(
+    keyed_groups().flatmap(
+        lambda g: st.tuples(keyed_series(g), keyed_series(g), keyed_exponents(g))
+    )
+)
+def test_keyed_products_match_general_path(case):
+    a, b, p = case
+    mul = lambda x, y: x * y
+    for x, y in ((a, b), (a.truncate_to(p), b), (a, a), (a + b, b.truncate_to(p))):
+        assert_keyed_like_general(a.group, mul, (x, y), (to_lex1(x), to_lex1(y)))
+
+
+def keyed_unit_case(group, g, c, steps, target, slack):
+    """``c t^g (1 + sum c_i t^(e_i))`` with every ``e_i >= 1``, so only
+    sums of at most ``target`` of them lie below the target; truncated
+    ``slack`` past (or, when negative, short of) what certifies it."""
+    s = Series.make(group, [(g, c)] + [(g + e, ci) for e, ci in steps])
+    if slack is not None:
+        s = s.truncate_to(target + g + element(group, slack))
+    return s, target
+
+
+def keyed_units(group):
+    return st.builds(
+        lambda *case: keyed_unit_case(group, *case),
+        keyed_exponents(group),
+        coefficients.filter(bool),
+        st.lists(st.tuples(keyed_exponents(group, 1, 2), coefficients), max_size=4),
+        keyed_exponents(group, -1, 6),
+        st.none() | st.integers(-1, 2),
+    )
+
+
+@given(keyed_groups().flatmap(keyed_units))
+def test_keyed_inverses_match_general_path(case):
+    s, target = case
+    assert_keyed_like_general(
+        s.group, Series.invert, (s, target), (to_lex1(s), to_lex1(target))
+    )
+
+
+def keyed_phi_cases(group):
+    """``phi(g) = q g``, a shift of at least 1, a series and a target."""
+    return st.tuples(
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+        keyed_exponents(group, 1, 2),
+        keyed_series(group, max_size=5),
+        keyed_exponents(group),
+    )
+
+
+@given(keyed_groups().flatmap(keyed_phi_cases))
+def test_keyed_exponentials_match_general_path(case):
+    q, shift, s, target = case
+    group = s.group
+    d = make_phi_derivation(standard_functional(group, [q]), shift)
+    general = make_phi_derivation(standard_functional(LEX1, [q]), to_lex1(shift))
+    assert_keyed_like_general(
+        group, exp_apply, (d, s, target), (general, to_lex1(s), to_lex1(target))
+    )
+
+
+def test_keyed_paths_cover_refusals():
+    # no leading term, a precision short of the target, and the exact zero
+    for group in (INTEGERS, RATIONALS):
+        for s in (
+            Series.make(group, [], 3),
+            Series.make(group, [(0, 1), (1, 2)], 2),
+            Series.zero(group),
+        ):
+            target = element(group, 4)
+            assert_keyed_like_general(
+                group, Series.invert, (s, target), (to_lex1(s), to_lex1(target))
+            )
+
+
+# -- the keyed path is taken ---------------------------------------------------------
+
+
+def test_dense_rank_one_kernels_make_linearly_many_group_calls(monkeypatch):
+    """A dense 24-term Q product, inverse to t^24 and exponential to t^24
+    each make O(N) ``GroupElement`` additions and compares; the general
+    path makes O(N^2), one per product or row term."""
+    n = 24
+    counts = {"add": 0, "compare": 0}
+
+    def counting(name, method):
+        def counted(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return counted
+
+    a = Series.make(
+        RATIONALS, [(k, Fraction((-1) ** k * (k + 2), 1 + k % 3)) for k in range(n)]
+    )
+    unit = Series.make(
+        RATIONALS, [(0, 1)] + [(k, Fraction(k + 1, 2 + k % 5)) for k in range(1, n)]
+    )
+    target = embed_rational(RATIONALS, n)
+    d = make_phi_derivation(scaling_functional(RATIONALS, 1), 1)
+    ops = (lambda: a * unit, lambda: unit.invert(target), lambda: exp_apply(d, a, target))
+    for name, attr in (("add", "__add__"), ("compare", "compare")):
+        monkeypatch.setattr(GroupElement, attr, counting(name, getattr(GroupElement, attr)))
+    for op in ops:
+        counts.update(add=0, compare=0)
+        op()
+        assert counts["add"] <= 2 * n and counts["compare"] <= 2 * n, counts
