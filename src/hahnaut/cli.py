@@ -27,10 +27,13 @@ def _parse_group(text: str) -> GroupDescriptor:
         return groups.INTEGERS
     if text == "Q":
         return groups.RATIONALS
-    if text.startswith("lex"):
-        return groups.lex_power(int(text[3:]))
-    if text.startswith("surreal"):
-        return groups.surreal_depth(int(text[7:]))
+    for prefix, make in (("lex", groups.lex_power), ("surreal", groups.surreal_depth)):
+        if text.startswith(prefix):
+            try:
+                n = int(text[len(prefix):])
+            except ValueError:
+                break  # no number after the prefix: an unknown name
+            return make(n)
     raise UsageError(f"unknown group {text!r} (expected Z, Q, lexN or surrealD)")
 
 

@@ -31,10 +31,15 @@ numerator and denominator of ``num * u / (den * q * i)`` from the term
 before it.  On Z and Q the rows step on int exponent keys
 (``series._Keys``), and the terms at each key are summed once, over the
 lcm of their denominators, into one ``Fraction``; a key one row reaches
-keeps that row's term.  The other kinds build each term as a ``Fraction``
-and sum the rows with the pairwise merge ``Series`` products use.  A table
-whose images start above their keys is done within one round more than it
-has entries.
+keeps that row's term.  There ``phi`` is one slope ``rn/rd``
+(``phi(g) = g.value * rn/rd``), so the row from key ``kg`` has
+``u = kg*rn``, ``du = key(shift)*rn`` and ``q = rd*L`` and ``phi`` is
+never called; and no row is tested for refusal, since on a rank-one group
+every positive shift reaches every gap by some multiple.  The other kinds
+call ``phi`` on every term, build each row term as a ``Fraction`` and sum
+the rows with the pairwise merge ``Series`` products use.  A table whose
+images start above their keys is done within one round more than it has
+entries.
 """
 
 from __future__ import annotations
@@ -209,9 +214,17 @@ def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
     ``arch_compare(P - g, shift)`` is ``<``, and no factor vanishes, that
     is ``-phi(g)/phi(shift)`` is not a nonnegative integer.  Such a row is
     refused with ``NonTerminating`` before any coefficient is computed.
-    ``phi`` is called on every term of ``s``, then on ``g + shift`` for the
-    least ``g`` whose image survives below the target, as the first two
-    rounds of ``D`` call it, so the same ``OutsideSpan`` comes first.
+    On lex and surreal groups ``phi`` is called on every term of ``s``,
+    then on ``g + shift`` for the least ``g`` whose image survives below
+    the target, as the first two rounds of ``D`` call it, so the same
+    ``OutsideSpan`` comes first.  On Z and Q with a generator, ``phi`` is
+    read as its slope (``LinearFunctional._slope``) and never called,
+    since it cannot refuse there, and no refusal test runs: two nonzero
+    rank-one elements are always in one archimedean class, and
+    ``_check_gain`` makes the shift at least the gain, which is positive.
+    A rank-one functional with no generator, or a functional or shift over
+    another group, calls ``phi`` on every term as the lex and surreal path
+    does, so it raises the same ``OutsideSpan`` or ``DescriptorMismatch``.
 
     For ``TableRule``, ``D^i(s)`` is built round by round.  A table some
     image of which starts below ``key + gain`` is refused with
@@ -241,6 +254,18 @@ def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
 def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
     """``exp_apply`` for a ``PhiShift``: one row per term, as documented there."""
     phi, shift = d.rule.phi, d.rule.shift
+    precision = _pmin(s.precision, target)
+    terms = _cut(s.terms, precision)
+    if d.group.rank_one:
+        keys = _Keys(d.group, [precision, shift] + [g for g, _ in terms])
+        key = keys.key
+        if phi._slope is not None and phi.descriptor == d.group == shift.descriptor:
+            # phi(g) = key(g) * rn / (rd * L): one slope, no phi call, and
+            # no refusal test, which cannot fire on rank one
+            rn, rd = phi._slope.numerator, phi._slope.denominator
+            q, du = rd * keys.scale, key(shift) * rn
+            rows = [(kg := key(g), c, kg * rn, du, q) for g, c in terms]
+            return _sum_keyed_rows(keys, rows, precision, shift)
     ks = [phi(ex) for ex, _ in s.terms]
     # phi(shift), read off the least image that survives the first round
     survives = _pmin(target, None if s.precision is None else s.precision + d.gain)
@@ -249,9 +274,10 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
         if k and (ex + shift).compare(survives) < 0:
             k_shift = phi(ex + shift) - k
             break
-    precision = _pmin(s.precision, target)
-    terms = [(g, c, k) for (g, c), k in zip(s.terms, ks) if g.compare(precision) < 0]
-    for g, _, k in terms:
+    ds = 1 if k_shift is None else k_shift.denominator
+    ns = 0 if k_shift is None else k_shift.numerator
+    rows = []
+    for (g, c), k in zip(terms, ks):
         if not _factor_vanishes(k, k_shift) and arch_compare(precision - g, shift) == "<":
             raise NonTerminating(
                 "exponential series does not reach the target precision: the "
@@ -259,24 +285,33 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
                 f"to the class of {precision - g}, the gap from t^{g} to the "
                 f"precision {precision}, and no factor phi(g) + i*phi(shift) vanishes"
             )
-    if not d.group.rank_one:
-        rows = []
-        for g, c, k in terms:
-            row, ex = [], g
-            for num, den in _row(c, k, k_shift):
-                row.append((ex, Fraction(num, den)))
-                ex = ex + shift
-                if ex.compare(precision) >= 0:
-                    break
-            rows.append(row)
-        return _trusted(d.group, tuple(_merge_rows(rows)), precision)
-    keys = _Keys(d.group, [precision, shift] + [g for g, _, _ in terms])
+        q = lcm(k.denominator, ds)
+        rows.append((g, c, k.numerator * (q // k.denominator), ns * (q // ds), q))
+    if d.group.rank_one:
+        rows = [(key(g), c, u, du, q) for g, c, u, du, q in rows]
+        return _sum_keyed_rows(keys, rows, precision, shift)
+    merged = []
+    for g, c, u, du, q in rows:
+        row, ex = [], g
+        for num, den in _row(c, u, du, q):
+            row.append((ex, Fraction(num, den)))
+            ex = ex + shift
+            if ex.compare(precision) >= 0:
+                break
+        merged.append(row)
+    return _trusted(d.group, tuple(_merge_rows(merged)), precision)
+
+
+def _sum_keyed_rows(keys: _Keys, rows: list, precision, shift) -> Series:
+    """The rows ``(key(g), c, u, du, q)`` of ``_row`` on Z and Q, each
+    stepping by the shift's key below the precision's, summed per key: the
+    terms at one key are summed once, over the lcm of their denominators,
+    and a key one row reaches keeps that row's term."""
     key = keys.key
     stop, step = key(precision), key(shift)
-    # every (numerator, denominator) at each key, summed once below
     parts = {}
-    for g, c, k in terms:
-        for ex, a in zip(range(key(g), stop, step), _row(c, k, k_shift)):
+    for kg, c, u, du, q in rows:
+        for ex, a in zip(range(kg, stop, step), _row(c, u, du, q)):
             parts.setdefault(ex, []).append(a)
     out = []
     for ex in sorted(parts):
@@ -289,25 +324,18 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
             if not num:
                 continue
         out.append((keys.element(ex), Fraction(num, den)))
-    return _trusted(d.group, tuple(out), precision)
+    return _trusted(keys.group, tuple(out), precision)
 
 
-def _row(c: Fraction, k: Fraction, k_shift: Fraction | None):
-    """The coefficients ``a_0 = c, a_1, ...`` of the row of ``c t^g`` with
-    ``phi(g) = k``, up to its first zero factor, each as its reduced
-    numerator and denominator.
-
-    ``phi(g) + i*phi(shift) = (u + i*du) / q``, with ``q`` the lcm of the
-    denominators of ``phi(g)`` and ``phi(shift)``; a term is
+def _row(c: Fraction, u: int, du: int, q: int):
+    """The coefficients ``a_0 = c, a_1, ...`` of a row whose factors are
+    ``phi(g) + i*phi(shift) = (u + i*du) / q``, up to its first zero
+    factor, each as its reduced numerator and denominator: a term is
     ``num * u / (den * q * i)`` from the reduced ``num / den`` before it,
     reduced by their gcd.
     """
     num, den = c.numerator, c.denominator
     yield num, den
-    ds = 1 if k_shift is None else k_shift.denominator
-    ns = 0 if k_shift is None else k_shift.numerator
-    q = lcm(k.denominator, ds)
-    u, du = k.numerator * (q // k.denominator), ns * (q // ds)
     i = 1
     while u:
         num, den = num * u, den * q * i

@@ -458,6 +458,9 @@ class LinearFunctional:
     generators: tuple[tuple[GroupElement, Fraction], ...]
     # the span of the generators, derived once from ``generators``
     _span: _Span = field(init=False, compare=False, repr=False)
+    # on Z and Q, ``v / g`` for the one generator ``(g, v)``, so that
+    # ``phi(h) = h.value * _slope``; None off rank one or with no generator
+    _slope: Fraction | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         gens = tuple(
@@ -471,6 +474,12 @@ class LinearFunctional:
         if span is None:
             raise DomainError("functional generators are Q-linearly dependent")
         object.__setattr__(self, "_span", span)
+        slope = None
+        if self.descriptor.rank_one and gens:
+            # independence leaves exactly one, nonzero, generator here
+            ((gen, v),) = gens
+            slope = v / gen.value
+        object.__setattr__(self, "_slope", slope)
 
     def __call__(self, g: GroupElement) -> Fraction:
         g = element(self.descriptor, g)
@@ -478,10 +487,8 @@ class LinearFunctional:
             return Fraction(0)
         if not self.generators:
             raise OutsideSpan(f"{g} is outside the span of an empty generator list")
-        if self.descriptor.rank_one:
-            # __post_init__ leaves exactly one, nonzero, generator here
-            ((gen, v),) = self.generators
-            return Fraction(g.value) / gen.value * v
+        if self._slope is not None:
+            return g.value * self._slope
         coeffs = _span_coefficients(self._span, g)
         if coeffs is None:
             raise OutsideSpan(f"{g} is not in the Q-span of the generators")

@@ -400,10 +400,16 @@ class Series:
         largest power among them, and each final ``b_f / r`` becomes one
         ``Fraction``.
 
-        On Z and Q the pending entries are ``[numerator, power]`` in a dict
-        keyed by the int exponent key (``_Keys``), with the keys in a heap.
-        The other kinds keep them in one ascending list found by bisection,
-        which orders by ``compare`` and hashes no surreal exponent.
+        On Z and Q the steps are built straight from the terms below
+        ``target + g``: each is the int key ``key(x) - key(g)`` (``_Keys``)
+        and the int numerator of ``-c/r`` over one common denominator, with
+        no ``GroupElement`` sum and no ``Fraction`` division.  The pending
+        entries are ``[numerator, power]`` in a dict keyed by int key, with
+        the keys in a heap, and nothing is refused: two nonzero rank-one
+        elements are always in one archimedean class.  The other kinds
+        build the steps as ``GroupElement`` sums and ``Fraction``s and keep
+        the pending entries in one ascending list found by bisection, which
+        orders by ``compare`` and hashes no surreal exponent.
 
         The pass ends exactly when ``v(eps)`` is not infinitesimal relative
         to the target: then some ``n * v(eps)`` reaches the target, so only
@@ -429,26 +435,21 @@ class Series:
             if self.precision is None:
                 return inverse
             return inverse.truncate_to(target - g)
-        # The steps -eps_x of eps = self / (r t^g) - 1; only those below
-        # the target reach the inverse below it.
-        steps = tuple((ex + neg_g, -c / r) for ex, c in self.terms[1:])
-        v_eps = steps[0][0]
-        steps = _cut(steps, target)
-        if steps and arch_compare(target, v_eps) == "<":
-            raise NonTerminating(
-                "geometric expansion does not reach the target precision: the "
-                f"archimedean class of v(eps) = {v_eps} is infinitesimal relative "
-                f"to the class of the target {target}"
-            )
-        d, steps = _numerators(steps)
         rn, rd = r.numerator, r.denominator
         powers = [1]
         terms = []
         if self.group.rank_one:
-            keys = _Keys(self.group, [target, neg_g] + [x for x, _ in steps])
+            # The step of a term c t^ex below target + g sits at
+            # key(ex) - key(g); with c = n/D, -c/r = -n*rd / (D*rn) has an
+            # int numerator over d = D*|rn|.
+            rest = _cut(self.terms[1:], target + g)
+            keys = _Keys(self.group, [target, g] + [ex for ex, _ in rest])
             key = keys.key
-            kt, kg = key(target), key(neg_g)
-            steps = [(key(x), c) for x, c in steps]
+            kt, kg = key(target), key(g)
+            d, rest = _numerators(rest)
+            d *= abs(rn)
+            sign = -1 if rn > 0 else 1
+            steps = [(key(ex) - kg, sign * n * rd) for ex, n in rest]
             # [numerator, power] per distinct key, and the keys in a heap
             pending = {0: [1, 0]}
             heap = [0]
@@ -457,7 +458,7 @@ class Series:
                 b, k = pending.pop(f)
                 if not b:
                     continue
-                terms.append((keys.element(f + kg), Fraction(b * rd, powers[k] * rn)))
+                terms.append((keys.element(f - kg), Fraction(b * rd, powers[k] * rn)))
                 k += 1
                 if k == len(powers):
                     powers.append(powers[-1] * d)
@@ -475,6 +476,18 @@ class Series:
                     else:
                         entry[0] += c * b * powers[entry[1] - k]
         else:
+            # The steps -eps_x of eps = self / (r t^g) - 1; only those below
+            # the target reach the inverse below it.
+            steps = tuple((ex + neg_g, -c / r) for ex, c in self.terms[1:])
+            v_eps = steps[0][0]
+            steps = _cut(steps, target)
+            if steps and arch_compare(target, v_eps) == "<":
+                raise NonTerminating(
+                    "geometric expansion does not reach the target precision: the "
+                    f"archimedean class of v(eps) = {v_eps} is infinitesimal relative "
+                    f"to the class of the target {target}"
+                )
+            d, steps = _numerators(steps)
             # [exponent, numerator, power] per distinct exponent, ascending
             # and found by bisection: unlike a dict, that hashes no surreal
             # exponent

@@ -32,6 +32,14 @@ class TestEval:
         assert run_command(["eval", "--bogus", "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name", ["bogus", "lexx", "lex", "surreal", "surrealx"])
+    def test_unknown_group_is_a_usage_error(self, capsys, name):
+        code, out, err = run(capsys, "eval", f"--group={name}", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"USAGE ERROR: unknown group '{name}' (expected Z, Q, lexN or surrealD)\n"
+        )
+
 
 class TestApply:
     def test_exp_derivation_example(self, capsys):

@@ -476,6 +476,25 @@ class TestGroupFastPaths:
         assert result == coeffs[0] * v
         assert type(result) is Fraction
 
+    @pytest.mark.parametrize(
+        "group, gen",
+        [(INTEGERS, 3), (INTEGERS, -2), (RATIONALS, 3), (RATIONALS, -2),
+         (RATIONALS, Fraction(5, 7))],
+    )
+    def test_rank_one_slope_matches_the_quotient_formula(self, group, gen):
+        """``phi(g) = g.value * slope`` equals ``g.value / gen.value * v``."""
+        gen = element(group, gen)
+        points = [Fraction(k) for k in range(-7, 8)]
+        if group is RATIONALS:
+            points += [Fraction(n, d) for n in (-11, -1, 1, 5, 14) for d in (2, 3, 7)]
+        for v in (Fraction(0), Fraction(1), Fraction(-4, 3), Fraction(10**18, 7)):
+            phi = LinearFunctional(group, ((gen, v),))
+            for x in points:
+                g = element(group, int(x) if group is INTEGERS else x)
+                result = phi(g)
+                assert result == Fraction(g.value) / gen.value * v
+                assert type(result) is Fraction
+
     @pytest.mark.parametrize("group", [INTEGERS, RATIONALS])
     def test_rank_one_functional_without_generators_is_refused(self, group):
         phi = LinearFunctional(group, ())

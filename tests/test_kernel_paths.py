@@ -57,6 +57,7 @@ from hahnaut.errors import (
     InsufficientPrecision,
     NonContracting,
     NonTerminating,
+    OutsideSpan,
 )
 from hahnaut.groups import (
     INTEGERS,
@@ -972,6 +973,55 @@ def test_keyed_paths_cover_refusals():
             )
 
 
+# (group, generator, value) of functionals whose generator is not 1
+NON_UNIT_FUNCTIONALS = [
+    (INTEGERS, 3, 2),
+    (INTEGERS, -2, 5),
+    (RATIONALS, Fraction(5, 7), -3),
+]
+
+
+@pytest.mark.parametrize("group, gen, v", NON_UNIT_FUNCTIONALS)
+@given(data=st.data())
+def test_keyed_exponentials_with_non_unit_generators_match_general_path(
+    group, gen, v, data
+):
+    shift = data.draw(keyed_exponents(group, 1, 2))
+    s = data.draw(keyed_series(group, max_size=5))
+    target = data.draw(keyed_exponents(group))
+    gen = element(group, gen)
+    d = make_phi_derivation(LinearFunctional(group, ((gen, v),)), shift)
+    general = make_phi_derivation(
+        LinearFunctional(LEX1, ((to_lex1(gen), v),)), to_lex1(shift)
+    )
+    assert_keyed_like_general(
+        group, exp_apply, (d, s, target), (general, to_lex1(s), to_lex1(target))
+    )
+
+
+@pytest.mark.parametrize(
+    "group, terms, message",
+    [
+        (INTEGERS, [(0, 1), (3, 2)], "3"),
+        (RATIONALS, [(0, 1), (Fraction(3, 2), 2)], "3/2"),
+        # phi meets every term, also one past the target
+        (INTEGERS, [(0, 5), (9, 1)], "9"),
+        (RATIONALS, [(Fraction(-1, 2), 1), (9, 1)], "-1/2"),
+    ],
+)
+def test_empty_functional_exponential_is_refused_at_the_first_nonzero_exponent(
+    group, terms, message
+):
+    d = make_phi_derivation(LinearFunctional(group, ()), 1)
+    s = Series.make(group, terms)
+    with pytest.raises(OutsideSpan) as raised:
+        exp_apply(d, s, element(group, 2))
+    assert str(raised.value) == f"{message} is outside the span of an empty generator list"
+    # phi(0) = 0: a constant comes back cut to the target
+    constant = Series.make(group, [(0, Fraction(-7, 3))], 5)
+    assert exp_apply(d, constant, element(group, 2)) == constant.truncate_to(2)
+
+
 # -- the keyed path is taken ---------------------------------------------------------
 
 
@@ -1004,3 +1054,52 @@ def test_dense_rank_one_kernels_make_linearly_many_group_calls(monkeypatch):
         counts.update(add=0, compare=0)
         op()
         assert counts["add"] <= 2 * n and counts["compare"] <= 2 * n, counts
+
+
+def test_dense_rank_one_inverse_and_exponential_make_no_per_term_group_calls(
+    monkeypatch,
+):
+    """A dense Q inverse to t^N and a dense Q exponential to t^N make as
+    many ``GroupElement`` additions and compares at N = 48 as at N = 24:
+    the inverse's steps and the exponential's rows are int keys from the
+    start.  The exponential reads phi as one slope, so it calls neither
+    phi nor ``arch_compare``."""
+    counts = {}
+
+    def counting(name, method):
+        def counted(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return method(*args)
+
+        return counted
+
+    def calls(n):
+        unit = Series.make(
+            RATIONALS,
+            [(0, Fraction(-3, 2))] + [(k, Fraction(k + 1, 2 + k % 5)) for k in range(1, n)],
+        )
+        a = Series.make(
+            RATIONALS, [(k, Fraction((-1) ** k * (k + 2), 1 + k % 3)) for k in range(n)]
+        )
+        target = embed_rational(RATIONALS, n)
+        per_op = []
+        for op in (lambda: unit.invert(target), lambda: exp_apply(d, a, target)):
+            counts.clear()
+            op()
+            per_op.append(dict(counts))
+        return per_op
+
+    d = make_phi_derivation(LinearFunctional(RATIONALS, ((element(RATIONALS, 2), 3),)), 1)
+    for name, attr in (("add", "__add__"), ("compare", "compare")):
+        monkeypatch.setattr(GroupElement, attr, counting(name, getattr(GroupElement, attr)))
+    monkeypatch.setattr(
+        LinearFunctional, "__call__", counting("phi", LinearFunctional.__call__)
+    )
+    for module in ("hahnaut.derivations", "hahnaut.series"):
+        monkeypatch.setattr(
+            f"{module}.arch_compare", counting("arch_compare", arch_compare)
+        )
+    small, large = calls(24), calls(48)
+    assert small == large
+    _, exp_counts = small
+    assert "phi" not in exp_counts and "arch_compare" not in exp_counts, exp_counts
