@@ -28,18 +28,18 @@ at ``g + i*shift``; it ends exactly when some multiple of the shift reaches
 row is refused before a coefficient is computed.  A row steps on integers:
 its factor is ``u / q`` over a fixed ``q``, and each term is the reduced
 numerator and denominator of ``num * u / (den * q * i)`` from the term
-before it.  On Z and Q the rows step on int exponent keys
-(``series._Keys``), and the terms at each key are summed once, over the
-lcm of their denominators, into one ``Fraction``; a key one row reaches
-keeps that row's term.  There ``phi`` is one slope ``rn/rd``
-(``phi(g) = g.value * rn/rd``), so the row from key ``kg`` has
+before it.  On Z and Q, for a functional with a generator, the rows step
+on int exponent keys (``series._Keys``), and the terms at each key are
+summed once, over the lcm of their denominators, into one ``Fraction``; a
+key one row reaches keeps that row's term.  There ``phi`` is one slope
+``rn/rd`` (``phi(g) = g.value * rn/rd``), so the row from key ``kg`` has
 ``u = kg*rn``, ``du = key(shift)*rn`` and ``q = rd*L`` and ``phi`` is
 never called; and no row is tested for refusal, since on a rank-one group
-every positive shift reaches every gap by some multiple.  The other kinds
-call ``phi`` on every term, build each row term as a ``Fraction`` and sum
-the rows with the pairwise merge ``Series`` products use.  A table whose
-images start above their keys is done within one round more than it has
-entries.
+every positive shift reaches every gap by some multiple.  The other kinds,
+and a rank-one functional with no generator, call ``phi`` on every term,
+build each row term as a ``Fraction`` and sum the rows with the pairwise
+merge ``Series`` products use.  A table whose images start above their
+keys is done within one round more than it has entries.
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
     ``a_0 = c`` and ``a_i = a_(i-1) * (phi(g) + (i-1)*phi(shift)) / i``.
     Each term of ``s`` below ``P`` gives that ascending row up to its first
     exponent at or past ``P`` or its first zero factor, and the rows are
-    summed: per int exponent key on Z and Q, by one pairwise merge on the
-    other kinds.  The row from ``g`` is infinite exactly when every
+    summed: per int exponent key on Z and Q with a generator, by one
+    pairwise merge otherwise.  The row from ``g`` is infinite exactly when every
     ``g + i*shift`` stays below ``P``, that is
     ``arch_compare(P - g, shift)`` is ``<``, and no factor vanishes, that
     is ``-phi(g)/phi(shift)`` is not a nonnegative integer.  Such a row is
@@ -222,9 +222,9 @@ def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
     since it cannot refuse there, and no refusal test runs: two nonzero
     rank-one elements are always in one archimedean class, and
     ``_check_gain`` makes the shift at least the gain, which is positive.
-    A rank-one functional with no generator, or a functional or shift over
-    another group, calls ``phi`` on every term as the lex and surreal path
-    does, so it raises the same ``OutsideSpan`` or ``DescriptorMismatch``.
+    A rank-one functional with no generator, or a functional over another
+    group, takes the lex and surreal path, which calls ``phi`` on every
+    term, so it raises the same ``OutsideSpan`` or ``DescriptorMismatch``.
 
     For ``TableRule``, ``D^i(s)`` is built round by round.  A table some
     image of which starts below ``key + gain`` is refused with
@@ -256,16 +256,33 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
     phi, shift = d.rule.phi, d.rule.shift
     precision = _pmin(s.precision, target)
     terms = _cut(s.terms, precision)
-    if d.group.rank_one:
+    if phi._slope is not None and phi.descriptor == d.group:
+        # phi(g) = key(g) * rn / (rd * L): one slope, no phi call, and no
+        # refusal test, which cannot fire on rank one.  The row from key kg
+        # steps by the shift's key below the precision's, and the terms at
+        # one key are summed once, over the lcm of their denominators.
         keys = _Keys(d.group, [precision, shift] + [g for g, _ in terms])
         key = keys.key
-        if phi._slope is not None and phi.descriptor == d.group == shift.descriptor:
-            # phi(g) = key(g) * rn / (rd * L): one slope, no phi call, and
-            # no refusal test, which cannot fire on rank one
-            rn, rd = phi._slope.numerator, phi._slope.denominator
-            q, du = rd * keys.scale, key(shift) * rn
-            rows = [(kg := key(g), c, kg * rn, du, q) for g, c in terms]
-            return _sum_keyed_rows(keys, rows, precision, shift)
+        rn, rd = phi._slope.numerator, phi._slope.denominator
+        q, du = rd * keys.scale, key(shift) * rn
+        stop, step = key(precision), key(shift)
+        parts = {}
+        for g, c in terms:
+            kg = key(g)
+            for ex, a in zip(range(kg, stop, step), _row(c, kg * rn, du, q)):
+                parts.setdefault(ex, []).append(a)
+        out = []
+        for ex in sorted(parts):
+            summands = parts[ex]
+            if len(summands) == 1:
+                num, den = summands[0]
+            else:
+                den = lcm(*[b for _, b in summands])
+                num = sum(a * (den // b) for a, b in summands)
+                if not num:
+                    continue
+            out.append((keys.element(ex), Fraction(num, den)))
+        return _trusted(d.group, tuple(out), precision)
     ks = [phi(ex) for ex, _ in s.terms]
     # phi(shift), read off the least image that survives the first round
     survives = _pmin(target, None if s.precision is None else s.precision + d.gain)
@@ -287,9 +304,6 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
             )
         q = lcm(k.denominator, ds)
         rows.append((g, c, k.numerator * (q // k.denominator), ns * (q // ds), q))
-    if d.group.rank_one:
-        rows = [(key(g), c, u, du, q) for g, c, u, du, q in rows]
-        return _sum_keyed_rows(keys, rows, precision, shift)
     merged = []
     for g, c, u, du, q in rows:
         row, ex = [], g
@@ -300,31 +314,6 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
                 break
         merged.append(row)
     return _trusted(d.group, tuple(_merge_rows(merged)), precision)
-
-
-def _sum_keyed_rows(keys: _Keys, rows: list, precision, shift) -> Series:
-    """The rows ``(key(g), c, u, du, q)`` of ``_row`` on Z and Q, each
-    stepping by the shift's key below the precision's, summed per key: the
-    terms at one key are summed once, over the lcm of their denominators,
-    and a key one row reaches keeps that row's term."""
-    key = keys.key
-    stop, step = key(precision), key(shift)
-    parts = {}
-    for kg, c, u, du, q in rows:
-        for ex, a in zip(range(kg, stop, step), _row(c, u, du, q)):
-            parts.setdefault(ex, []).append(a)
-    out = []
-    for ex in sorted(parts):
-        summands = parts[ex]
-        if len(summands) == 1:
-            num, den = summands[0]
-        else:
-            den = lcm(*[b for _, b in summands])
-            num = sum(a * (den // b) for a, b in summands)
-            if not num:
-                continue
-        out.append((keys.element(ex), Fraction(num, den)))
-    return _trusted(keys.group, tuple(out), precision)
 
 
 def _row(c: Fraction, u: int, du: int, q: int):

@@ -50,7 +50,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import (
@@ -441,7 +441,8 @@ class Series:
         if self.group.rank_one:
             # The step of a term c t^ex below target + g sits at
             # key(ex) - key(g); with c = n/D, -c/r = -n*rd / (D*rn) has an
-            # int numerator over d = D*|rn|.
+            # int numerator over D*|rn|, and d is the least such
+            # denominator, the lcm of those of the reduced -c/r.
             rest = _cut(self.terms[1:], target + g)
             keys = _Keys(self.group, [target, g] + [ex for ex, _ in rest])
             key = keys.key
@@ -450,6 +451,10 @@ class Series:
             d *= abs(rn)
             sign = -1 if rn > 0 else 1
             steps = [(key(ex) - kg, sign * n * rd) for ex, n in rest]
+            common = gcd(d, *[c for _, c in steps])
+            if common > 1:
+                d //= common
+                steps = [(x, c // common) for x, c in steps]
             # [numerator, power] per distinct key, and the keys in a heap
             pending = {0: [1, 0]}
             heap = [0]

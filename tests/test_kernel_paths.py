@@ -29,7 +29,7 @@ result must also hold the normalized invariant.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from hahnaut.automorphisms import (
@@ -939,8 +939,12 @@ def test_keyed_inverses_match_general_path(case):
 
 
 def keyed_phi_cases(group):
-    """``phi(g) = q g``, a shift of at least 1, a series and a target."""
+    """``phi(gen) = q`` for a generator ``gen`` (1, as ``standard_functional``
+    takes it, or 3, -2 or on Q 5/7), a shift of at least 1, a series and a
+    target."""
+    gens = [1, 3, -2] + ([Fraction(5, 7)] if group is RATIONALS else [])
     return st.tuples(
+        st.sampled_from(gens),
         st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
         keyed_exponents(group, 1, 2),
         keyed_series(group, max_size=5),
@@ -948,12 +952,22 @@ def keyed_phi_cases(group):
     )
 
 
+def _phi_example(group, gen, q):
+    s = Series.make(group, [(-1, 4), (0, 1), (1, Fraction(-2, 3)), (3, 5)], 7)
+    return (gen, Fraction(q), element(group, 1), s, element(group, 6))
+
+
+@example(case=_phi_example(INTEGERS, 3, 2))
+@example(case=_phi_example(INTEGERS, -2, 5))
+@example(case=_phi_example(RATIONALS, Fraction(5, 7), -3))
 @given(keyed_groups().flatmap(keyed_phi_cases))
 def test_keyed_exponentials_match_general_path(case):
-    q, shift, s, target = case
+    gen, q, shift, s, target = case
     group = s.group
-    d = make_phi_derivation(standard_functional(group, [q]), shift)
-    general = make_phi_derivation(standard_functional(LEX1, [q]), to_lex1(shift))
+    d = make_phi_derivation(LinearFunctional(group, ((element(group, gen), q),)), shift)
+    general = make_phi_derivation(
+        LinearFunctional(LEX1, ((to_lex1(element(group, gen)), q),)), to_lex1(shift)
+    )
     assert_keyed_like_general(
         group, exp_apply, (d, s, target), (general, to_lex1(s), to_lex1(target))
     )
@@ -971,32 +985,6 @@ def test_keyed_paths_cover_refusals():
             assert_keyed_like_general(
                 group, Series.invert, (s, target), (to_lex1(s), to_lex1(target))
             )
-
-
-# (group, generator, value) of functionals whose generator is not 1
-NON_UNIT_FUNCTIONALS = [
-    (INTEGERS, 3, 2),
-    (INTEGERS, -2, 5),
-    (RATIONALS, Fraction(5, 7), -3),
-]
-
-
-@pytest.mark.parametrize("group, gen, v", NON_UNIT_FUNCTIONALS)
-@given(data=st.data())
-def test_keyed_exponentials_with_non_unit_generators_match_general_path(
-    group, gen, v, data
-):
-    shift = data.draw(keyed_exponents(group, 1, 2))
-    s = data.draw(keyed_series(group, max_size=5))
-    target = data.draw(keyed_exponents(group))
-    gen = element(group, gen)
-    d = make_phi_derivation(LinearFunctional(group, ((gen, v),)), shift)
-    general = make_phi_derivation(
-        LinearFunctional(LEX1, ((to_lex1(gen), v),)), to_lex1(shift)
-    )
-    assert_keyed_like_general(
-        group, exp_apply, (d, s, target), (general, to_lex1(s), to_lex1(target))
-    )
 
 
 @pytest.mark.parametrize(
