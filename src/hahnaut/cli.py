@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from . import automorphisms, derivations, groups, parsing
@@ -23,18 +24,16 @@ class UsageError(Exception):
 
 
 def _parse_group(text: str) -> GroupDescriptor:
-    if text == "Z":
-        return groups.INTEGERS
-    if text == "Q":
-        return groups.RATIONALS
-    for prefix, make in (("lex", groups.lex_power), ("surreal", groups.surreal_depth)):
-        if text.startswith(prefix):
-            try:
-                n = int(text[len(prefix):])
-            except ValueError:
-                break  # no number after the prefix: an unknown name
-            return make(n)
-    raise UsageError(f"unknown group {text!r} (expected Z, Q, lexN or surrealD)")
+    """The group named as ``str(GroupDescriptor)`` prints it."""
+    m = re.fullmatch(r"Z|Q|lex([1-9][0-9]*)|surreal(0|[1-9][0-9]*)", text)
+    if m is None:
+        raise UsageError(f"unknown group {text!r} (expected Z, Q, lexN or surrealD)")
+    arity, depth = m.groups()
+    if arity is not None:
+        return groups.lex_power(int(arity))
+    if depth is not None:
+        return groups.surreal_depth(int(depth))
+    return groups.INTEGERS if text == "Z" else groups.RATIONALS
 
 
 def _config(args) -> parsing.SessionConfig:
@@ -47,14 +46,11 @@ def _config(args) -> parsing.SessionConfig:
     )
 
 
-def _fmt(s: Series, config) -> str:
-    return parsing.format_series(s, config)
-
-
 def _print_witness(witness, config):
-    parts = []
-    for w in witness:
-        parts.append(_fmt(w, config) if isinstance(w, Series) else str(w))
+    parts = [
+        parsing.format_series(w, config) if isinstance(w, Series) else str(w)
+        for w in witness
+    ]
     print("witness: " + " , ".join(parts))
 
 
@@ -83,7 +79,7 @@ def _cmd_eval(args, config):
     result = parsing.parse_expression(args.expr, config)
     if config.precision is not None:
         result = result.truncate_to(config.precision)
-    print(f"RESULT: {_fmt(result, config)}")
+    print(f"RESULT: {parsing.format_series(result, config)}")
     return 0
 
 
@@ -93,7 +89,7 @@ def _cmd_apply(args, config):
     image = automorphisms.apply_aut(aut, s, config.precision)
     if config.precision is not None:
         image = image.truncate_to(config.precision)
-    print(f"RESULT: {_fmt(image, config)}")
+    print(f"RESULT: {parsing.format_series(image, config)}")
     return 0
 
 
@@ -104,14 +100,14 @@ def _cmd_compose(args, config):
     if args.series is not None:
         s = parsing.parse_series(args.series, config)
         image = automorphisms.apply_aut(composed, s, config.precision)
-        print(f"RESULT: {_fmt(image, config)}")
+        print(f"RESULT: {parsing.format_series(image, config)}")
     return 0
 
 
 def _cmd_invert(args, config):
     target = _require_precision(config)
     s = parsing.parse_series(args.series, config)
-    print(f"RESULT: {_fmt(s.invert(target), config)}")
+    print(f"RESULT: {parsing.format_series(s.invert(target), config)}")
     return 0
 
 
@@ -144,7 +140,8 @@ def _cmd_factorize(args, config):
 def _cmd_derive(args, config):
     d = parsing.parse_derivation(args.deriv, config)
     s = parsing.parse_series(args.series, config)
-    print(f"RESULT: {_fmt(derivations.apply_derivation(d, s), config)}")
+    image = derivations.apply_derivation(d, s)
+    print(f"RESULT: {parsing.format_series(image, config)}")
     return 0
 
 
@@ -154,7 +151,8 @@ def _cmd_exp_deriv(args, config):
     spec = SampleSpec(config.seed, config.sample_count)
     aut = derivations.exp_derivation(d, target, verify=spec)
     s = parsing.parse_series(args.series, config)
-    print(f"RESULT: {_fmt(automorphisms.apply_aut(aut, s, target), config)}")
+    image = automorphisms.apply_aut(aut, s, target)
+    print(f"RESULT: {parsing.format_series(image, config)}")
     return 0
 
 

@@ -20,26 +20,8 @@ satisfies ``v(image) >= key + gain``.  A derivation that fails this is
 refused with ``NonContracting`` wherever its gain would certify a result;
 Leibniz and additivity are sampled.
 
-``exp_apply`` evaluates that exponential below ``P = min(precision, target)``
-with no round guard.  For ``PhiShift`` each term ``c t^g`` gives one
-ascending row ``a_0 = c``, ``a_i = a_(i-1) * (phi(g) + (i-1)*phi(shift)) / i``
-at ``g + i*shift``; it ends exactly when some multiple of the shift reaches
-``P - g`` or ``-phi(g)/phi(shift)`` is a nonnegative integer, and any other
-row is refused before a coefficient is computed.  A row steps on integers:
-its factor is ``u / q`` over a fixed ``q``, and each term is the reduced
-numerator and denominator of ``num * u / (den * q * i)`` from the term
-before it.  On Z and Q, for a functional with a generator, the rows step
-on int exponent keys (``series._Keys``), and the terms at each key are
-summed once, over the lcm of their denominators, into one ``Fraction``; a
-key one row reaches keeps that row's term.  There ``phi`` is one slope
-``rn/rd`` (``phi(g) = g.value * rn/rd``), so the row from key ``kg`` has
-``u = kg*rn``, ``du = key(shift)*rn`` and ``q = rd*L`` and ``phi`` is
-never called; and no row is tested for refusal, since on a rank-one group
-every positive shift reaches every gap by some multiple.  The other kinds,
-and a rank-one functional with no generator, call ``phi`` on every term,
-build each row term as a ``Fraction`` and sum the rows with the pairwise
-merge ``Series`` products use.  A table whose images start above their
-keys is done within one round more than it has entries.
+``exp_apply`` evaluates that exponential with no round guard; its
+docstring gives the row recurrence and when a row is refused.
 """
 
 from __future__ import annotations

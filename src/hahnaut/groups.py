@@ -132,12 +132,8 @@ class GroupElement:
         if desc is not other.descriptor:
             self._check(other)
         a, b = self.value, other.value
-        kind = desc.kind
-        if kind == "LexPower":
+        if desc.kind == "LexPower":
             val = tuple(x + y for x, y in zip(a, b))
-        elif kind == "Rationals" and a.denominator == 1 == b.denominator:
-            # integral exponents: one int add, no Fraction normalization
-            val = Fraction(a.numerator + b.numerator)
         else:
             val = a + b
         return _trusted_element(desc, val)
@@ -214,18 +210,7 @@ def _trusted_element(descriptor: GroupDescriptor, value) -> GroupElement:
 
 
 def zero(descriptor: GroupDescriptor) -> GroupElement:
-    kind = descriptor.kind
-    if kind == "Integers":
-        return GroupElement(descriptor, 0)
-    if kind == "Rationals":
-        return GroupElement(descriptor, Fraction(0))
-    if kind == "LexPower":
-        return GroupElement(descriptor, (Fraction(0),) * descriptor.param)
-    if descriptor.param == 0:
-        return GroupElement(descriptor, Fraction(0))
-    from .series import Series
-
-    return GroupElement(descriptor, Series.zero(descriptor.exponent_group))
+    return embed_rational(descriptor, 0)
 
 
 def embed_rational(descriptor: GroupDescriptor, q) -> GroupElement:
@@ -245,7 +230,7 @@ def embed_rational(descriptor: GroupDescriptor, q) -> GroupElement:
     if descriptor.param == 0:
         if q != 0:
             raise DomainError("the trivial group only contains 0")
-        return zero(descriptor)
+        return GroupElement(descriptor, Fraction(0))
     from .series import Series
 
     return GroupElement(descriptor, Series.constant(descriptor.exponent_group, q))

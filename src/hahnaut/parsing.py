@@ -24,8 +24,10 @@ series, including truncated ones.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import automorphisms, derivations, groups
 from .errors import (
@@ -54,51 +56,34 @@ class SessionConfig:
         if self.sample_count < 1:
             raise DomainError("sample_count must be at least 1")
 
-    @property
-    def base(self) -> str:
-        return self.notation
-
 
 # -- tokenizer ---------------------------------------------------------------
 
-_SYMBOLS = "{}()[],:^*+-/;"
+# Numbers and identifiers are ASCII; whitespace is what ``str.isspace``
+# accepts; any other character is refused where it stands.
+_TOKEN = re.compile(
+    r"(?P<number>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<symbol>[{}()\[\],:^*+\-/;])|\s+|(?P<other>.)"
+)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "number" | "ident" | one of _SYMBOLS | "end"
+class Token(NamedTuple):
+    kind: str  # "number" | "ident" | a symbol | "end"
     text: str
     pos: int
 
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("number", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", "", n))
+        t = m[0]
+        if kind == "other":
+            raise ParseError(f"unexpected character {t!r}", m.start())
+        tokens.append(Token(t if kind == "symbol" else kind, t, m.start()))
+    tokens.append(Token("end", "", len(text)))
     return tokens
 
 
@@ -206,10 +191,10 @@ class _Parser:
     # -- series ------------------------------------------------------------
 
     def base_token(self, config: SessionConfig):
-        tok = self.expect("ident", f"the series variable {config.base!r}")
-        if tok.text != config.base:
+        tok = self.expect("ident", f"the series variable {config.notation!r}")
+        if tok.text != config.notation:
             raise ParseError(
-                f"expected the series variable {config.base!r}, got {tok.text!r}",
+                f"expected the series variable {config.notation!r}, got {tok.text!r}",
                 tok.pos,
             )
 
@@ -217,8 +202,6 @@ class _Parser:
         self.expect("(", "'(' before the exponent")
         try:
             g = self.group_element(config.group)
-        except ParseError:
-            raise
         except (DomainError, ValueError) as e:
             raise ExponentParseError(
                 f"exponent does not fit the session group: {e}", self.peek.pos
@@ -445,6 +428,10 @@ class _Parser:
                 self.advance()
                 self.field("zero_default")
                 flag = self.expect("ident", "true or false")
+                if flag.text not in ("true", "false"):
+                    raise ParseError(
+                        f"expected true or false, got {flag.text!r}", flag.pos
+                    )
                 zero_default = flag.text == "true"
             self.expect("}")
             return derivations.make_table_derivation(

@@ -34,14 +34,16 @@ int product, and each output term becomes one normalized ``Fraction``, so
 the ``Fraction`` gcd is paid once per result term instead of once per
 pair.
 
-On the rank-one groups Z and Q the exponents compute on integers too.
-``_Keys`` maps every exponent in play to the int key ``value * L``, with
-``L`` the lcm of their denominators (1 on Z), so an exponent sum is an int
-add, an order test an int compare, and like exponents meet in a dict keyed
-by int; each output exponent is built once, from its key.  The other kinds
-keep ``GroupElement`` exponents, summed by the pairwise ``_merge_rows``
-and ordered by ``compare``: a lex or surreal exponent has no such int key,
-and hashing a surreal exponent would hash a whole series.
+On the rank-one groups Z and Q the exponents compute on integers too, in
+``*``, ``invert`` and the ``PhiShift`` exponential rows of
+``derivations``.  ``_Keys`` maps every exponent in play to the int key
+``value * L``, with ``L`` the lcm of their denominators (1 on Z), so an
+exponent sum is an int add, an order test an int compare, and like
+exponents meet in a dict keyed by int; each output exponent is built
+once, from its key.  The other kinds keep ``GroupElement`` exponents,
+summed by the pairwise ``_merge_rows`` and ordered by ``compare``: a lex
+or surreal exponent has no such int key, and hashing a surreal exponent
+would hash a whole series.
 """
 
 from __future__ import annotations
@@ -148,12 +150,9 @@ def _trusted(group: GroupDescriptor, terms: tuple, precision) -> "Series":
 
 
 class _Keys:
-    """The exponents of a rank-one group as int keys, and back.
+    """The int keys of the module docstring, with ``scale`` their ``L``.
 
-    Each exponent ``e`` in play becomes the key ``e.value * scale``, with
-    ``scale`` the lcm of the denominators of ``exponents`` (1 on Z), so a
-    sum of exponents is an int sum and an order test an int compare.  A
-    key goes back through ``_trusted_element``: an ``int`` value on Z, a
+    A key goes back through ``_trusted_element``: an ``int`` value on Z, a
     ``Fraction(k, scale)`` on Q.
     """
 
@@ -282,17 +281,6 @@ class Series:
     def v(self) -> GroupElement:
         return self.leading_term().valuation
 
-    def coefficient_at(self, g) -> Fraction:
-        g = element(self.group, g)
-        if self.precision is not None and g.compare(self.precision) >= 0:
-            raise InsufficientPrecision(
-                f"coefficient at {g} is beyond the precision bound {self.precision}"
-            )
-        for ex, c in self.terms:
-            if ex == g:
-                return c
-        return Fraction(0)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Series") -> "Series":
@@ -338,12 +326,6 @@ class Series:
         ascends with ``eb``, so a row stops at the first product at or past
         the result's precision and later rows start no lower.  Each summed
         term becomes one ``Fraction(n, da * db)``.
-
-        On Z and Q the exponents are int keys (``_Keys``) and the rows sum
-        into a dict keyed by int, sorted once.  The other kinds sum the
-        rows with ``_merge_rows``: ordering their exponents takes
-        ``GroupElement.compare``, and hashing a surreal exponent would hash
-        a whole series.
         """
         self._check(other)
         if self.is_exact_zero() or other.is_exact_zero():
@@ -400,22 +382,12 @@ class Series:
         largest power among them, and each final ``b_f / r`` becomes one
         ``Fraction``.
 
-        On Z and Q the steps are built straight from the terms below
-        ``target + g``: each is the int key ``key(x) - key(g)`` (``_Keys``)
-        and the int numerator of ``-c/r`` over one common denominator, with
-        no ``GroupElement`` sum and no ``Fraction`` division.  The pending
-        entries are ``[numerator, power]`` in a dict keyed by int key, with
-        the keys in a heap, and nothing is refused: two nonzero rank-one
-        elements are always in one archimedean class.  The other kinds
-        build the steps as ``GroupElement`` sums and ``Fraction``s and keep
-        the pending entries in one ascending list found by bisection, which
-        orders by ``compare`` and hashes no surreal exponent.
-
         The pass ends exactly when ``v(eps)`` is not infinitesimal relative
         to the target: then some ``n * v(eps)`` reaches the target, so only
         sums of fewer than ``n`` exponents of ``eps`` lie below it, and
         there are finitely many.  Otherwise ``NonTerminating`` is raised
-        before any coefficient is computed.
+        before any coefficient is computed; never on Z and Q, where two
+        nonzero elements are always in one archimedean class.
         """
         target = element(self.group, target)
         if not self.terms:

@@ -2,9 +2,11 @@
 every private one is referenced outside its own definition, and every
 name a module imports is referenced there.  Also keeps the
 package off ``Fraction`` internals, which differ between the Python
-versions it supports."""
+versions it supports, and keeps every function the benchmark's tracer
+wraps in place."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -121,3 +123,24 @@ def test_no_private_fraction_attribute_is_used():
             if kw.arg in FRACTION_INTERNALS
         ]
     assert used == []
+
+
+def test_every_traced_target_resolves():
+    """``bench/tracer.py`` wraps each entry of its ``TARGETS``: a module
+    function read with ``getattr``, or a method read from its class's own
+    ``__dict__``.  A renamed or deleted target fails here, not only in a
+    traced benchmark run."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    [targets] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]
+    ]
+    missing = []
+    for _, _, module, owner, attr in targets:
+        mod = importlib.import_module(f"hahnaut.{module}")
+        scope = vars(getattr(mod, owner)) if owner else vars(mod)
+        if attr not in scope:
+            missing.append(".".join(filter(None, (module, owner, attr))))
+    assert len(targets) > 40 and missing == []

@@ -26,7 +26,11 @@ from hahnaut.automorphisms import (
     make_external_group,
     make_internal_mult,
 )
-from hahnaut.derivations import exp_derivation, make_phi_derivation
+from hahnaut.derivations import (
+    exp_derivation,
+    make_phi_derivation,
+    make_table_derivation,
+)
 from hahnaut.errors import (
     DescriptorMismatch,
     DomainError,
@@ -44,6 +48,7 @@ from hahnaut.groups import (
     PositiveScalar,
     Translation,
     TriangularMatrix,
+    element,
     embed_rational,
     lex_power,
     scaling_functional,
@@ -220,6 +225,74 @@ class TestComposeInvert:
         s = S((-2, 3), (1, 1))
         back = apply_aut(invert_aut(aut), apply_aut(aut, s))
         assert back.agrees(s.truncate_to(embed_rational(Q, 6)))
+
+
+LEX2 = lex_power(2)
+
+
+def lex2_series(*terms):
+    return Series.make(LEX2, [(element(LEX2, e), Fraction(c)) for e, c in terms])
+
+
+def inverse_round_trips():
+    """(automorphism, exact input, precision) for nodes whose inverse is
+    applied through its own code: an ``Inverse`` of a ``Theta`` or a
+    ``TauBuild``, and the exponential of a negated table."""
+    lex_exp = exp_derivation(
+        make_phi_derivation(standard_functional(LEX2, [1, 1]), (0, 1)), (0, 6)
+    )
+    lex_chi = PartialCharacter(LEX2, (element(LEX2, (0, 1)),), (Fraction(2),))
+    # D = t^2 d/dt on the exponents 0, 1, 2, 3: the exponentials below
+    # t^4 read no other exponent
+    q_table = {k: Series.monomial(Q, k + 1, k) for k in range(4)}
+    lex_table = {(0, k): lex2_series(((0, k + 1), k)) for k in range(4)}
+    yield (
+        construct_theta(exp_aut(target=8), chi_two(), PositiveScalar(Q, 2)),
+        S((-1, 3), (Fraction(1, 2), 1), (2, -1)),
+        embed_rational(Q, 8),
+    )
+    yield (
+        construct_theta(lex_exp, lex_chi, TriangularMatrix(LEX2, ((1, 0), (3, 2)))),
+        lex2_series(((0, -1), 3), ((0, 1), 1), ((0, 2), -1)),
+        element(LEX2, (0, 6)),
+    )
+    yield (
+        construct_tau(
+            make_internal_mult(T),
+            halving_zeta(),
+            ScalingFamily(Q, 2, ((embed_rational(Q, 1), Fraction(5)),)),
+        ),
+        S((-1, 1), (0, 1), (1, 3)),
+        embed_rational(Q, 6),
+    )
+    yield (
+        construct_tau(
+            make_internal_mult(lex2_series(((0, 1), 1))),
+            Translation(element(LEX2, (1, -1))),
+            ScalingFamily(LEX2, 2, ((element(LEX2, (1, 0)), Fraction(5)),)),
+        ),
+        lex2_series(((0, -1), 1), ((0, 1), 3), ((0, 2), 1)),
+        element(LEX2, (1, 4)),
+    )
+    yield (
+        exp_derivation(make_table_derivation(Q, q_table, 1), 4),
+        S((0, 5), (1, 1), (2, 3), (3, -2)),
+        embed_rational(Q, 4),
+    )
+    yield (
+        exp_derivation(make_table_derivation(LEX2, lex_table, (0, 1)), (0, 4)),
+        lex2_series(((0, 0), 5), ((0, 1), 1), ((0, 2), 3), ((0, 3), -2)),
+        element(LEX2, (0, 4)),
+    )
+
+
+class TestInverseRoundTrips:
+    @pytest.mark.parametrize("aut, s, precision", list(inverse_round_trips()))
+    def test_inverse_undoes_the_automorphism(self, aut, s, precision):
+        image = apply_aut(aut, s, precision)
+        back = apply_aut(invert_aut(aut), image, precision)
+        assert back == s.truncate_to(back.precision)
+        assert back.terms == s.terms  # each input lies below the precision
 
 
 class TestInducedMaps:

@@ -32,12 +32,45 @@ class TestEval:
         assert run_command(["eval", "--bogus", "1"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("name", ["bogus", "lexx", "lex", "surreal", "surrealx"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "bogus", "lexx", "lex", "surreal", "surrealx",
+            # only the names the groups print: N >= 1, D >= 0, ASCII digits
+            "lex0", "lex-1", "surreal-1", "lex 2", "lex+2", "lex01",
+            "surreal01", "lex\u0662",
+        ],
+    )
     def test_unknown_group_is_a_usage_error(self, capsys, name):
         code, out, err = run(capsys, "eval", f"--group={name}", "1")
         assert (code, out) == (2, "")
         assert err == (
             f"USAGE ERROR: unknown group '{name}' (expected Z, Q, lexN or surrealD)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name, expr, result",
+        [
+            ("Z", "t^(2) * t^(3) - 1", "-1 + t^(5)"),
+            ("lex12", "t^(1) * t^((0,0,0,0,0,0,0,0,0,0,0,1))",
+             "t^((1,0,0,0,0,0,0,0,0,0,0,1))"),
+            ("surreal0", "2 - 1/2 + t^(0)", "5/2"),
+        ],
+    )
+    def test_printed_group_names_are_accepted(self, capsys, name, expr, result):
+        assert run(capsys, "eval", f"--group={name}", expr) == (
+            0, f"RESULT: {result}\n", ""
+        )
+
+    @pytest.mark.parametrize(
+        "expr, char",
+        [("\u00b2", "\u00b2"), ("\u0663 + t^(1)", "\u0663"), ("\uff54^(1)", "\uff54")],
+    )
+    def test_non_ascii_digits_and_letters_are_parse_errors(self, capsys, expr, char):
+        code, out, err = run(capsys, "eval", expr)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"PARSE ERROR at offset 0: unexpected character {char!r} (at offset 0)\n"
         )
 
 

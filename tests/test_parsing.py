@@ -13,9 +13,11 @@ from hahnaut.parsing import (
     SessionConfig,
     format_series,
     load_aut_spec,
+    parse_derivation,
     parse_expression,
     parse_group_element,
     parse_series,
+    tokenize,
 )
 from hahnaut.sampling import Sampler
 from hahnaut.series import Series
@@ -71,6 +73,25 @@ class TestParseSeries:
         s = parse_series("t^([-t^(-1)]) + 4", config)
         inner = s.terms[0][0].value
         assert [(e.value, c) for e, c in inner.terms] == [(-1, -1)]
+
+
+class TestTokenize:
+    def test_tokens(self):
+        assert [tuple(tok) for tok in tokenize("3/4*t^(x_1)")] == [
+            ("number", "3", 0), ("/", "/", 1), ("number", "4", 2), ("*", "*", 3),
+            ("ident", "t", 4), ("^", "^", 5), ("(", "(", 6), ("ident", "x_1", 7),
+            (")", ")", 10), ("end", "", 11),
+        ]
+
+    def test_unicode_whitespace_separates(self):
+        s = parse_series("1\u00a0+\u2003t^(1)\n", Q_T)
+        assert s == parse_series("1 + t^(1)", Q_T)
+
+    @pytest.mark.parametrize("char", ["\u00b2", "\u00e9", "!"])
+    def test_other_characters_are_refused_where_they_stand(self, char):
+        with pytest.raises(ParseError, match="unexpected character") as excinfo:
+            parse_series(f"1 + {char}", Q_T)
+        assert excinfo.value.pos == 4
 
 
 class TestFormatSeries:
@@ -209,3 +230,95 @@ class TestAutSpecs:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             load_aut_spec("identity identity", Q_T)
+
+
+def image_of(spec: str, series: str, config: SessionConfig = Q_T) -> str:
+    aut = load_aut_spec(spec, config)
+    return format_series(automorphisms.apply_aut(aut, parse_series(series, config)), config)
+
+
+LEX2 = SessionConfig(lex_power(2))
+
+
+class TestGrammarForms:
+    """Each form's image, checked against one computed by hand."""
+
+    @pytest.mark.parametrize(
+        "spec, config, series, image",
+        [
+            # phi(g) = 3g/2: a_1 = phi(2) = 3, a_2 = 3 * (3 + 3/2) / 2
+            ("exp_derivation{phi: linear(2: 3), shift: 1, precision: 5}", Q_T,
+             "t^(2)", "t^(2) + 3*t^(3) + 27/4*t^(4) (mod t^(5))"),
+            # phi((a, b)) = 2a + 5b: a_1 = phi((0,1)) = 5
+            ("exp_derivation{phi: linear((1,0): 2, (0,1): 5), shift: (0,1),"
+             " precision: (0,3)}", LEX2,
+             "t^((0,1))", "t^((0,1)) + 5*t^((0,2)) (mod t^((0,3)))"),
+            ("exp_derivation{phi: linear(2, 5), shift: (0,1), precision: (0,3)}", LEX2,
+             "t^((0,1))", "t^((0,1)) + 5*t^((0,2)) (mod t^((0,3)))"),
+        ],
+    )
+    def test_functional_pairs(self, spec, config, series, image):
+        assert image_of(spec, series, config) == image
+
+    @pytest.mark.parametrize(
+        "zeta, series, image",
+        [
+            ("identity", "t^(1) + 2*t^(3)", "t^(1) + 2*t^(3)"),
+            ("translate(2)", "t^(1) + 2*t^(3)", "t^(3) + 2*t^(5)"),
+            ("scalar(1/2)", "t^(1) + 2*t^(3)", "t^(1/2) + 2*t^(3/2)"),
+            # 5 at the break 0, slope 1 left of it and 2 right of it
+            ("piecewise{breaks: [0], slopes: [1, 2], at: 5}", "t^(-1) + t^(1)",
+             "t^(4) + t^(7)"),
+            # the first listed map is applied last: g -> 2g + 1
+            ("compose(translate(1), scalar(2))", "t^(1) + t^(3)", "t^(3) + t^(7)"),
+        ],
+    )
+    def test_monotone_maps(self, zeta, series, image):
+        assert image_of(f"external_group{{zeta: {zeta}}}", series) == image
+
+    def test_translation_on_lex(self):
+        spec = "external_group{zeta: translate((1,-1))}"
+        assert image_of(spec, "t^((0,1))", LEX2) == "t^((1,0))"
+
+    @pytest.mark.parametrize("config", [SessionConfig(INTEGERS), LEX2])
+    def test_piecewise_is_refused_off_the_rationals(self, config):
+        with pytest.raises(ParseError, match="only available over the rationals"):
+            load_aut_spec(
+                "external_group{zeta: piecewise{breaks: [0], slopes: [1, 2]}}", config
+            )
+
+    @pytest.mark.parametrize(
+        "tau, config, series, image",
+        [
+            ("identity", Q_T, "t^(-1) + t^(2)", "t^(-1) + t^(2)"),
+            # (a, b) -> (a, 3a + 2b)
+            ("matrix([[1, 0], [3, 2]])", LEX2, "t^((1,0)) + t^((0,1))",
+             "t^((0,2)) + t^((1,3))"),
+            # the matrix, then the scalar: (a, b) -> (2a, 6a + 4b)
+            ("compose(scalar(2), matrix([[1, 0], [3, 2]]))", LEX2,
+             "t^((1,0)) + t^((0,1))", "t^((0,4)) + t^((2,6))"),
+        ],
+    )
+    def test_additive_automorphisms(self, tau, config, series, image):
+        assert image_of(f"external_field{{tau: {tau}}}", series, config) == image
+
+    def test_unknown_additive_automorphism(self):
+        with pytest.raises(ParseError, match="unknown additive automorphism 'rotate'"):
+            load_aut_spec("external_field{tau: rotate(1)}", Q_T)
+
+    def test_unknown_derivation_spec(self):
+        with pytest.raises(ParseError, match="unknown derivation spec 'rotate'") as e:
+            parse_derivation("rotate{angle: 1}", Q_T)
+        assert e.value.pos == 0
+
+    @pytest.mark.parametrize("flag", ["maybe", "True", "false_"])
+    def test_zero_default_is_true_or_false(self, flag):
+        text = f"table{{map: {{1: t^(2)}}, gain: 1, zero_default: {flag}}}"
+        with pytest.raises(ParseError, match="expected true or false") as e:
+            parse_derivation(text, Q_T)
+        assert e.value.pos == text.index(flag)
+
+    @pytest.mark.parametrize("flag, zero_default", [("true", True), ("false", False)])
+    def test_zero_default_flag(self, flag, zero_default):
+        text = f"table{{map: {{1: t^(2)}}, gain: 1, zero_default: {flag}}}"
+        assert parse_derivation(text, Q_T).rule.zero_default is zero_default

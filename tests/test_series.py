@@ -204,15 +204,6 @@ class TestLeadingTermAndOrder:
 
 
 class TestCoefficientAndTruncate:
-    def test_coefficient_lookup(self):
-        s = S((-2, 3), (1, 5))
-        assert s.coefficient_at(embed_rational(Q, 1)) == 5
-        assert s.coefficient_at(embed_rational(Q, 0)) == 0
-
-    def test_coefficient_beyond_precision_errs(self):
-        with pytest.raises(InsufficientPrecision):
-            S((0, 1), precision=2).coefficient_at(embed_rational(Q, 3))
-
     def test_truncate_drops_and_tightens(self):
         s = S((0, 1), (1, 1), (2, 1)).truncate_to(embed_rational(Q, 2))
         assert [(e.value, c) for e, c in s.terms] == [(0, 1), (1, 1)]
