@@ -41,7 +41,7 @@ from .errors import (
 from . import groups
 from .groups import GroupDescriptor, GroupElement, LinearFunctional, arch_compare
 from .sampling import CheckResult, SampleSpec, Sampler, first_counterexample
-from .series import Series, _Keys, _cut, _merge_rows, _pmin, _trusted
+from .series import Series, _cut, _keys, _pmin, _trusted
 
 
 @dataclass(frozen=True)
@@ -190,23 +190,20 @@ def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
     ``a_0 = c`` and ``a_i = a_(i-1) * (phi(g) + (i-1)*phi(shift)) / i``.
     Each term of ``s`` below ``P`` gives that ascending row up to its first
     exponent at or past ``P`` or its first zero factor, and the rows are
-    summed: per int exponent key on Z and Q with a generator, by one
-    pairwise merge otherwise.  The row from ``g`` is infinite exactly when every
-    ``g + i*shift`` stays below ``P``, that is
+    summed per exponent key (``series._keys``).  The row from ``g`` is
+    infinite exactly when every ``g + i*shift`` stays below ``P``, that is
     ``arch_compare(P - g, shift)`` is ``<``, and no factor vanishes, that
     is ``-phi(g)/phi(shift)`` is not a nonnegative integer.  Such a row is
     refused with ``NonTerminating`` before any coefficient is computed.
-    On lex and surreal groups ``phi`` is called on every term of ``s``,
-    then on ``g + shift`` for the least ``g`` whose image survives below
-    the target, as the first two rounds of ``D`` call it, so the same
-    ``OutsideSpan`` comes first.  On Z and Q with a generator, ``phi`` is
-    read as its slope (``LinearFunctional._slope``) and never called,
-    since it cannot refuse there, and no refusal test runs: two nonzero
-    rank-one elements are always in one archimedean class, and
+    ``phi`` is called on every term of ``s``, then on ``g + shift`` for the
+    least ``g`` whose image survives below the target, as the first two
+    rounds of ``D`` call it, so the same ``OutsideSpan`` or
+    ``DescriptorMismatch`` comes first.  A functional with a generator
+    over the derivation's own group Z or Q is the exception: it is read as
+    its slope (``LinearFunctional._slope``) and never called, since it
+    cannot refuse there, and no refusal test runs, since two nonzero
+    rank-one elements are always in one archimedean class and
     ``_check_gain`` makes the shift at least the gain, which is positive.
-    A rank-one functional with no generator, or a functional over another
-    group, takes the lex and surreal path, which calls ``phi`` on every
-    term, so it raises the same ``OutsideSpan`` or ``DescriptorMismatch``.
 
     For ``TableRule``, ``D^i(s)`` is built round by round.  A table some
     image of which starts below ``key + gain`` is refused with
@@ -238,83 +235,69 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
     phi, shift = d.rule.phi, d.rule.shift
     precision = _pmin(s.precision, target)
     terms = _cut(s.terms, precision)
+    keys = _keys(d.group, [precision, shift] + [g for g, _ in terms])
+    key = keys.key
+    rows = []
     if phi._slope is not None and phi.descriptor == d.group:
         # phi(g) = key(g) * rn / (rd * L): one slope, no phi call, and no
-        # refusal test, which cannot fire on rank one.  The row from key kg
-        # steps by the shift's key below the precision's, and the terms at
-        # one key are summed once, over the lcm of their denominators.
-        keys = _Keys(d.group, [precision, shift] + [g for g, _ in terms])
-        key = keys.key
+        # refusal test, which cannot fire on rank one
         rn, rd = phi._slope.numerator, phi._slope.denominator
         q, du = rd * keys.scale, key(shift) * rn
-        stop, step = key(precision), key(shift)
-        parts = {}
         for g, c in terms:
             kg = key(g)
-            for ex, a in zip(range(kg, stop, step), _row(c, kg * rn, du, q)):
-                parts.setdefault(ex, []).append(a)
-        out = []
-        for ex in sorted(parts):
-            summands = parts[ex]
-            if len(summands) == 1:
-                num, den = summands[0]
-            else:
-                den = lcm(*[b for _, b in summands])
-                num = sum(a * (den // b) for a, b in summands)
-                if not num:
-                    continue
-            out.append((keys.element(ex), Fraction(num, den)))
-        return _trusted(d.group, tuple(out), precision)
-    ks = [phi(ex) for ex, _ in s.terms]
-    # phi(shift), read off the least image that survives the first round
-    survives = _pmin(target, None if s.precision is None else s.precision + d.gain)
-    k_shift = None
-    for (ex, _), k in zip(s.terms, ks):
-        if k and (ex + shift).compare(survives) < 0:
-            k_shift = phi(ex + shift) - k
-            break
-    ds = 1 if k_shift is None else k_shift.denominator
-    ns = 0 if k_shift is None else k_shift.numerator
-    rows = []
-    for (g, c), k in zip(terms, ks):
-        if not _factor_vanishes(k, k_shift) and arch_compare(precision - g, shift) == "<":
-            raise NonTerminating(
-                "exponential series does not reach the target precision: the "
-                f"archimedean class of the shift {shift} is infinitesimal relative "
-                f"to the class of {precision - g}, the gap from t^{g} to the "
-                f"precision {precision}, and no factor phi(g) + i*phi(shift) vanishes"
-            )
-        q = lcm(k.denominator, ds)
-        rows.append((g, c, k.numerator * (q // k.denominator), ns * (q // ds), q))
-    merged = []
-    for g, c, u, du, q in rows:
-        row, ex = [], g
-        for num, den in _row(c, u, du, q):
-            row.append((ex, Fraction(num, den)))
-            ex = ex + shift
-            if ex.compare(precision) >= 0:
+            rows.append((kg, c, kg * rn, du, q))
+    else:
+        ks = [phi(ex) for ex, _ in s.terms]
+        # phi(shift), read off the least image that survives the first round
+        survives = _pmin(target, None if s.precision is None else s.precision + d.gain)
+        k_shift = None
+        for (ex, _), k in zip(s.terms, ks):
+            if k and (ex + shift).compare(survives) < 0:
+                k_shift = phi(ex + shift) - k
                 break
-        merged.append(row)
-    return _trusted(d.group, tuple(_merge_rows(merged)), precision)
-
-
-def _row(c: Fraction, u: int, du: int, q: int):
-    """The coefficients ``a_0 = c, a_1, ...`` of a row whose factors are
-    ``phi(g) + i*phi(shift) = (u + i*du) / q``, up to its first zero
-    factor, each as its reduced numerator and denominator: a term is
-    ``num * u / (den * q * i)`` from the reduced ``num / den`` before it,
-    reduced by their gcd.
-    """
-    num, den = c.numerator, c.denominator
-    yield num, den
-    i = 1
-    while u:
-        num, den = num * u, den * q * i
-        common = gcd(num, den)
-        num, den = num // common, den // common
-        yield num, den
-        u += du
-        i += 1
+        ds = 1 if k_shift is None else k_shift.denominator
+        ns = 0 if k_shift is None else k_shift.numerator
+        for (g, c), k in zip(terms, ks):
+            if not _factor_vanishes(k, k_shift) and arch_compare(precision - g, shift) == "<":
+                raise NonTerminating(
+                    "exponential series does not reach the target precision: the "
+                    f"archimedean class of the shift {shift} is infinitesimal relative "
+                    f"to the class of {precision - g}, the gap from t^{g} to the "
+                    f"precision {precision}, and no factor phi(g) + i*phi(shift) vanishes"
+                )
+            q = lcm(k.denominator, ds)
+            rows.append((key(g), c, k.numerator * (q // k.denominator), ns * (q // ds), q))
+    # The row (kg, c, u, du, q) from key kg ascends by the shift's key below
+    # the precision's, up to its first zero factor
+    # phi(g) + i*phi(shift) = (u + i*du) / q: a_i is num * u / (den * q * i)
+    # from the reduced num / den before it.  The terms at one key are
+    # summed once, over the lcm of their denominators.
+    stop, step = key(precision), key(shift)
+    parts = {}
+    for kg, c, u, du, q in rows:
+        num, den, i = c.numerator, c.denominator, 1
+        while True:
+            parts.setdefault(kg, []).append((num, den))
+            kg = kg + step
+            if not u or kg >= stop:
+                break
+            num, den = num * u, den * q * i
+            common = gcd(num, den)
+            num, den = num // common, den // common
+            u += du
+            i += 1
+    out = []
+    for k in sorted(parts):
+        summands = parts[k]
+        if len(summands) == 1:
+            num, den = summands[0]
+        else:
+            den = lcm(*[b for _, b in summands])
+            num = sum(a * (den // b) for a, b in summands)
+            if not num:
+                continue
+        out.append((keys.element(k), Fraction(num, den)))
+    return _trusted(d.group, tuple(out), precision)
 
 
 def _factor_vanishes(k: Fraction, k_shift: Fraction | None) -> bool:

@@ -220,6 +220,26 @@ class TestComposeInvert:
         with pytest.raises(InsufficientPrecision):
             apply_aut(aut, S((0, 1), (1, 1)))
 
+    def test_internal_mult_inverse_of_exact_one_needs_no_precision(self):
+        # eps = 0: the unit is exactly 1, and so is its inverse
+        aut = invert_aut(make_internal_mult(Series.zero(Q)))
+        s = S((0, 1), (1, 1))
+        assert apply_aut(aut, s) == s
+
+    def test_internal_mult_inverse_of_a_truncated_zero(self):
+        # nothing is known below t^3, so the image knows nothing below it
+        aut = invert_aut(make_internal_mult(T))
+        image = apply_aut(aut, S(precision=3), precision=5)
+        assert (image.terms, image.precision) == ((), embed_rational(Q, 3))
+
+    def test_inverting_the_identity_and_an_inverse(self):
+        ident = identity_aut(Q)
+        assert invert_aut(ident) == ident
+        chi = make_character_lift(chi_two())
+        assert invert_aut(invert_aut(chi)) == chi
+        s = S((-1, 3), (2, 1))
+        assert apply_aut(invert_aut(invert_aut(chi)), s) == apply_aut(chi, s)
+
     def test_exp_derivation_inverse_negates(self):
         aut = exp_aut(target=6)
         s = S((-2, 3), (1, 1))

@@ -1,4 +1,6 @@
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +74,19 @@ class TestEval:
         assert err == (
             f"PARSE ERROR at offset 0: unexpected character {char!r} (at offset 0)\n"
         )
+
+
+    @pytest.mark.parametrize(
+        "group, expr, result",
+        [
+            ("Q", "1 + t^(1) + t^(3)", "1 + t^(1) (mod t^(2))"),
+            ("lex2", "1 + t^((1,5)) + t^((2,-1)) + t^((2,0))",
+             "1 + t^((1,5)) + t^((2,-1)) (mod t^((2,0)))"),
+        ],
+    )
+    def test_precision_cuts_an_exact_result(self, capsys, group, expr, result):
+        argv = ("eval", f"--group={group}", "--precision=2", expr)
+        assert run(capsys, *argv) == (0, f"RESULT: {result}\n", "")
 
 
 class TestApply:
@@ -232,6 +247,19 @@ class TestDerivations:
         )
         assert err == ""
 
+    @pytest.mark.parametrize(
+        "deriv",
+        [
+            "deriv{phi: linear(1), shift: 1}",
+            # the same derivation t^g -> g t^(g+1) on t, t^2 and t^3
+            "table{map: {1: t^(2), 2: 2*t^(3), 3: 3*t^(4)}, gain: 1}",
+        ],
+    )
+    def test_exp_deriv_sums_the_exponential(self, capsys, deriv):
+        assert run(capsys, "exp-deriv", "--precision=4", deriv, "t^(1)") == (
+            0, "RESULT: t^(1) + t^(2) + t^(3) (mod t^(4))\n", ""
+        )
+
     def test_exp_deriv_refuses_broken_table(self, capsys):
         code, _, err = run(
             capsys,
@@ -344,3 +372,16 @@ class TestSelftest:
             "failed: parser_roundtrip\n"
             "witness: -2*t^(-2) + 9 - 8*t^(3)\n"
         )
+
+
+# The hand-checked argv corpus the benchmark's cli workload replays.
+CLI_EXPECTED = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "cli_expected.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "case", CLI_EXPECTED, ids=[str(i) for i in range(len(CLI_EXPECTED))]
+)
+def test_bench_corpus_replays_byte_for_byte(capsys, case):
+    assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])

@@ -236,6 +236,15 @@ class TestAdditiveAutomorphisms:
         with pytest.raises(InvalidMap):
             PositiveScalar(INTEGERS, 2)
 
+    def test_identity_scaling_of_the_integers(self):
+        tau = PositiveScalar(INTEGERS, 1)
+        g = element(INTEGERS, -3)
+        for image in (tau.forward(g), tau.backward(g)):
+            assert image == g and type(image.value) is int
+        assert g.scale(Fraction(4, 6)) == element(INTEGERS, -2)
+        with pytest.raises(InvalidMap, match=r"^1/2 \* -3 is not an integer$"):
+            g.scale(Fraction(1, 2))
+
     def test_triangular_matrix_example(self):
         # T(a, b) = (a, a + 2b)
         tau = TriangularMatrix(LEX2, ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(2))))

@@ -18,8 +18,10 @@ constructor that coerces and normalizes:
 * the images of the relabelling automorphism nodes are ``make`` on the
   relabelled and rescaled terms at the mapped precision,
 * ``*``, ``invert`` and ``exp_apply`` over Z and Q, which compute on int
-  exponent keys, are the general path's results on the same case embedded
-  in lex1.
+  exponent keys, are their results on the same case embedded in lex1,
+  whose exponents are their own keys, and the drawn ``invert`` and
+  ``exp_apply`` cases also equal ``ref_invert`` and ``ref_exp`` (inverses
+  where ``few_summands`` keeps the reference small).
 
 "The same" means equal terms tuples and equal precision or, when the
 definition refuses, the same error type with the same message.  Every
@@ -281,14 +283,25 @@ def test_seeded_inverse_of_truncated_input_matches_definition(name):
 
 
 def test_inverse_with_a_zero_coefficient_matches_definition():
-    # 1/(1 + t + t^2) = (1 - t)/(1 - t^3): the coefficients run 1, -1, 0
-    # with period 3, so a term is left out at every t^(3k+2).
-    s = Series.make(RATIONALS, [(0, 1), (1, 1), (2, 1)])
-    target = embed_rational(RATIONALS, 12)
-    assert_same(Series.invert, ref_invert, s, target)
-    assert [(ex.value, c) for ex, c in s.invert(target).terms] == [
-        (k, (1, -1)[k % 3]) for k in range(12) if k % 3 != 2
-    ]
+    # 1/(1 + t^x + t^2x) = (1 - t^x)/(1 - t^3x): the coefficients run 1,
+    # -1, 0 with period 3, so a term is left out at every t^((3k+2)x).
+    # Each x lies in the class of the target 12, and 12x is the first
+    # multiple at or past it.
+    for group, x in (
+        (RATIONALS, 1),
+        (LEX2, (1, 1)),
+        (SURREAL1, Series.make(RATIONALS, [(0, 1), (1, 1)])),
+    ):
+        x = element(group, x)
+        s = Series.make(group, [(0, 1), (x, 1), (x + x, 1)])
+        target = embed_rational(group, 12)
+        assert_same(Series.invert, ref_invert, s, target)
+        multiples = [embed_rational(group, 0)]
+        while len(multiples) < 12:
+            multiples.append(multiples[-1] + x)
+        assert s.invert(target).terms == tuple(
+            (e, Fraction((1, -1)[k % 3])) for k, e in enumerate(multiples) if k % 3 != 2
+        )
 
 
 def test_mismatched_groups_refused_alike():
@@ -502,6 +515,7 @@ def ref_exp(d, s, target, rounds=40):
 
 
 SURREAL1 = surreal_depth(1)
+SURREAL2 = surreal_depth(2)
 
 
 def surreal_basis(values):
@@ -696,6 +710,38 @@ def test_long_inverse_matches_definition():
     assert len(s.invert(target).terms) == 400
 
 
+def surreal1_exponent(*terms):
+    return element(SURREAL1, Series.make(RATIONALS, terms))
+
+
+def surreal2_exponent(*terms):
+    return element(SURREAL2, Series.make(SURREAL1, terms))
+
+
+@pytest.mark.parametrize(
+    "group, steps, target, size",
+    [
+        # (1,-2) and (1,-1) sit an infinitesimal (0,k) off (1,0)
+        (LEX2, [((1, 0), 1), ((1, 1), Fraction(-2, 3)), ((1, -2), 5), ((2, 3), 1),
+                ((1, -1), Fraction(1, 2))], (5, 0), 49),
+        (SURREAL1, [(1, 1), (surreal1_exponent((0, 1), (1, 2)), Fraction(1, 7)),
+                    (surreal1_exponent((0, 2), (1, -1)), -3),
+                    (surreal1_exponent((0, 1), (2, -1)), 2)], 5, 57),
+        (SURREAL2, [(1, 2), (surreal2_exponent((0, 1), (1, 1)), 1),
+                    (surreal2_exponent((0, 2), (surreal1_exponent((1, 1)), -1)), -1)], 5, 28),
+    ],
+)
+def test_long_general_inverses_match_definition(group, steps, target, size):
+    # units whose inverses have dozens of terms, many reached along
+    # several paths, scaled and shifted, exact and truncated
+    target = element(group, target)
+    unit = Series.make(group, [(0, 1)] + [(element(group, e), c) for e, c in steps])
+    shifted = unit.shift(target).scale(Fraction(-2, 5))
+    for s in (unit, shifted, shifted.truncate_to(target + target)):
+        assert_same(Series.invert, ref_invert, s, target)
+        assert len(s.invert(target).terms) == size
+
+
 def first_primes(n):
     primes = []
     k = 2
@@ -820,10 +866,13 @@ def test_seeded_relabelling_images_match_definition(index):
 # -- rank-one int keys against the general path -----------------------------------
 #
 # On Z and Q, ``*``, ``invert`` and ``exp_apply`` compute on int exponent
-# keys.  lex1 is rank one as well but takes the general path, so a Z or Q
-# case embedded there and mapped back must give the same terms and
-# precision, or the same error type (messages print lex1 exponents as
-# tuples).
+# keys.  lex1 is rank one as well, but its exponents are their own keys
+# and its products merge rows, so a Z or Q case embedded there and mapped
+# back must give the same terms and precision, or the same error type
+# (messages print lex1 exponents as tuples).  invert and exp_apply run the
+# same recurrence and row walk on either kind of key, so their drawn cases
+# are also checked against the references above, which share no code
+# with them.
 
 LEX1 = lex_power(1)
 # large and pairwise coprime, so the key scale of a case reaches 10**18
@@ -936,6 +985,12 @@ def test_keyed_inverses_match_general_path(case):
     assert_keyed_like_general(
         s.group, Series.invert, (s, target), (to_lex1(s), to_lex1(target))
     )
+    # ref_invert needs a leading term and a precision that certifies the target
+    certified = s.terms and (
+        s.precision is None or s.precision.compare(target + s.terms[0][0]) >= 0
+    )
+    if certified and few_summands(s, target):
+        assert_same(Series.invert, ref_invert, s, target)
 
 
 def keyed_phi_cases(group):
@@ -971,6 +1026,7 @@ def test_keyed_exponentials_match_general_path(case):
     assert_keyed_like_general(
         group, exp_apply, (d, s, target), (general, to_lex1(s), to_lex1(target))
     )
+    assert_same(exp_apply, ref_exp, d, s, target)
 
 
 def test_keyed_paths_cover_refusals():
