@@ -48,7 +48,7 @@ from .sampling import (
     canonical_series,
     first_counterexample,
 )
-from .series import Series, _cut, _pmin, _trusted
+from .series import Series, _cut, _pmin
 
 
 # -- coefficient-side factor data ------------------------------------------
@@ -325,7 +325,7 @@ def _relabelled(group, terms, precision) -> Series:
     """The image of a node whose exponent map is strictly increasing and
     whose coefficient factors are positive: its terms are already
     normalized, so only the cut at the mapped precision is left."""
-    return _trusted(group, _cut(tuple(terms), precision), precision)
+    return Series(group, _cut(tuple(terms), precision), precision)
 
 
 def _apply_node(node, s, inverted, precision, path):

@@ -41,7 +41,7 @@ from .errors import (
 from . import groups
 from .groups import GroupDescriptor, GroupElement, LinearFunctional, arch_compare
 from .sampling import CheckResult, SampleSpec, Sampler, first_counterexample
-from .series import Series, _cut, _keys, _pmin, _trusted
+from .series import Series, _cut, _keys, _pmin
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def apply_derivation(d: MonomialDerivation, s: Series) -> Series:
             k = phi(ex)
             if k:
                 terms.append((ex + shift, c * k))
-        return _trusted(d.group, _cut(tuple(terms), precision), precision)
+        return Series(d.group, _cut(tuple(terms), precision), precision)
     if precision is not None:
         # a broken table certifies nothing below this precision; exact
         # inputs stay allowed, as the sampled laws of check_derivation use them
@@ -297,7 +297,7 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
             if not num:
                 continue
         out.append((keys.element(k), Fraction(num, den)))
-    return _trusted(d.group, tuple(out), precision)
+    return Series(d.group, tuple(out), precision)
 
 
 def _factor_vanishes(k: Fraction, k_shift: Fraction | None) -> bool:

@@ -136,7 +136,7 @@ class GroupElement:
             val = tuple(x + y for x, y in zip(a, b))
         else:
             val = a + b
-        return _trusted_element(desc, val)
+        return GroupElement(desc, val)
 
     def __neg__(self) -> "GroupElement":
         kind = self.descriptor.kind
@@ -192,21 +192,6 @@ class GroupElement:
         from .parsing import format_group_element  # lazy: avoids an import cycle
 
         return format_group_element(self)
-
-
-def _trusted_element(descriptor: GroupDescriptor, value) -> GroupElement:
-    """A ``GroupElement`` from a value already of its kind's type, built
-    without the frozen dataclass ``__init__``: the exponent sums of the
-    series kernel come through here.
-
-    The fields are set one by one, in ``__init__``'s order, and never
-    through ``__dict__``: reading an instance's ``__dict__`` would give it
-    a dict of its own, more than twice the size of its inline fields.
-    """
-    g = object.__new__(GroupElement)
-    object.__setattr__(g, "descriptor", descriptor)
-    object.__setattr__(g, "value", value)
-    return g
 
 
 def zero(descriptor: GroupDescriptor) -> GroupElement:

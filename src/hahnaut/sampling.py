@@ -132,6 +132,8 @@ class Sampler:
         Exponents are kept strictly increasing in the dominant direction so
         that every tail-to-leading exponent gap is non-infinitesimal.
         """
+        if group == groups.surreal_depth(0):
+            return Series.constant(group, self.nonzero_rational())
         n_extra = self.rng.randint(0, max_terms - 1)
         offsets = sorted(self.rng.sample(range(-3, 9), n_extra + 1))
         terms = []
@@ -149,6 +151,9 @@ class Sampler:
 def canonical_series(group: GroupDescriptor) -> list[Series]:
     """Small fixed series prepended to every sample list, so documented
     witnesses show up deterministically before the random tail."""
+    if group == groups.surreal_depth(0):
+        # the trivial group has no t^1 or t^-1: its series are constants
+        return [Series.constant(group, q) for q in (2, -1, Fraction(1, 2), 3)]
     one = groups.embed_rational(group, 1)
     minus_one = groups.embed_rational(group, -1)
     t = Series.monomial(group, one)

@@ -10,10 +10,10 @@ Every ``Series`` keeps its terms normalized: each exponent is a
 ``Fraction``, the exponents strictly ascend, and all of them lie below the
 precision bound.  ``Series.make`` is the one entry point that coerces raw
 exponents and coefficients and establishes the invariant (merge, drop
-zeros, sort, cut).  The dataclass constructor ``Series(...)`` and the
-private ``_trusted`` check nothing: they are for inputs that already hold
-the invariant, which is how every operation below builds its result, by
-merging or cutting normalized term lists instead of renormalizing them.
+zeros, sort, cut).  The constructor ``Series(...)`` checks nothing: it is
+for inputs that already hold the invariant, which is how every operation
+below builds its result, by merging or cutting normalized term lists
+instead of renormalizing them.
 
 Precision propagates through arithmetic with the tightest sound rules
 under unknown tails at or above the bound:
@@ -62,13 +62,7 @@ from .errors import (
     NonTerminating,
     ZeroSeries,
 )
-from .groups import (
-    GroupDescriptor,
-    GroupElement,
-    _trusted_element,
-    arch_compare,
-    element,
-)
+from .groups import GroupDescriptor, GroupElement, arch_compare, element
 
 _exponent = itemgetter(0)
 
@@ -133,26 +127,10 @@ def _numerators(terms) -> tuple[int, list]:
     return d, [(ex, c.numerator * (d // c.denominator)) for ex, c in terms]
 
 
-def _trusted(group: GroupDescriptor, terms: tuple, precision) -> "Series":
-    """A ``Series`` from terms that already hold the normalized invariant.
-
-    Nothing is checked or coerced, and the frozen dataclass ``__init__``
-    is skipped: this is the constructor of every kernel fast path.  The
-    fields are set one by one, in ``__init__``'s order, as
-    ``groups._trusted_element`` sets them, so the instance gets no
-    ``__dict__`` of its own.
-    """
-    s = object.__new__(Series)
-    object.__setattr__(s, "group", group)
-    object.__setattr__(s, "terms", terms)
-    object.__setattr__(s, "precision", precision)
-    return s
-
-
 class _Keys:
     """The int keys of the module docstring, with ``scale`` their ``L``.
 
-    A key goes back through ``_trusted_element``: an ``int`` value on Z, a
+    A key goes back through ``GroupElement(...)``: an ``int`` value on Z, a
     ``Fraction(k, scale)`` on Q.
     """
 
@@ -168,11 +146,11 @@ class _Keys:
 
     def element(self, k: int) -> GroupElement:
         if self.group.kind != "Rationals":
-            return _trusted_element(self.group, k)
+            return GroupElement(self.group, k)
         if self.scale == 1:
             # the int fast path of Fraction(), which skips the gcd
-            return _trusted_element(self.group, Fraction(k))
-        return _trusted_element(self.group, Fraction(k, self.scale))
+            return GroupElement(self.group, Fraction(k))
+        return GroupElement(self.group, Fraction(k, self.scale))
 
 
 class _ExponentKeys:
@@ -241,10 +219,7 @@ class Series:
             precision = element(group, precision)
         merged: dict[GroupElement, Fraction] = {}
         for ex, c in terms:
-            if type(ex) is not GroupElement or (
-                ex.descriptor is not group and ex.descriptor != group
-            ):
-                ex = element(group, ex)
+            ex = element(group, ex)
             if type(c) is not Fraction:
                 c = Fraction(c)
             prev = merged.get(ex)
@@ -313,10 +288,10 @@ class Series:
         self._check(other)
         precision = _pmin(self.precision, other.precision)
         terms = _merge(_cut(self.terms, precision), _cut(other.terms, precision))
-        return _trusted(self.group, tuple(terms), precision)
+        return Series(self.group, tuple(terms), precision)
 
     def __neg__(self) -> "Series":
-        return _trusted(
+        return Series(
             self.group, tuple((ex, -c) for ex, c in self.terms), self.precision
         )
 
@@ -327,14 +302,14 @@ class Series:
         q = Fraction(q)
         if q == 0:
             return Series.zero(self.group)
-        return _trusted(
+        return Series(
             self.group, tuple((ex, q * c) for ex, c in self.terms), self.precision
         )
 
     def shift(self, g) -> "Series":
         """Multiply by the monomial t^g."""
         g = element(self.group, g)
-        return _trusted(
+        return Series(
             self.group,
             tuple((ex + g, c) for ex, c in self.terms),
             None if self.precision is None else self.precision + g,
@@ -355,7 +330,7 @@ class Series:
         """
         self._check(other)
         if self.is_exact_zero() or other.is_exact_zero():
-            return _trusted(self.group, (), bound)
+            return Series(self.group, (), bound)
         precision = None
         if self.precision is not None:
             precision = _pmin(precision, self.precision + other._v_lower())
@@ -385,11 +360,11 @@ class Series:
             sums = _merge_rows(rows)
         d = da * db
         terms = tuple((ex, Fraction(n, d)) for ex, n in sums)
-        return _trusted(self.group, terms, precision)
+        return Series(self.group, terms, precision)
 
     def truncate_to(self, p) -> "Series":
         precision = _pmin(self.precision, element(self.group, p))
-        return _trusted(self.group, _cut(self.terms, precision), precision)
+        return Series(self.group, _cut(self.terms, precision), precision)
 
     def invert(self, target) -> "Series":
         """Inverse certified so that self * result is 1 below ``target``.
@@ -488,7 +463,7 @@ class Series:
                     entry[1] = k
                 else:
                     entry[0] += c * b * powers[entry[1] - k]
-        return _trusted(self.group, _cut(tuple(terms), precision), precision)
+        return Series(self.group, _cut(tuple(terms), precision), precision)
 
     # -- order -------------------------------------------------------------
 

@@ -2,8 +2,8 @@
 every private one is referenced outside its own definition, and every
 name a module imports is referenced there.  Also keeps the
 package off ``Fraction`` internals, which differ between the Python
-versions it supports, and keeps every function the benchmark's tracer
-wraps in place."""
+versions it supports, keeps one constructor per type, and keeps every
+function the benchmark's tracer wraps in place."""
 
 import ast
 import importlib
@@ -123,6 +123,23 @@ def test_no_private_fraction_attribute_is_used():
             if kw.arg in FRACTION_INTERNALS
         ]
     assert used == []
+
+
+def test_no_module_builds_around_the_constructor():
+    """Each kernel type has one constructor: no module makes an instance
+    with ``object.__new__``, around the dataclass ``__init__``."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "__new__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ]
+    assert calls == []
 
 
 def test_every_traced_target_resolves():

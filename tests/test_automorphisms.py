@@ -506,6 +506,12 @@ class TestOneAut:
         assert result.status == "fail"
         assert result.witness
 
+    def test_identity_over_the_trivial_group(self):
+        trivial = surreal_depth(0)
+        assert is_one_aut(identity_aut(trivial)).status == "pass"
+        s = Sampler(7).invertible_series(trivial)
+        assert s.terms and s.terms[0][0].is_zero()
+
 
 class TestFactorize:
     def samples(self, *values):

@@ -141,6 +141,14 @@ class TestClassify:
         assert code == 0
         assert out.count(": pass") == 6
 
+    def test_trivial_group_all_pass(self, capsys):
+        # its series are the constants: no t^1 or t^-1 to sample
+        code, out, _ = run(
+            capsys, "classify", "--group=surreal0", "--sample-count=5", "identity"
+        )
+        assert code == 0
+        assert out.count(": pass") == 6
+
     def test_determinism_byte_identical(self, capsys):
         argv = [
             "classify",
