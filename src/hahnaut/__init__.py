@@ -25,11 +25,10 @@ from .errors import (
 from .groups import (
     INTEGERS,
     RATIONALS,
-    AdditiveComposite,
+    Composite,
     GroupDescriptor,
     GroupElement,
     LinearFunctional,
-    MonotoneComposite,
     PiecewiseLinear,
     PositiveScalar,
     Translation,
@@ -37,7 +36,6 @@ from .groups import (
     arch_compare,
     element,
     embed_rational,
-    identity_automorphism,
     identity_map,
     lex_power,
     scaling_functional,
@@ -80,7 +78,6 @@ from .automorphisms import (
 from .parsing import (
     SessionConfig,
     format_group_element,
-    format_rational,
     format_series,
     load_aut_spec,
     parse_expression,

@@ -14,7 +14,8 @@ An automorphism is a tree of primitive nodes:
   automorphism),
 * ``ExpDerivation(D, p)`` -- exponential of a contracting derivation,
   truncated below ``p`` (leading-term-fixing field automorphism),
-* ``Compose`` / ``Inverse`` combinators (composition is right-to-left).
+* ``Compose`` / ``Inverse`` combinators (composition is right-to-left); the
+  identity is the empty composition ``Compose(())``.
 
 Classification is certificate-based: each predicate is evaluated exactly
 on a seeded sample below propagated precision, and failures carry a
@@ -25,7 +26,7 @@ those tables and certifies that the residual fixes leading terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import derivations as deriv_mod
@@ -130,64 +131,55 @@ class ScalingFamily:
 # -- node types -------------------------------------------------------------
 
 
-class Node:
-    """Marker base class for automorphism tree nodes."""
+@dataclass(frozen=True)
+class ExternalField:
+    tau: object  # an additive value-group map
 
 
 @dataclass(frozen=True)
-class Identity(Node):
-    pass
-
-
-@dataclass(frozen=True)
-class ExternalField(Node):
-    tau: groups.AdditiveAutomorphism
-
-
-@dataclass(frozen=True)
-class CharacterLift(Node):
+class CharacterLift:
     chi: PartialCharacter
 
 
 @dataclass(frozen=True)
-class InternalMult(Node):
+class InternalMult:
     unit: Series  # 1 + eps with v(eps) > 0
 
 
 @dataclass(frozen=True)
-class ExternalGroup(Node):
-    zeta: object  # anything with forward/backward on the value group
+class ExternalGroup:
+    zeta: object  # a monotone value-group map
     scaling: ScalingFamily
 
 
 @dataclass(frozen=True)
-class ExpDerivation(Node):
+class ExpDerivation:
     derivation: deriv_mod.MonomialDerivation
     target: GroupElement
 
 
 @dataclass(frozen=True)
-class Theta(Node):
+class Theta:
     """Direct-formula field automorphism built from a leading-term-fixing
     automorphism, a character and a group automorphism."""
 
     sigma: "Automorphism"
     chi: PartialCharacter
-    tau: groups.AdditiveAutomorphism
+    tau: object  # an additive value-group map
 
 
 @dataclass(frozen=True)
-class TauBuild(Node):
+class TauBuild:
     """Direct-formula group automorphism built from an internal group
     automorphism, an order bijection and a scaling family."""
 
     nu: "Automorphism"
-    zeta: object
+    zeta: object  # a monotone value-group map
     scaling: ScalingFamily
 
 
 @dataclass(frozen=True)
-class TableMonomial(Node):
+class TableMonomial:
     """Monomial action given by a finite table (factorization scaffolding)."""
 
     entries: tuple[tuple[GroupElement, GroupElement, Fraction], ...]
@@ -202,29 +194,29 @@ class TableMonomial(Node):
 
 
 @dataclass(frozen=True)
-class Compose(Node):
-    parts: tuple[Node, ...]
+class Compose:
+    parts: tuple
 
 
 @dataclass(frozen=True)
-class Inverse(Node):
-    inner: Node
+class Inverse:
+    inner: object
 
 
 @dataclass(frozen=True)
 class Automorphism:
     group: GroupDescriptor
-    node: Node
+    node: object
 
     @property
     def class_tag(self) -> str:
         return "field-aut" if _built_from(self.node, _FIELD_NODES) else "group-aut"
 
 
-_FIELD_NODES = (Identity, ExternalField, CharacterLift, ExpDerivation)
+_FIELD_NODES = (ExternalField, CharacterLift, ExpDerivation)
 
 
-def _expansion(node: Node) -> tuple[Node, ...] | None:
+def _expansion(node) -> tuple | None:
     """The nodes a combinator is built from, or None for a primitive node.
 
     ``Theta`` and ``TauBuild`` expand to the composition their direct
@@ -242,7 +234,7 @@ def _expansion(node: Node) -> tuple[Node, ...] | None:
     return None
 
 
-def _built_from(node: Node, kinds: tuple[type, ...]) -> bool:
+def _built_from(node, kinds: tuple[type, ...]) -> bool:
     """True when every primitive node under ``node`` is one of ``kinds``."""
     parts = _expansion(node)
     if parts is None:
@@ -254,10 +246,10 @@ def _built_from(node: Node, kinds: tuple[type, ...]) -> bool:
 
 
 def identity_aut(group: GroupDescriptor) -> Automorphism:
-    return Automorphism(group, Identity())
+    return Automorphism(group, Compose(()))
 
 
-def make_external_field(tau: groups.AdditiveAutomorphism) -> Automorphism:
+def make_external_field(tau) -> Automorphism:  # tau: an additive value-group map
     return Automorphism(tau.descriptor, ExternalField(tau))
 
 
@@ -296,9 +288,7 @@ def compose_aut(auts) -> Automorphism:
     return Automorphism(group, Compose(tuple(parts)))
 
 
-def _inverse_node(node: Node) -> Node:
-    if isinstance(node, Identity):
-        return node
+def _inverse_node(node):
     if isinstance(node, Inverse):
         return node.inner
     if isinstance(node, Compose):
@@ -340,8 +330,6 @@ def _apply_node(node, s, inverted, precision, path):
 
 def _dispatch(node, s, inverted, precision, path):
     group = s.group
-    if isinstance(node, Identity):
-        return s
     if isinstance(node, Inverse):
         return _apply_node(node.inner, s, not inverted, precision, path + ["inverse"])
     if isinstance(node, Compose):
@@ -374,10 +362,10 @@ def _dispatch(node, s, inverted, precision, path):
             node.derivation
         )
         return deriv_mod.exp_apply(d, s, node.target)
+    if inverted and isinstance(node, (Theta, TauBuild)):
+        step = "theta" if isinstance(node, Theta) else "tau"
+        return _apply_node(Compose(_expansion(node)), s, True, precision, path + [step])
     if isinstance(node, Theta):
-        if inverted:
-            equivalent = Compose(_expansion(node))
-            return _apply_node(equivalent, s, True, precision, path + ["theta"])
         staged = []
         for ex, c in s.terms:
             image = node.tau.forward(ex)
@@ -386,9 +374,6 @@ def _dispatch(node, s, inverted, precision, path):
         inner = _relabelled(group, staged, prec)
         return _apply_node(node.sigma.node, inner, False, precision, path + ["theta"])
     if isinstance(node, TauBuild):
-        if inverted:
-            equivalent = Compose(_expansion(node))
-            return _apply_node(equivalent, s, True, precision, path + ["tau"])
         staged = [(node.zeta.forward(ex), c * node.scaling(ex)) for ex, c in s.terms]
         prec = _map_precision(s.precision, node.zeta.forward)
         inner = _relabelled(group, staged, prec)
@@ -423,7 +408,7 @@ def _internal_mult_inverse(unit, s, precision):
     if not s.terms:
         return Series(s.group, (), bound)
     inverse_unit = unit.invert(bound - s.v())
-    return (s * inverse_unit).truncate_to(bound)
+    return s._mul(inverse_unit, bound)
 
 
 def apply_aut(a: Automorphism, s: Series, precision=None) -> Series:
@@ -441,8 +426,8 @@ def apply_aut(a: Automorphism, s: Series, precision=None) -> Series:
 
 # Nodes that fix leading terms by construction; the internal ones also
 # include multiplication by a unit 1 + eps.
-_ONE_AUT_NODES = (Identity, ExpDerivation)
-_INTERNAL_NODES = (Identity, ExpDerivation, InternalMult)
+_ONE_AUT_NODES = (ExpDerivation,)
+_INTERNAL_NODES = (ExpDerivation, InternalMult)
 
 
 def _fixes_leading_term(image):
@@ -472,39 +457,38 @@ def is_one_aut(
     )
 
 
+def _gate(a, name, kinds, error, spec, precision):
+    """Refuse ``a`` with ``error`` unless it is built from ``kinds`` alone or
+    fixes the leading term of every sample."""
+    if not _built_from(a.node, kinds):
+        check = is_one_aut(a, spec, precision)
+        if not check.ok:
+            raise error(f"{name} moves the leading term of {check.witness[0]}")
+
+
 def construct_theta(
     sigma: Automorphism,
     chi: PartialCharacter,
-    tau: groups.AdditiveAutomorphism,
+    tau,  # an additive value-group map
     spec: SampleSpec = SampleSpec(),
     precision=None,
 ) -> Automorphism:
     if tau.descriptor != sigma.group or chi.descriptor != sigma.group:
         raise DescriptorMismatch("sigma, chi and tau act on different groups")
-    if not _built_from(sigma.node, _ONE_AUT_NODES):
-        gate = is_one_aut(sigma, spec, precision)
-        if not gate.ok:
-            raise NotOneAut(
-                f"sigma moves the leading term of {gate.witness[0]}"
-            )
+    _gate(sigma, "sigma", _ONE_AUT_NODES, NotOneAut, spec, precision)
     return Automorphism(sigma.group, Theta(sigma, chi, tau))
 
 
 def construct_tau(
     nu: Automorphism,
-    zeta,
+    zeta,  # a monotone value-group map
     scaling: ScalingFamily,
     spec: SampleSpec = SampleSpec(),
     precision=None,
 ) -> Automorphism:
     if zeta.descriptor != nu.group or scaling.descriptor != nu.group:
         raise DescriptorMismatch("nu, zeta and the scaling act on different groups")
-    if not _built_from(nu.node, _INTERNAL_NODES):
-        gate = is_one_aut(nu, spec, precision)
-        if not gate.ok:
-            raise NotInternal(
-                f"nu moves the leading term of {gate.witness[0]}"
-            )
+    _gate(nu, "nu", _INTERNAL_NODES, NotInternal, spec, precision)
     return Automorphism(nu.group, TauBuild(nu, zeta, scaling))
 
 
@@ -538,20 +522,11 @@ class ClassifyReport:
     internal: CheckResult
     one_aut: CheckResult
 
-    _NAMES = (
-        "additive",
-        "multiplicative",
-        "order_preserving",
-        "valuation_preserving",
-        "internal",
-        "one_aut",
-    )
-
     def failures(self) -> list[str]:
-        return [n for n in self._NAMES if getattr(self, n).status == "fail"]
+        return [n for n, r in self.as_items() if r.status == "fail"]
 
     def as_items(self):
-        return [(n, getattr(self, n)) for n in self._NAMES]
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 def classify_aut(

@@ -130,10 +130,7 @@ def _cmd_factorize(args, config):
             f"{parsing.format_group_element(g)} -> {parsing.format_group_element(e)}"
         )
     for g, c in result.coefficients:
-        print(
-            "coeff: "
-            f"{parsing.format_group_element(g)} -> {parsing.format_rational(c)}"
-        )
+        print(f"coeff: {parsing.format_group_element(g)} -> {c!s}")
     return _report(result.certificates, config)
 
 

@@ -501,15 +501,17 @@ def scaling_functional(descriptor: GroupDescriptor, q) -> LinearFunctional:
     return standard_functional(descriptor, [q])
 
 
-# -- strictly order-preserving bijections ----------------------------------
-
-
-class MonotoneMap:
-    """A strictly order-preserving bijection of the group."""
+# -- value-group maps --------------------------------------------------------
+#
+# A value-group map is anything with ``descriptor``, ``forward`` and
+# ``backward``: a strictly order-preserving bijection and its exact inverse.
+# The ``tau`` of ``ExternalField`` and ``Theta`` must also be additive (a
+# scalar, a matrix or a composite of them); the ``zeta`` of ``ExternalGroup``
+# and ``TauBuild`` need only be monotone.
 
 
 @dataclass(frozen=True)
-class Translation(MonotoneMap):
+class Translation:
     offset: GroupElement
 
     @property
@@ -524,7 +526,7 @@ class Translation(MonotoneMap):
 
 
 @dataclass(frozen=True)
-class PiecewiseLinear(MonotoneMap):
+class PiecewiseLinear:
     """Continuous piecewise-affine bijection of the rationals.
 
     ``slopes[0]`` applies left of the first breakpoint, ``slopes[i]`` on
@@ -586,50 +588,7 @@ class PiecewiseLinear(MonotoneMap):
 
 
 @dataclass(frozen=True)
-class _Composite:
-    """Function composition: the first listed map is applied last."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        if not self.parts:
-            raise InvalidMap("empty composite")
-        descs = {p.descriptor for p in self.parts}
-        if len(descs) != 1:
-            raise DescriptorMismatch("composite parts live on different groups")
-
-    @property
-    def descriptor(self):
-        return self.parts[0].descriptor
-
-    def forward(self, g):
-        for p in reversed(self.parts):
-            g = p.forward(g)
-        return g
-
-    def backward(self, g):
-        for p in self.parts:
-            g = p.backward(g)
-        return g
-
-
-class MonotoneComposite(_Composite, MonotoneMap):
-    pass
-
-
-def identity_map(descriptor: GroupDescriptor) -> MonotoneMap:
-    return Translation(zero(descriptor))
-
-
-# -- additive order-preserving automorphisms -------------------------------
-
-
-class AdditiveAutomorphism:
-    """An additive, order-preserving automorphism with exact inverse."""
-
-
-@dataclass(frozen=True)
-class PositiveScalar(AdditiveAutomorphism):
+class PositiveScalar:
     descriptor: GroupDescriptor
     factor: Fraction
 
@@ -648,7 +607,7 @@ class PositiveScalar(AdditiveAutomorphism):
 
 
 @dataclass(frozen=True)
-class TriangularMatrix(AdditiveAutomorphism):
+class TriangularMatrix:
     """Rational matrix on a lex power, triangular in the dominance direction.
 
     The image of each standard generator must have its first nonzero
@@ -699,9 +658,34 @@ class TriangularMatrix(AdditiveAutomorphism):
         )
 
 
-class AdditiveComposite(_Composite, AdditiveAutomorphism):
-    pass
+@dataclass(frozen=True)
+class Composite:
+    """Composition: the first listed map is applied last; additive if every part is."""
+
+    parts: tuple
+
+    def __post_init__(self):
+        if not self.parts:
+            raise InvalidMap("empty composite")
+        descs = {p.descriptor for p in self.parts}
+        if len(descs) != 1:
+            raise DescriptorMismatch("composite parts live on different groups")
+
+    @property
+    def descriptor(self):
+        return self.parts[0].descriptor
+
+    def forward(self, g):
+        for p in reversed(self.parts):
+            g = p.forward(g)
+        return g
+
+    def backward(self, g):
+        for p in self.parts:
+            g = p.backward(g)
+        return g
 
 
-def identity_automorphism(descriptor: GroupDescriptor) -> AdditiveAutomorphism:
+def identity_map(descriptor: GroupDescriptor) -> PositiveScalar:
+    """The identity, which is additive: it serves as ``tau`` and as ``zeta``."""
     return PositiveScalar(descriptor, Fraction(1))

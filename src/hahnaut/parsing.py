@@ -1,8 +1,8 @@
 """Recursive-descent parser and canonical formatter.
 
 The textual layer covers series literals in two notations, group
-elements of every supported kind, Q-linear functionals, monotone maps,
-additive automorphisms of the value group, derivation specs, and the
+elements of every supported kind, Q-linear functionals, value-group maps
+(monotone maps and additive automorphisms), derivation specs, and the
 structured automorphism grammar used by the command line.
 
 Series syntax::
@@ -12,6 +12,8 @@ Series syntax::
             | base "^" "(" exponent ")"
 
 with ``base`` being ``t`` or ``w`` depending on the session notation.
+A ``*`` after the rational starts a monomial only when a name follows;
+otherwise the term is the constant, so the expression ``2 * 3`` is 6.
 In omega notation the printed exponent is the negation of the internal
 one (``w^(y)`` is ``t^(-y)``) and terms print with the largest omega
 exponent first.  Exponents are always parenthesized; lexicographic
@@ -212,7 +214,7 @@ class _Parser:
     def series_term(self, config: SessionConfig):
         if self.peek.kind in ("number", "-", "+"):
             coeff = self.rational()
-            if self.peek.kind == "*":
+            if self.peek.kind == "*" and self.peek_at(1).kind == "ident":
                 self.advance()
                 self.base_token(config)
                 self.expect("^")
@@ -330,22 +332,38 @@ class _Parser:
         self.expect(")")
         return phi
 
-    def monotone_map(self, config: SessionConfig) -> groups.MonotoneMap:
-        tok = self.expect("ident", "a monotone map")
+    def value_map(self, config: SessionConfig, additive: bool):
+        """An additive automorphism (``matrix``) or a monotone map (``translate``,
+        ``piecewise``); ``identity``, ``scalar`` and ``compose`` are both."""
+        what = "additive automorphism" if additive else "monotone map"
+        tok = self.expect("ident", f"{'an' if additive else 'a'} {what}")
+        name = tok.text
         group = config.group
-        if tok.text == "identity":
+        if name == "identity":
             return groups.identity_map(group)
-        if tok.text == "translate":
-            self.expect("(")
-            offset = self.group_element(group)
-            self.expect(")")
-            return groups.Translation(offset)
-        if tok.text == "scalar":
+        if name == "scalar":
             self.expect("(")
             q = self.rational()
             self.expect(")")
             return groups.PositiveScalar(group, q)
-        if tok.text == "piecewise":
+        if name == "compose":
+            self.expect("(")
+            parts = self.separated(lambda: self.value_map(config, additive))
+            self.expect(")")
+            return groups.Composite(tuple(parts))
+        if additive and name == "matrix":
+            self.expect("(")
+            self.expect("[")
+            rows = [tuple(row) for row in self.separated(self.rational_list)]
+            self.expect("]")
+            self.expect(")")
+            return groups.TriangularMatrix(group, tuple(rows))
+        if not additive and name == "translate":
+            self.expect("(")
+            offset = self.group_element(group)
+            self.expect(")")
+            return groups.Translation(offset)
+        if not additive and name == "piecewise":
             self.expect("{")
             self.field("breaks")
             breaks = self.rational_list()
@@ -363,36 +381,7 @@ class _Parser:
                     "piecewise maps are only available over the rationals", tok.pos
                 )
             return groups.PiecewiseLinear(tuple(breaks), tuple(slopes), anchor)
-        if tok.text == "compose":
-            self.expect("(")
-            parts = self.separated(lambda: self.monotone_map(config))
-            self.expect(")")
-            return groups.MonotoneComposite(tuple(parts))
-        raise ParseError(f"unknown monotone map {tok.text!r}", tok.pos)
-
-    def additive_aut(self, config: SessionConfig) -> groups.AdditiveAutomorphism:
-        tok = self.expect("ident", "an additive automorphism")
-        group = config.group
-        if tok.text == "identity":
-            return groups.identity_automorphism(group)
-        if tok.text == "scalar":
-            self.expect("(")
-            q = self.rational()
-            self.expect(")")
-            return groups.PositiveScalar(group, q)
-        if tok.text == "matrix":
-            self.expect("(")
-            self.expect("[")
-            rows = [tuple(row) for row in self.separated(self.rational_list)]
-            self.expect("]")
-            self.expect(")")
-            return groups.TriangularMatrix(group, tuple(rows))
-        if tok.text == "compose":
-            self.expect("(")
-            parts = self.separated(lambda: self.additive_aut(config))
-            self.expect(")")
-            return groups.AdditiveComposite(tuple(parts))
-        raise ParseError(f"unknown additive automorphism {tok.text!r}", tok.pos)
+        raise ParseError(f"unknown {what} {name!r}", tok.pos)
 
     # -- derivations ---------------------------------------------------------
 
@@ -463,7 +452,7 @@ class _Parser:
         if name == "external_field":
             self.expect("{")
             self.field("tau")
-            tau = self.additive_aut(config)
+            tau = self.value_map(config, additive=True)
             self.expect("}")
             return automorphisms.make_external_field(tau)
         if name == "character":
@@ -485,7 +474,7 @@ class _Parser:
         if name == "external_group":
             self.expect("{")
             self.field("zeta")
-            zeta = self.monotone_map(config)
+            zeta = self.value_map(config, additive=False)
             default = Fraction(1)
             exceptions = []
             if self.peek.kind == ",":
@@ -571,17 +560,13 @@ def parse_sample_list(text: str, group: GroupDescriptor) -> list[GroupElement]:
 # -- formatting --------------------------------------------------------------
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def format_group_element(g: GroupElement) -> str:
     kind = g.descriptor.kind
     if kind == "LexPower":
-        return "(" + ",".join(format_rational(c) for c in g.value) + ")"
+        return "(" + ",".join(map(str, g.value)) + ")"
     if kind == "SurrealDepth" and g.descriptor.param >= 1:
         return "[" + format_series(g.value) + "]"
-    return format_rational(Fraction(g.value))
+    return str(g.value)
 
 
 def format_series(s: Series, config: SessionConfig | None = None) -> str:
@@ -591,9 +576,9 @@ def format_series(s: Series, config: SessionConfig | None = None) -> str:
     for ex, c in s.terms:
         shown = -ex if omega else ex
         if ex.is_zero():
-            body = format_rational(abs(c))
+            body = str(abs(c))
         else:
-            prefix = "" if abs(c) == 1 else format_rational(abs(c)) + "*"
+            prefix = "" if abs(c) == 1 else str(abs(c)) + "*"
             body = f"{prefix}{base}^({format_group_element(shown)})"
         pieces.append((c < 0, body))
     if not pieces:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groups
+from .errors import DomainError
 from .groups import GroupDescriptor, GroupElement
 from .series import Series
 
@@ -102,6 +103,8 @@ class Sampler:
         return groups.element(group, Series.make(inner, terms))
 
     def nonzero_exponent(self, group, lo: int = -3, hi: int = 4) -> GroupElement:
+        if group == groups.surreal_depth(0):
+            raise DomainError("the trivial group only contains 0")
         while True:
             g = self.exponent(group, lo, hi)
             if not g.is_zero():

@@ -161,3 +161,21 @@ def test_every_traced_target_resolves():
         if attr not in scope:
             missing.append(".".join(filter(None, (module, owner, attr))))
     assert len(targets) > 40 and missing == []
+
+
+def test_every_empty_class_is_an_error_type():
+    """A class whose body is only a docstring or ``pass`` marks nothing
+    that code reads; only an error type may be empty, as its name is what
+    callers catch."""
+    empty = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"hahnaut.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and all(
+                isinstance(item, ast.Pass)
+                or (isinstance(item, ast.Expr) and isinstance(item.value, ast.Constant))
+                for item in node.body
+            ):
+                if not issubclass(getattr(module, node.name), BaseException):
+                    empty.append(node.name)
+    assert empty == []

@@ -187,6 +187,22 @@ class TestPrimitives:
 
 
 class TestComposeInvert:
+    def test_identity_is_the_empty_composition(self):
+        ext = make_external_field(PositiveScalar(Q, 2))
+        identity = identity_aut(Q)
+        assert identity.node == invert_aut(identity).node == automorphisms.Compose(())
+        assert identity.class_tag == "field-aut"
+        assert compose_aut([identity, ext, identity]).node.parts == (ext.node,)
+        assert compose_aut([identity, identity]).node == identity.node
+        assert apply_aut(identity, S((-1, 1), (2, 3))) == S((-1, 1), (2, 3))
+
+    def test_error_paths_skip_flattened_identities(self):
+        aut = invert_aut(compose_aut([identity_aut(Q), make_internal_mult(T)]))
+        with pytest.raises(
+            InsufficientPrecision, match=r"^at node compose\[0\]\.inverse: "
+        ):
+            apply_aut(aut, T)
+
     def test_composition_is_right_to_left(self):
         chi = make_character_lift(chi_two())
         ext = make_external_field(PositiveScalar(Q, 2))
@@ -511,6 +527,10 @@ class TestOneAut:
         assert is_one_aut(identity_aut(trivial)).status == "pass"
         s = Sampler(7).invertible_series(trivial)
         assert s.terms and s.terms[0][0].is_zero()
+
+    def test_the_trivial_group_has_no_nonzero_exponent(self):
+        with pytest.raises(DomainError, match="^the trivial group only contains 0$"):
+            Sampler(7).nonzero_exponent(surreal_depth(0))
 
 
 class TestFactorize:

@@ -25,6 +25,9 @@ class TestEval:
         assert code == 0
         assert out == "RESULT: 1 - t^(2)\n"
 
+    def test_product_of_numbers(self, capsys):
+        assert run(capsys, "eval", "2 * 3") == (0, "RESULT: 6\n", "")
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "eval", "t^(")
         assert code == 2

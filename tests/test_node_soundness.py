@@ -1,0 +1,222 @@
+"""Precision soundness of every automorphism node kind and its inverse.
+
+For each node kind over Q, lex2 and surreal1, drawn by hypothesis: the
+image of a truncated input must agree with the image of the exact input
+below the truncated image's precision, and that precision must not lie
+above the exact image's.  Both sides get the same ``precision`` argument,
+which bounds the inverse of an ``InternalMult``: that kind always gets a
+finite one.  A typed ``HahnError`` on both sides counts as agreement; a
+refusal on one side only is a case the check cannot evaluate, and each
+kind and direction must evaluate at least ``MIN_EVALUATED`` cases.  The
+kinds are the identity (the empty ``Compose``), the five primitive nodes,
+``Theta``, ``TauBuild`` and a composition of two primitives.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hahnaut.automorphisms import (
+    PartialCharacter,
+    ScalingFamily,
+    apply_aut,
+    compose_aut,
+    construct_tau,
+    construct_theta,
+    identity_aut,
+    invert_aut,
+    make_character_lift,
+    make_external_field,
+    make_external_group,
+    make_internal_mult,
+)
+from hahnaut.derivations import exp_derivation
+from hahnaut.errors import HahnError
+from hahnaut.groups import (
+    RATIONALS,
+    Composite,
+    PiecewiseLinear,
+    PositiveScalar,
+    Translation,
+    TriangularMatrix,
+    lex_power,
+    surreal_depth,
+)
+from hahnaut.series import Series
+from test_kernel_paths import coefficients, small_exponents as exponents
+from test_laws import (
+    lex2_derivations,
+    positive,
+    q_derivations,
+    surreal1_derivations,
+)
+
+LEX2 = lex_power(2)
+SURREAL1 = surreal_depth(1)
+GROUPS = {"Q": RATIONALS, "lex2": LEX2, "surreal1": SURREAL1}
+EXAMPLES = 25
+MIN_EVALUATED = 15
+
+DERIVATIONS = {
+    RATIONALS: q_derivations,
+    LEX2: lex2_derivations,
+    SURREAL1: surreal1_derivations,
+}
+
+# Character lattices whose integer span holds the drawn exponents and
+# their images under the drawn maps, so most characters evaluate.
+LATTICES = {
+    RATIONALS: [Fraction(1, 4)],
+    LEX2: [(Fraction(1, 2), 0), (0, Fraction(1, 2))],
+    SURREAL1: [Series.monomial(RATIONALS, k, Fraction(1, 12)) for k in range(-3, 5)],
+}
+
+
+def characters(group):
+    lattice = LATTICES[group]
+    values = st.sampled_from([Fraction(1, 2), Fraction(2, 3), 1, 2, 3])
+    return st.lists(values, min_size=len(lattice), max_size=len(lattice)).map(
+        lambda vs: PartialCharacter(group, tuple(lattice), tuple(vs))
+    )
+
+
+def additive_maps(group):
+    """Additive value-group maps: scalars, lex2 matrices and composites."""
+    scalars = st.sampled_from([Fraction(1, 2), 1, 2, 3]).map(
+        lambda q: PositiveScalar(group, q)
+    )
+    single = scalars
+    if group == LEX2:
+        matrices = st.tuples(
+            st.integers(1, 2), st.integers(-2, 2), st.integers(1, 2)
+        ).map(lambda m: TriangularMatrix(LEX2, ((m[0], 0), (m[1], m[2]))))
+        single = scalars | matrices
+    pairs = st.tuples(single, single).map(Composite)
+    return single | pairs
+
+
+def monotone_maps(group):
+    """Monotone value-group maps: the additive ones, translations and, over
+    Q, piecewise-linear maps, each alone or composed with another."""
+    single = additive_maps(group) | exponents(group).map(Translation)
+    if group == RATIONALS:
+        breaks = st.lists(st.integers(-3, 4), min_size=1, max_size=2, unique=True)
+        pieces = breaks.flatmap(
+            lambda bs: st.builds(
+                PiecewiseLinear,
+                st.just(tuple(sorted(bs))),
+                st.lists(
+                    st.sampled_from([Fraction(1, 2), 1, 2]),
+                    min_size=len(bs) + 1,
+                    max_size=len(bs) + 1,
+                ).map(tuple),
+                st.integers(-2, 2),
+            )
+        )
+        single = single | pieces
+    return single | st.tuples(single, single).map(Composite)
+
+
+def scalings(group):
+    factors = st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1, 2, 5])
+    return st.builds(
+        lambda default, exceptions: ScalingFamily(group, default, tuple(exceptions)),
+        factors,
+        st.lists(st.tuples(exponents(group), factors), max_size=2),
+    )
+
+
+def internal_mults(group):
+    return st.lists(
+        st.tuples(positive(exponents(group)), coefficients), max_size=3
+    ).map(lambda terms: make_internal_mult(Series.make(group, terms)))
+
+
+def exp_derivations(group):
+    return st.builds(exp_derivation, DERIVATIONS[group](), exponents(group))
+
+
+def primitives(group):
+    return st.one_of(
+        additive_maps(group).map(make_external_field),
+        characters(group).map(make_character_lift),
+        internal_mults(group),
+        st.builds(make_external_group, monotone_maps(group), scalings(group)),
+        exp_derivations(group),
+    )
+
+
+KINDS = {
+    "identity": lambda g: st.just(identity_aut(g)),
+    "external_field": lambda g: additive_maps(g).map(make_external_field),
+    "character": lambda g: characters(g).map(make_character_lift),
+    "internal_mult": internal_mults,
+    "external_group": lambda g: st.builds(
+        make_external_group, monotone_maps(g), scalings(g)
+    ),
+    "exp_derivation": exp_derivations,
+    "theta": lambda g: st.builds(
+        construct_theta,
+        st.just(identity_aut(g)) | exp_derivations(g),
+        characters(g),
+        additive_maps(g),
+    ),
+    "tau_build": lambda g: st.builds(
+        construct_tau,
+        st.just(identity_aut(g)) | internal_mults(g) | exp_derivations(g),
+        monotone_maps(g),
+        scalings(g),
+    ),
+    "compose": lambda g: st.lists(primitives(g), min_size=2, max_size=2).map(
+        compose_aut
+    ),
+}
+
+
+def image(aut, s, precision):
+    try:
+        return apply_aut(aut, s, precision)
+    except HahnError:
+        return None
+
+
+@pytest.mark.parametrize("inverted", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", GROUPS)
+def test_truncated_input_agrees_below_its_image_precision(name, kind, inverted):
+    group = GROUPS[name]
+    outcomes = Counter()
+    # an InternalMult inverse needs a finite bound, which an exact input
+    # only gets from the precision argument
+    precisions = exponents(group)
+    if kind != "internal_mult":
+        precisions = st.none() | precisions
+
+    @settings(max_examples=EXAMPLES)
+    @given(
+        KINDS[kind](group),
+        st.lists(st.tuples(exponents(group), coefficients), max_size=4),
+        exponents(group),
+        precisions,
+    )
+    def check(aut, terms, cut, precision):
+        if inverted:
+            aut = invert_aut(aut)
+        exact = Series.make(group, terms)
+        full = image(aut, exact, precision)
+        truncated = image(aut, exact.truncate_to(cut), precision)
+        if full is None or truncated is None:
+            # both refused agree; a refusal on one side only is not evaluated
+            outcomes["refused" if full is truncated else "one-sided"] += 1
+            return
+        assert truncated.precision is not None
+        if full.precision is not None:
+            assert truncated.precision.compare(full.precision) <= 0
+        assert truncated.agrees(full)
+        outcomes["agreed"] += 1
+
+    check()
+    assert outcomes["agreed"] >= MIN_EVALUATED, outcomes

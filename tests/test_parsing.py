@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,11 @@ class TestParseSeries:
     def test_wrong_variable_rejected(self):
         with pytest.raises(ParseError):
             parse_series("w^(1)", Q_T)
+
+    def test_a_product_of_numbers_is_not_a_literal(self):
+        with pytest.raises(ParseError, match="^unexpected trailing input") as e:
+            parse_series("3 * 2", Q_T)
+        assert e.value.pos == 2
 
     def test_mod_suffix(self):
         s = parse_series("1 + t^(1) (mod t^(3))", Q_T)
@@ -140,6 +146,22 @@ class TestExpressions:
         config = SessionConfig(RATIONALS, groups.embed_rational(RATIONALS, 4))
         s = parse_expression("1 / (1 + t^(1))", config)
         assert [(e.value, c) for e, c in s.terms] == [(0, 1), (1, -1), (2, 1), (3, -1)]
+
+    @pytest.mark.parametrize(
+        "text, image",
+        [
+            ("2 * 3", "6"),
+            ("2 * (1 + t^(1))", "2 + 2*t^(1)"),
+            ("2 * -t^(1)", "-2*t^(1)"),
+            ("2 * t^(1) * 3", "6*t^(1)"),
+        ],
+    )
+    def test_a_number_times_a_factor(self, text, image):
+        assert format_series(parse_expression(text, Q_T)) == image
+
+    def test_a_number_times_a_name_wants_the_series_variable(self):
+        with pytest.raises(ParseError, match="^expected the series variable 't', got 'x'"):
+            parse_expression("2 * x", Q_T)
 
     def test_unary_minus(self):
         s = parse_expression("-(1 + t^(1)) + 1", Q_T)
@@ -305,6 +327,21 @@ class TestGrammarForms:
     def test_unknown_additive_automorphism(self):
         with pytest.raises(ParseError, match="unknown additive automorphism 'rotate'"):
             load_aut_spec("external_field{tau: rotate(1)}", Q_T)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("external_group{zeta: matrix([[1]])}", "unknown monotone map 'matrix'"),
+            ("external_field{tau: translate(1)}", "unknown additive automorphism 'translate'"),
+            ("external_field{tau: compose(scalar(2), piecewise{breaks: [0], slopes: [1, 2]})}",
+             "unknown additive automorphism 'piecewise'"),
+            ("external_group{zeta: 1}", "expected 'a monotone map'"),
+            ("external_field{tau: 1}", "expected 'an additive automorphism'"),
+        ],
+    )
+    def test_each_role_keeps_its_own_forms(self, spec, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+            load_aut_spec(spec, Q_T)
 
     def test_unknown_derivation_spec(self):
         with pytest.raises(ParseError, match="unknown derivation spec 'rotate'") as e:
