@@ -41,6 +41,8 @@ def _config(args) -> parsing.SessionConfig:
     precision = None
     if args.precision is not None:
         precision = parsing.parse_group_element(args.precision, group)
+    if args.sample_count < 1:
+        raise UsageError(f"--sample-count must be at least 1, not {args.sample_count}")
     return parsing.SessionConfig(
         group, precision, args.notation, args.seed, args.sample_count
     )

@@ -28,7 +28,7 @@ import bisect
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -249,7 +249,6 @@ def element(descriptor: GroupDescriptor, raw) -> GroupElement:
             if raw.precision is not None:
                 raise DomainError("group elements must be exact series")
             return GroupElement(descriptor, raw)
-        return embed_rational(descriptor, raw)
     return embed_rational(descriptor, raw)
 
 
@@ -486,13 +485,9 @@ def standard_functional(
     if descriptor.kind == "LexPower":
         if len(values) != descriptor.param:
             raise DomainError(f"{descriptor.param} values expected")
-        gens = []
-        for i, v in enumerate(values):
-            unit = tuple(
-                Fraction(1 if j == i else 0) for j in range(descriptor.param)
-            )
-            gens.append((GroupElement(descriptor, unit), v))
-        return LinearFunctional(descriptor, tuple(gens))
+        n = descriptor.param
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return LinearFunctional(descriptor, tuple(zip(units, values)))
     raise DomainError(f"no standard generators for {descriptor}")
 
 
@@ -564,27 +559,18 @@ class PiecewiseLinear:
     def descriptor(self):
         return RATIONALS
 
+    def _walk(self, x, xs, ys, step):
+        """The piece of ``xs`` holding ``x``, mapped onto ``ys``: ``mul``
+        by its slope runs forward, ``truediv`` backward."""
+        i = bisect.bisect_right(xs, x)
+        j = max(i - 1, 0)
+        return GroupElement(RATIONALS, ys[j] + step(x - xs[j], self.slopes[i]))
+
     def forward(self, g):
-        x = g.value
-        breaks = self.breakpoints
-        vals = self._values
-        i = bisect.bisect_right(breaks, x) - 1
-        if i < 0:
-            y = vals[0] + self.slopes[0] * (x - breaks[0])
-        else:
-            y = vals[i] + self.slopes[i + 1] * (x - breaks[i])
-        return GroupElement(RATIONALS, y)
+        return self._walk(g.value, self.breakpoints, self._values, mul)
 
     def backward(self, g):
-        y = g.value
-        breaks = self.breakpoints
-        vals = self._values
-        i = bisect.bisect_right(vals, y) - 1
-        if i < 0:
-            x = breaks[0] + (y - vals[0]) / self.slopes[0]
-        else:
-            x = breaks[i] + (y - vals[i]) / self.slopes[i + 1]
-        return GroupElement(RATIONALS, x)
+        return self._walk(g.value, self._values, self.breakpoints, truediv)
 
 
 @dataclass(frozen=True)
@@ -618,10 +604,6 @@ class TriangularMatrix:
 
     descriptor: GroupDescriptor
     entries: tuple[tuple[Fraction, ...], ...]
-    # rows of the inverse matrix, derived once from ``entries``
-    _inverse: tuple[tuple[Fraction, ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
         if self.descriptor.kind != "LexPower":
@@ -639,23 +621,19 @@ class TriangularMatrix:
                     raise InvalidMap(
                         "a generator image must not touch more dominant coordinates"
                     )
-        # The rows of A^-1 are the dual basis of the columns of A, which
-        # are the images of the unit vectors.
-        images = [GroupElement(self.descriptor, column) for column in zip(*rows)]
-        object.__setattr__(self, "_inverse", _span_of(images).duals)
-
-    def _mat_apply(self, rows, vec):
-        return tuple(
-            sum((r * c for r, c in zip(row, vec)), Fraction(0)) for row in rows
-        )
 
     def forward(self, g):
-        return GroupElement(self.descriptor, self._mat_apply(self.entries, g.value))
+        return GroupElement(
+            self.descriptor,
+            tuple(sum(map(mul, row, g.value), Fraction(0)) for row in self.entries),
+        )
 
     def backward(self, g):
-        return GroupElement(
-            self.descriptor, self._mat_apply(self._inverse, g.value)
-        )
+        """Forward substitution: row i is zero right of its diagonal."""
+        x = []
+        for row, y in zip(self.entries, g.value):
+            x.append((y - sum(map(mul, row, x), Fraction(0))) / row[len(x)])
+        return GroupElement(self.descriptor, tuple(x))
 
 
 @dataclass(frozen=True)

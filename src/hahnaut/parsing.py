@@ -316,8 +316,6 @@ class _Parser:
                 depth -= 1
             elif tok.kind == ":" and depth == 0:
                 return True
-            elif tok.kind == "end":
-                return False
         return False
 
     def functional(self, config: SessionConfig) -> groups.LinearFunctional:

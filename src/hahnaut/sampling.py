@@ -73,17 +73,17 @@ class Sampler:
     def __init__(self, seed: int = 7):
         self.rng = random.Random(seed)
 
-    def rational(self, lo: int = -9, hi: int = 9, max_den: int = 4) -> Fraction:
-        return Fraction(self.rng.randint(lo, hi), self.rng.randint(1, max_den))
+    def rational(self) -> Fraction:
+        return Fraction(self.rng.randint(-9, 9), self.rng.randint(1, 4))
 
-    def nonzero_rational(self, lo: int = -9, hi: int = 9, max_den: int = 4) -> Fraction:
+    def nonzero_rational(self) -> Fraction:
         while True:
-            q = self.rational(lo, hi, max_den)
+            q = self.rational()
             if q != 0:
                 return q
 
-    def positive_rational(self, hi: int = 9, max_den: int = 4) -> Fraction:
-        return Fraction(self.rng.randint(1, hi), self.rng.randint(1, max_den))
+    def positive_rational(self) -> Fraction:
+        return Fraction(self.rng.randint(1, 9), self.rng.randint(1, 4))
 
     def exponent(self, group: GroupDescriptor, lo: int = -3, hi: int = 4) -> GroupElement:
         """A group element on the integer lattice of the standard generators."""
@@ -102,11 +102,11 @@ class Sampler:
         ]
         return groups.element(group, Series.make(inner, terms))
 
-    def nonzero_exponent(self, group, lo: int = -3, hi: int = 4) -> GroupElement:
+    def nonzero_exponent(self, group) -> GroupElement:
         if group == groups.surreal_depth(0):
             raise DomainError("the trivial group only contains 0")
         while True:
-            g = self.exponent(group, lo, hi)
+            g = self.exponent(group)
             if not g.is_zero():
                 return g
 
@@ -122,9 +122,9 @@ class Sampler:
         ]
         return Series.make(group, terms, precision)
 
-    def nonzero_series(self, group, max_terms: int = 4, precision=None) -> Series:
+    def nonzero_series(self, group) -> Series:
         while True:
-            s = self.series(group, max_terms, precision)
+            s = self.series(group)
             if s.terms:
                 return s
 
@@ -140,13 +140,9 @@ class Sampler:
         n_extra = self.rng.randint(0, max_terms - 1)
         offsets = sorted(self.rng.sample(range(-3, 9), n_extra + 1))
         terms = []
-        for off in offsets:
-            ex = groups.embed_rational(group, off)
+        for ex in offsets:
             if group.kind == "LexPower":
-                tail = tuple(
-                    self.rng.randint(-2, 2) for _ in range(group.param - 1)
-                )
-                ex = groups.element(group, (Fraction(off),) + tuple(map(Fraction, tail)))
+                ex = (ex, *(self.rng.randint(-2, 2) for _ in range(group.param - 1)))
             terms.append((ex, self.nonzero_rational()))
         return Series.make(group, terms)
 

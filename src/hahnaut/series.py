@@ -9,11 +9,11 @@ Every ``Series`` keeps its terms normalized: each exponent is a
 ``GroupElement`` of the series' group, each coefficient a nonzero
 ``Fraction``, the exponents strictly ascend, and all of them lie below the
 precision bound.  ``Series.make`` is the one entry point that coerces raw
-exponents and coefficients and establishes the invariant (merge, drop
-zeros, sort, cut).  The constructor ``Series(...)`` checks nothing: it is
-for inputs that already hold the invariant, which is how every operation
-below builds its result, by merging or cutting normalized term lists
-instead of renormalizing them.
+exponents and coefficients and establishes the invariant: it drops zeros,
+merges the one-term lists pairwise (``_merge_rows``) and cuts the tail.
+The constructor ``Series(...)`` checks nothing: it is for inputs that
+already hold the invariant, which is how every operation below builds its
+result, by merging or cutting normalized term lists.
 
 Precision propagates through arithmetic with the tightest sound rules
 under unknown tails at or above the bound:
@@ -42,8 +42,8 @@ once, from its key.  On the rank-one groups Z and Q a key is the int
 so an exponent sum is an int add and an order test an int compare
 (``_Keys``); on lex and surreal groups an exponent is its own key.
 ``*`` keeps a fork: int keys in a dict on Z and Q (``_keyed_products``),
-and elsewhere pairwise row merges (``_merge_rows``), which hash no
-exponent.
+and elsewhere pairwise row merges (``_merge_rows``).  ``+``, ``make`` and
+these merges hash no exponent; ``invert`` and the exp rows do off Z and Q.
 """
 
 from __future__ import annotations
@@ -108,10 +108,10 @@ def _merge(a: tuple, b: tuple) -> list:
 
 
 def _merge_rows(rows: list) -> list:
-    """The summed rows of ``Series._mul`` off Z and Q: normalized term
-    lists with int numerators over one denominator, merged pairwise as a
-    bottom-up merge sort would, so like exponents meet and collapse
-    without hashing an exponent."""
+    """The sum of normalized term lists, merged pairwise as a bottom-up
+    merge sort would, so like exponents meet and collapse without hashing
+    an exponent: the rows of ``Series._mul`` off Z and Q (int numerators
+    over one denominator) and the one-term lists of ``Series.make``."""
     while len(rows) > 1:
         merged = [_merge(rows[k], rows[k + 1]) for k in range(0, len(rows) - 1, 2)]
         if len(rows) % 2:
@@ -214,23 +214,18 @@ class Series:
 
     @classmethod
     def make(cls, group, terms, precision=None) -> "Series":
-        """Normalize: merge like exponents, sort, drop zeros and cut tails."""
+        """Normalize: coerce each pair, drop zeros, merge the one-term
+        lists ascending (like exponents collapse) and cut the tail."""
         if precision is not None:
             precision = element(group, precision)
-        merged: dict[GroupElement, Fraction] = {}
+        rows = []
         for ex, c in terms:
             ex = element(group, ex)
             if type(c) is not Fraction:
                 c = Fraction(c)
-            prev = merged.get(ex)
-            merged[ex] = c if prev is None else prev + c
-        kept = [
-            (ex, c)
-            for ex, c in merged.items()
-            if c != 0 and (precision is None or ex.compare(precision) < 0)
-        ]
-        kept.sort(key=_exponent)
-        return cls(group, tuple(kept), precision)
+            if c:
+                rows.append(((ex, c),))
+        return cls(group, _cut(tuple(_merge_rows(rows)), precision), precision)
 
     @classmethod
     def zero(cls, group) -> "Series":

@@ -164,6 +164,16 @@ class TestClassify:
         second = run(capsys, *argv)
         assert first == second
 
+    @pytest.mark.parametrize("count", [0, -3])
+    @pytest.mark.parametrize("argv", [["classify", "identity"], ["selftest"]])
+    def test_sample_count_below_one_is_a_usage_error(self, capsys, argv, count):
+        # exit 1 is a property failure with a witness; a bad flag is exit 2
+        assert run(capsys, *argv, f"--sample-count={count}") == (
+            2,
+            "",
+            f"USAGE ERROR: --sample-count must be at least 1, not {count}\n",
+        )
+
 
 class TestInvert:
     def test_geometric_inverse(self, capsys):

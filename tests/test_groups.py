@@ -209,6 +209,22 @@ class TestMonotoneMaps:
                 assert zeta.forward(a).compare(zeta.forward(b)) < 0
             assert zeta.backward(zeta.forward(a)) == a
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            # slope 1/2 left of -1, 3 on [-1, 2), 1 from 2 on; -4 at -1
+            (Fraction(-7), Fraction(-7)),
+            (Fraction(-1), Fraction(-4)),
+            (Fraction(1, 3), Fraction(0)),
+            (Fraction(2), Fraction(5)),
+            (Fraction(9, 2), Fraction(15, 2)),
+        ],
+    )
+    def test_piecewise_at_breakpoints_and_beyond_both_ends(self, x, y):
+        zeta = PiecewiseLinear((-1, 2), (Fraction(1, 2), 3, 1), anchor=-4)
+        g, h = embed_rational(RATIONALS, x), embed_rational(RATIONALS, y)
+        assert (zeta.forward(g), zeta.backward(h)) == (h, g)
+
     def test_negative_slope_rejected(self):
         with pytest.raises(InvalidMap):
             PiecewiseLinear((Fraction(0),), (Fraction(1), Fraction(-1)))
@@ -332,6 +348,18 @@ class TestElimination:
         g = element(group, tuple(data.draw(_ENTRIES) for _ in range(n)))
         assert tau.backward(tau.forward(g)) == g
         assert tau.forward(tau.backward(g)) == g
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @given(data=st.data())
+    def test_triangular_backward_matches_elimination(self, n, data):
+        # a wrong forward/backward pair could still round-trip; elimination
+        # solves A x = y on its own
+        group = lex_power(n)
+        rows = data.draw(lower_triangular(n))
+        y = tuple(data.draw(_ENTRIES) for _ in range(n))
+        _, (x,) = groups._solve_linear(list(zip(*rows)), [y])
+        image = TriangularMatrix(group, rows).backward(element(group, y))
+        assert image == element(group, tuple(x))
 
     @pytest.mark.parametrize("argument", [Fraction(1), Series.monomial(RATIONALS, 1)])
     def test_surreal_dependence_is_reported_first(self, argument):
