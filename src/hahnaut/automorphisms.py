@@ -67,7 +67,7 @@ class PartialCharacter:
     lattice: tuple[GroupElement, ...]
     values: tuple[Fraction, ...]
     # the span of the lattice, derived once from ``lattice``
-    _span: groups._Span = field(init=False, compare=False, repr=False)
+    _span: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         lattice = tuple(groups.element(self.descriptor, g) for g in self.lattice)
@@ -90,11 +90,11 @@ class PartialCharacter:
         if not self.lattice:
             return Fraction(1)  # the trivial character is identically 1
         coeffs = groups._span_coefficients(self._span, g)
-        if coeffs is None or any(q.denominator != 1 for q in coeffs):
+        if coeffs is None or any(q.denominator != 1 for q in coeffs.values()):
             raise DomainError(f"{g} is not in the integer span of the lattice")
         out = Fraction(1)
-        for q, v in zip(coeffs, self.values):
-            out *= v ** int(q)
+        for i, q in coeffs.items():
+            out *= self.values[i] ** int(q)
         return out
 
 

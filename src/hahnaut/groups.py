@@ -28,8 +28,8 @@ import bisect
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul, truediv
-from typing import Iterable, NamedTuple, Sequence
+from operator import mul, truediv
+from typing import Iterable, Sequence
 
 from .errors import (
     DescriptorMismatch,
@@ -194,6 +194,7 @@ class GroupElement:
         return format_group_element(self)
 
 
+@functools.cache
 def zero(descriptor: GroupDescriptor) -> GroupElement:
     return embed_rational(descriptor, 0)
 
@@ -275,141 +276,91 @@ def arch_compare(g: GroupElement, h: GroupElement) -> str:
 
 
 # -- exact rational linear algebra -----------------------------------------
+#
+# A span is the reduced row form of a Q-linearly independent basis: a dict
+# from each pivot coordinate to its row.  A row's pivot entry is 1 and is
+# not stored, and it is 0 at every other pivot.  It is a pair of tuples:
+# its other nonzero coordinates ``(key, x)`` and its combination ``(i, q)``
+# of the basis.  One elimination step, ``_reduce``, builds a span
+# (``_span_of``) and reads it (``_span_coefficients``), touching only the
+# rows at an element's own pivots.  The tests keep a dense Gauss-Jordan
+# solver as the independent oracle for both.
 
 
-def _exponent_index(elements: Sequence[GroupElement]) -> dict | None:
-    """Each exponent of self-similar ``elements``, ascending, to its
-    coordinate position; None for the other kinds, whose coordinates are
-    fixed."""
-    desc = elements[0].descriptor
-    if desc.kind != "SurrealDepth" or desc.param == 0:
-        return None
-    keys = sorted({ex for e in elements for ex, _ in e.value.terms})
-    return {k: i for i, k in enumerate(keys)}
-
-
-def _coordinates(
-    elements: Sequence[GroupElement], index: dict | None = None
-) -> list[list[Fraction] | None]:
-    """Coordinate vectors of elements w.r.t. a common finite Q-basis.
-
-    A self-similar element's coordinates are its coefficients at the
-    exponents ``index`` numbers, by default at every exponent of
-    ``elements``; an element with an exponent outside ``index`` has none,
-    and gets None.
-    """
-    desc = elements[0].descriptor
+def _coordinates(g: GroupElement) -> dict:
+    """The nonzero coordinates of ``g`` over a Q-basis of its group: keyed
+    by position on Z, Q and lexN, and by exponent on surrealD with D >= 1,
+    whose elements' coordinates are their coefficients; surreal0 has none."""
+    desc = g.descriptor
     if desc.rank_one:
-        return [[Fraction(e.value)] for e in elements]
+        return {0: g.value} if g.value else {}
     if desc.kind == "LexPower":
-        return [list(e.value) for e in elements]
+        return {i: c for i, c in enumerate(g.value) if c}
     if desc.param == 0:
-        return [[Fraction(0)] for _ in elements]
-    if index is None:
-        index = _exponent_index(elements)
-    vecs = []
-    for e in elements:
-        row = [Fraction(0)] * len(index)
-        for ex, c in e.value.terms:
-            i = index.get(ex)
-            if i is None:
-                row = None
-                break
-            row[i] = c
-        vecs.append(row)
-    return vecs
+        return {}
+    return dict(g.value.terms)
 
 
-def _solve_linear(
-    columns: Sequence[Sequence[Fraction]],
-    targets: Sequence[Sequence[Fraction]] = (),
-) -> tuple[bool, list[list[Fraction] | None]]:
-    """Gauss-Jordan elimination over Q on nonempty, equal-length columns.
-
-    Solves sum_i x_i * columns[i] = target for every target at once and
-    returns ``(independent, solutions)``: whether the columns are
-    Q-linearly independent, and one solution per target, ``None`` where
-    the target is outside their span.  When the columns are dependent an
-    arbitrary solution is returned; callers that need uniqueness check
-    ``independent``.
-    """
-    n = len(columns)
-    rows = [list(row) for row in zip(*columns, *targets)]
-    m = len(rows)
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
+def _reduce(span: dict, coords: dict) -> tuple[dict, dict]:
+    """Subtract from ``coords``, at each of its keys that is a pivot of
+    ``span``, that pivot's row scaled by the entry there.  Returns the
+    nonzero coordinates left, none of them a pivot, and the combination of
+    the basis subtracted."""
+    left = dict(coords)
+    combination = {}
+    for pivot, x in coords.items():
+        row = span.get(pivot)
+        if row is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        if len(pivots) == m:
-            break
-    rank = len(pivots)
-    solutions = []
-    for k in range(n, n + len(targets)):
-        if any(row[k] != 0 for row in rows[rank:]):
-            solutions.append(None)
-            continue
-        solution = [Fraction(0)] * n
-        for i, c in enumerate(pivots):
-            solution[c] = rows[i][k]
-        solutions.append(solution)
-    return rank == n, solutions
+        del left[pivot]
+        entries, row_combination = row
+        for key, y in entries:
+            y *= x
+            left[key] = left[key] - y if key in left else -y
+        for i, q in row_combination:
+            q *= x
+            combination[i] = combination[i] + q if i in combination else q
+    return {key: x for key, x in left.items() if x}, combination
 
 
-class _Span(NamedTuple):
-    """The Q-span of an independent basis, derived once for every
-    evaluation: ``index`` numbers the basis exponents of a self-similar
-    kind (None for the other kinds), ``columns`` are the basis coordinate
-    vectors as columns, and ``duals`` is the dual basis:
-    ``duals[i] . coordinates(basis[j])`` is 1 when ``i == j`` and 0
-    otherwise."""
-
-    index: dict | None
-    columns: list
-    duals: tuple
-
-
-def _span_of(basis: Sequence[GroupElement]) -> _Span | None:
+def _span_of(basis: Sequence[GroupElement]) -> dict | None:
     """The span of ``basis``, or None when the basis is Q-linearly
     dependent."""
-    if not basis:
-        return _Span(None, [], ())
-    index = _exponent_index(basis)
-    columns = list(zip(*_coordinates(basis, index)))
-    # With the coordinates as columns, the unit vectors are all solvable
-    # exactly when the basis is independent.
-    n = len(basis)
-    units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    _, duals = _solve_linear(columns, units)
-    if None in duals:
-        return None
-    return _Span(index, columns, tuple(map(tuple, duals)))
+    span = {}
+    for j, b in enumerate(basis):
+        left, combination = _reduce(span, _coordinates(b))
+        if not left:
+            return None  # b is in the span of the elements before it
+        # the new row is b minus the combination, scaled to 1 at its pivot
+        pivot = next(iter(left))
+        lead = Fraction(left.pop(pivot))
+        combination = {i: -q for i, q in combination.items()}
+        combination[j] = 1
+        new = {
+            pivot: (
+                tuple((key, x / lead) for key, x in left.items()),
+                tuple((i, q / lead) for i, q in combination.items()),
+            )
+        }
+        # clear the new pivot from the earlier rows
+        for p, (entries, row_combination) in span.items():
+            entries = dict(entries)
+            if pivot in entries:
+                entries, subtracted = _reduce(new, entries)
+                rest = dict(row_combination)
+                for i, q in subtracted.items():
+                    rest[i] = rest.get(i, 0) - q
+                span[p] = (tuple(entries.items()), tuple(rest.items()))
+        span.update(new)
+    return span
 
 
-def _span_coefficients(span: _Span, g: GroupElement) -> list[Fraction] | None:
-    """The coefficients of ``g`` over the independent, nonempty basis of
-    ``span``, or None when ``g`` is outside its Q-span."""
-    (vector,) = _coordinates([g], span.index)
-    if vector is None:
-        return None  # an exponent no basis element has
-    # The duals give the only candidate coefficients, and g is in the span
-    # exactly when they rebuild it; a basis with as many elements as
-    # coordinates spans them all.
-    coeffs = [functools.reduce(add, map(mul, dual, vector)) for dual in span.duals]
-    if len(coeffs) == len(vector) or vector == [
-        functools.reduce(add, map(mul, coeffs, column)) for column in span.columns
-    ]:
-        return coeffs
-    return None
+def _span_coefficients(span: dict, g: GroupElement) -> dict | None:
+    """The coefficients ``{i: q}`` of ``g`` over the independent, nonempty
+    basis of ``span`` (0 where ``i`` is missing), or None when ``g`` is
+    outside its Q-span."""
+    left, combination = _reduce(span, _coordinates(g))
+    return None if left else combination
 
 
 # -- Q-linear functionals ---------------------------------------------------
@@ -426,7 +377,7 @@ class LinearFunctional:
     descriptor: GroupDescriptor
     generators: tuple[tuple[GroupElement, Fraction], ...]
     # the span of the generators, derived once from ``generators``
-    _span: _Span = field(init=False, compare=False, repr=False)
+    _span: dict = field(init=False, compare=False, repr=False)
     # on Z and Q, ``v / g`` for the one generator ``(g, v)``, so that
     # ``phi(h) = h.value * _slope``; None off rank one or with no generator
     _slope: Fraction | None = field(init=False, compare=False, repr=False)
@@ -462,7 +413,7 @@ class LinearFunctional:
         if coeffs is None:
             raise OutsideSpan(f"{g} is not in the Q-span of the generators")
         return sum(
-            (q * v for q, (_, v) in zip(coeffs, self.generators)), Fraction(0)
+            (q * self.generators[i][1] for i, q in coeffs.items()), Fraction(0)
         )
 
     def negated(self) -> "LinearFunctional":

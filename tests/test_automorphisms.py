@@ -63,6 +63,7 @@ from hahnaut.sampling import (
     first_counterexample,
 )
 from hahnaut.series import Series
+import linear_reference as reference
 
 Q = RATIONALS
 T = Series.monomial(Q, 1)
@@ -77,8 +78,8 @@ def solved_character(chi, g):
     """``chi(g)`` by a fresh elimination over the lattice and ``g``."""
     if g.is_zero() or not chi.lattice:
         return Fraction(1)
-    vectors = groups._coordinates(list(chi.lattice) + [g])
-    _, (coeffs,) = groups._solve_linear(vectors[:-1], vectors[-1:])
+    vectors = reference._coordinates(list(chi.lattice) + [g])
+    _, (coeffs,) = reference._solve_linear(vectors[:-1], vectors[-1:])
     if coeffs is None or any(q.denominator != 1 for q in coeffs):
         raise DomainError(f"{g} is not in the integer span of the lattice")
     out = Fraction(1)

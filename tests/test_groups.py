@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from hahnaut.groups import (
 )
 from hahnaut.sampling import Sampler
 from hahnaut.series import Series
+import linear_reference as reference
 
 LEX2 = lex_power(2)
 SURREAL1 = surreal_depth(1)
@@ -150,7 +152,7 @@ class TestLinearFunctional:
         for size in (1, 2, 3) * 3:
             gens = [smp.nonzero_exponent(group) for _ in range(size)]
             values = [smp.rational() for _ in range(size)]
-            independent, _ = groups._solve_linear(groups._coordinates(gens))
+            independent, _ = reference._solve_linear(reference._coordinates(gens))
             try:
                 phi = LinearFunctional(group, tuple(zip(gens, values)))
             except DomainError as exc:
@@ -176,8 +178,8 @@ def solved_functional(phi, g):
     """``phi(g)`` by a fresh elimination over the generators and ``g``."""
     if g.is_zero():
         return Fraction(0)
-    vectors = groups._coordinates([gen for gen, _ in phi.generators] + [g])
-    _, (coeffs,) = groups._solve_linear(vectors[:-1], vectors[-1:])
+    vectors = reference._coordinates([gen for gen, _ in phi.generators] + [g])
+    _, (coeffs,) = reference._solve_linear(vectors[:-1], vectors[-1:])
     if coeffs is None:
         raise OutsideSpan(f"{g} is not in the Q-span of the generators")
     return sum((q * v for q, (_, v) in zip(coeffs, phi.generators)), Fraction(0))
@@ -333,7 +335,7 @@ class TestElimination:
 
         a = matrix(zip(*columns))
         augmented = matrix(zip(*columns, target))
-        independent, (solution,) = groups._solve_linear(columns, [target])
+        independent, (solution,) = reference._solve_linear(columns, [target])
         assert independent == (a.rank() == len(columns))
         assert (solution is not None) == (augmented.rank() == a.rank())
         if solution is not None:
@@ -357,7 +359,7 @@ class TestElimination:
         group = lex_power(n)
         rows = data.draw(lower_triangular(n))
         y = tuple(data.draw(_ENTRIES) for _ in range(n))
-        _, (x,) = groups._solve_linear(list(zip(*rows)), [y])
+        _, (x,) = reference._solve_linear(list(zip(*rows)), [y])
         image = TriangularMatrix(group, rows).backward(element(group, y))
         assert image == element(group, tuple(x))
 
@@ -511,7 +513,7 @@ class TestGroupFastPaths:
         g = data.draw(values)
         v = data.draw(_RATIONAL | st.just(Fraction(10**18, 7)))
         result = LinearFunctional(group, ((gen, v),))(g)
-        _, (coeffs,) = groups._solve_linear(
+        _, (coeffs,) = reference._solve_linear(
             [[Fraction(gen.value)]], [[Fraction(g.value)]]
         )
         # the slope g.value * (v / gen.value) is the quotient formula
@@ -524,3 +526,99 @@ class TestGroupFastPaths:
         assert phi(zero(group)) == 0
         with pytest.raises(OutsideSpan, match="empty generator list"):
             phi(embed_rational(group, 1))
+
+
+# -- the sparse span: reduced rows built and read by one elimination step ------
+
+
+def _as_elements(group, vectors):
+    """Coordinate vectors as elements: lex tuples, or surreal1 series with
+    coordinate i at t^(i)."""
+    if group.kind == "LexPower":
+        return [element(group, tuple(v)) for v in vectors]
+    return [
+        element(group, Series.make(RATIONALS, list(enumerate(v)))) for v in vectors
+    ]
+
+
+def _coefficient_list(coeffs, n):
+    return [coeffs.get(i, 0) for i in range(n)]
+
+
+class TestSparseSpan:
+    @given(linear_systems())
+    def test_span_agrees_with_sympy(self, system):
+        sympy = pytest.importorskip("sympy")
+        columns, target = system
+
+        def matrix(rows):
+            return sympy.Matrix(
+                [[sympy.Rational(q.numerator, q.denominator) for q in r] for r in rows]
+            )
+
+        a = matrix(zip(*columns))
+        independent = a.rank() == len(columns)
+        consistent = matrix(zip(*columns, target)).rank() == a.rank()
+        if independent and consistent:
+            solution, _ = a.gauss_jordan_solve(matrix([t] for t in target))
+            expected = [Fraction(int(x.p), int(x.q)) for x in solution]
+        # the same system as lex elements and as surreal1 elements
+        for group in (lex_power(len(target)), SURREAL1):
+            span = groups._span_of(_as_elements(group, columns))
+            assert (span is not None) == independent
+            if span is None:
+                continue
+            (g,) = _as_elements(group, [target])
+            coeffs = groups._span_coefficients(span, g)
+            assert (coeffs is not None) == consistent
+            if coeffs is not None:
+                assert _coefficient_list(coeffs, len(columns)) == expected
+
+    def test_fill_in_over_surreal1(self):
+        one, t, t2 = (element(SURREAL1, Series.monomial(RATIONALS, k)) for k in range(3))
+        # reducing t against the row of 1 + t fills in the coordinate at 1
+        span = groups._span_of([one + t, t])
+        assert _coefficient_list(groups._span_coefficients(span, one), 2) == [1, -1]
+        assert groups._span_coefficients(span, t2) is None
+        phi = LinearFunctional(SURREAL1, ((one + t, Fraction(5)), (t, Fraction(2))))
+        assert phi(one) == 3
+        with pytest.raises(OutsideSpan):
+            phi(t2)
+        with pytest.raises(
+            DomainError, match="^functional generators are Q-linearly dependent$"
+        ):
+            LinearFunctional(
+                SURREAL1, ((one + t, Fraction(1)), (t, Fraction(1)), (one, Fraction(1)))
+            )
+
+    def test_evaluations_leave_the_rows_unchanged(self):
+        one, t, t3 = (element(SURREAL1, Series.monomial(RATIONALS, k)) for k in (0, 1, 3))
+        basis = [one + t, t - t3, t3.scale(2) + one]
+        phi = LinearFunctional(SURREAL1, tuple(zip(basis, (1, 2, 3))))
+        rows = copy.deepcopy(phi._span)
+        smp = Sampler(5)
+        for k in range(100):
+            g = sum((x.scale(smp.rational()) for x in basis), zero(SURREAL1))
+            if k % 2:
+                g = g + smp.exponent(SURREAL1)  # mostly outside the span
+            outcome(phi, g)
+        assert phi._span == rows
+
+
+class TestSharedZero:
+    @pytest.mark.parametrize(
+        "group",
+        [INTEGERS, RATIONALS, LEX2] + [surreal_depth(d) for d in range(3)],
+        ids=str,
+    )
+    def test_one_zero_per_descriptor(self, group):
+        assert zero(group) is zero(group)
+        assert zero(group) == embed_rational(group, 0)
+        assert zero(group).is_zero()
+
+    def test_a_directly_built_descriptor_gets_a_zero_that_combines(self):
+        direct = GroupDescriptor("LexPower", 2)
+        g = element(LEX2, (1, -2))
+        assert zero(direct) is zero(direct)
+        assert zero(direct) + g == g == g + zero(direct)
+        assert zero(direct).compare(g) < 0 < g.compare(zero(direct))

@@ -14,9 +14,10 @@ kinds are the identity (the empty ``Compose``), the five primitive nodes,
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hahnaut.automorphisms import (
@@ -33,7 +34,7 @@ from hahnaut.automorphisms import (
     make_external_group,
     make_internal_mult,
 )
-from hahnaut.derivations import exp_derivation
+from hahnaut.derivations import exp_apply, exp_derivation
 from hahnaut.errors import HahnError
 from hahnaut.groups import (
     RATIONALS,
@@ -210,6 +211,64 @@ def test_truncated_input_agrees_below_its_image_precision(name, kind, inverted):
         truncated = image(aut, exact.truncate_to(cut), precision)
         if full is None or truncated is None:
             # both refused agree; a refusal on one side only is not evaluated
+            outcomes["refused" if full is truncated else "one-sided"] += 1
+            return
+        assert truncated.precision is not None
+        if full.precision is not None:
+            assert truncated.precision.compare(full.precision) <= 0
+        assert truncated.agrees(full)
+        outcomes["agreed"] += 1
+
+    check()
+    assert outcomes["agreed"] >= MIN_EVALUATED, outcomes
+
+
+# -- the kernels on their own: Series.invert and exp_apply ---------------------
+#
+# The same check with a series kernel in place of the node: an exact input,
+# the same input cut past its leading term, and one target, drawn on its own
+# or relative to the cut.
+
+
+def exp_kernels(group):
+    return DERIVATIONS[group]().map(lambda d: partial(exp_apply, d))
+
+
+KERNELS = {"invert": lambda g: st.just(Series.invert), "exp_apply": exp_kernels}
+# a kernel draw is cheap: more of them leave every group room above
+# MIN_EVALUATED
+KERNEL_EXAMPLES = 60
+
+
+def result(kernel, s, target):
+    try:
+        return kernel(s, target)
+    except HahnError:
+        return None
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("name", GROUPS)
+def test_truncated_kernel_input_agrees_below_its_result_precision(name, kernel):
+    group = GROUPS[name]
+    outcomes = Counter()
+
+    @settings(max_examples=KERNEL_EXAMPLES)
+    @given(
+        KERNELS[kernel](group),
+        st.lists(st.tuples(exponents(group), coefficients), min_size=1, max_size=4),
+        positive(exponents(group)),
+        exponents(group),
+        st.booleans(),
+    )
+    def check(apply, terms, step, target, relative):
+        exact = Series.make(group, terms)
+        assume(exact.terms)
+        if relative:  # near the cut, where invert's precision check decides
+            target = target + step
+        full = result(apply, exact, target)
+        truncated = result(apply, exact.truncate_to(exact.terms[0][0] + step), target)
+        if full is None or truncated is None:
             outcomes["refused" if full is truncated else "one-sided"] += 1
             return
         assert truncated.precision is not None
