@@ -9,11 +9,13 @@ Four concrete kinds stand in for the exponent group of the series field:
   elements are exact series one level down (depth 1 uses rational
   exponents, depth 0 is the trivial group).
 
-All elements are immutable and all operations are pure.  On top of the
-group operations the module provides the natural (archimedean) valuation
-comparison, finitely generated Q-linear functionals into the rationals,
-strictly order-preserving bijections, and additive order-preserving
-automorphisms with exact rational inverses.
+All elements are immutable and all operations are pure.  Surreal
+elements are ordered by ``first_difference``, the one exact walk over two
+ascending term tuples, which also serves the order of series.  On top of
+the group operations the module provides the natural (archimedean)
+valuation comparison, finitely generated Q-linear functionals into the
+rationals, strictly order-preserving bijections, and additive
+order-preserving automorphisms with exact rational inverses.
 
 Descriptors are interned: ``lex_power(n)``, ``surreal_depth(d)`` and
 ``exponent_group`` return one shared instance per argument, so the
@@ -181,7 +183,7 @@ class GroupElement:
                     return 1 if d > 0 else -1
             return 0
         if kind == "SurrealDepth" and desc.param >= 1:
-            return a.compare(b)
+            return first_difference(a.terms, b.terms)[0]
         d = a.numerator * b.denominator - b.numerator * a.denominator
         return (d > 0) - (d < 0)
 
@@ -192,6 +194,27 @@ class GroupElement:
         from .parsing import format_group_element  # lazy: avoids an import cycle
 
         return format_group_element(self)
+
+
+def first_difference(a: tuple, b: tuple) -> tuple[int, GroupElement | None]:
+    """Sign of ``a - b`` for two ascending term tuples and the exponent of
+    their first difference, or ``(0, None)``: there the smaller exponent's
+    coefficient sign decides, else the coefficient order (read from ints)."""
+    if a is b:
+        return 0, None
+    for (ea, ca), (eb, cb) in zip(a, b):
+        if ea is not eb and (order := ea.compare(eb)):
+            sign, ex, c = (1, ea, ca) if order < 0 else (-1, eb, cb)
+            return (sign if c.numerator > 0 else -sign), ex
+        if ca is not cb:
+            d = ca.numerator * cb.denominator - cb.numerator * ca.denominator
+            if d:
+                return (1 if d > 0 else -1), ea
+    if len(a) == len(b):
+        return 0, None
+    # one is a proper prefix of the other: the first term of the tail decides
+    sign, (ex, c) = (1, a[len(b)]) if len(a) > len(b) else (-1, b[len(a)])
+    return (sign if c.numerator > 0 else -sign), ex
 
 
 @functools.cache

@@ -44,6 +44,10 @@ so an exponent sum is an int add and an order test an int compare
 ``*`` keeps a fork: int keys in a dict on Z and Q (``_keyed_products``),
 and elsewhere pairwise row merges (``_merge_rows``).  ``+``, ``make`` and
 these merges hash no exponent; ``invert`` and the exp rows do off Z and Q.
+
+Off the keys, ``GroupElement.compare`` orders exponents, by the exact walk
+``groups.first_difference`` on surreal groups.  ``compare``, ``agrees`` and
+``sign`` run that walk too, and hide a difference at or past the precision.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .errors import (
     NonTerminating,
     ZeroSeries,
 )
-from .groups import GroupDescriptor, GroupElement, arch_compare, element
+from .groups import GroupDescriptor, GroupElement, arch_compare, element, first_difference
 
 _exponent = itemgetter(0)
 
@@ -464,40 +468,13 @@ class Series:
 
     def _difference_sign(self, other: "Series") -> tuple[int, GroupElement | None]:
         """Sign of the leading term of self - other below the joint
-        precision (0 when there is none), and that joint precision.
-
-        One walk over both term lists to the first exponent where they
-        differ; the difference series itself is never built.
-        """
+        precision (0 when there is none), and that joint precision: the
+        first difference of the term lists, by ``first_difference``, unless
+        it lies at or past that precision.  The difference is never built."""
         self._check(other)
         precision = _pmin(self.precision, other.precision)
-        a, b = self.terms, other.terms
-        i = j = 0
-        while True:
-            if i == len(a):
-                if j == len(b):
-                    return 0, precision
-                ex, c = b[j]
-                sign = -1 if c > 0 else 1
-                break
-            if j == len(b):
-                ex, c = a[i]
-                sign = 1 if c > 0 else -1
-                break
-            (ex, ca), (eb, cb) = a[i], b[j]
-            order = ex.compare(eb)
-            if order < 0:
-                sign = 1 if ca > 0 else -1
-                break
-            if order > 0:
-                ex, sign = eb, -1 if cb > 0 else 1
-                break
-            if ca != cb:
-                sign = 1 if ca > cb else -1
-                break
-            i += 1
-            j += 1
-        if precision is not None and ex.compare(precision) >= 0:
+        sign, ex = first_difference(self.terms, other.terms)
+        if sign and precision is not None and ex.compare(precision) >= 0:
             return 0, precision
         return sign, precision
 

@@ -431,6 +431,33 @@ def reference_order(a, b) -> int:
     return (x > y) - (x < y)
 
 
+def near(a, data):
+    """A surreal element next to ``a``: ``a`` with its last terms dropped,
+    with a term appended above its last exponent, or with one coefficient
+    changed in value or in sign.  Pairs like these reach the end of a term
+    list and the first term past a common prefix, which independent draws
+    rarely do."""
+    inner = a.descriptor.exponent_group
+    terms = list(a.value.terms)
+    move = data.draw(st.sampled_from(["drop", "append", "value", "sign"]))
+    if not terms or move == "append":
+        step = data.draw(ELEMENTS[str(inner)].filter(lambda g: not g.is_zero()))
+        if reference_order(step, zero(inner)) < 0:
+            step = -step
+        top = terms[-1][0] + step if terms else step
+        terms.append((top, data.draw(_RATIONAL.filter(bool))))
+    else:
+        i = data.draw(st.integers(0, len(terms) - 1))
+        ex, c = terms[i]
+        if move == "drop":
+            del terms[i:]
+        elif move == "value":
+            terms[i] = (ex, data.draw(_RATIONAL.filter(bool)))
+        else:
+            terms[i] = (ex, -c)
+    return element(a.descriptor, Series.make(inner, terms))
+
+
 class TestGroupFastPaths:
     @pytest.mark.parametrize("name", sorted(ELEMENTS))
     @given(data=st.data())
@@ -446,6 +473,15 @@ class TestGroupFastPaths:
         assert a.compare(b) == expected
         assert b.compare(a) == -expected
         assert (a == b) == (expected == 0)
+
+    @pytest.mark.parametrize("name", ["surreal1", "surreal2"])
+    @given(data=st.data())
+    def test_compare_matches_the_reference_order_on_near_pairs(self, name, data):
+        a = data.draw(ELEMENTS[name])
+        b = near(a, data)
+        expected = reference_order(a, b)
+        assert a.compare(b) == expected
+        assert b.compare(a) == -expected
 
     def test_descriptors_are_interned(self):
         assert lex_power(2) is lex_power(2)

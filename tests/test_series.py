@@ -233,3 +233,90 @@ class TestOtherGroups:
         for _ in range(20):
             s = sampler.invertible_series(group)
             assert (s * s.invert(target)).agrees(Series.one(group))
+
+
+def reference_difference(a, b):
+    """``compare`` and ``agrees`` by definition: the ``make``-built
+    difference cut at the joint precision; its first term decides, and
+    when it has none an inexact pair is refused."""
+    bounds = [p for p in (a.precision, b.precision) if p is not None]
+    precision = min(bounds) if bounds else None
+    negated = [(ex, -c) for ex, c in b.terms]
+    difference = Series.make(a.group, list(a.terms) + negated, precision)
+    if difference.terms:
+        return (1 if difference.terms[0][1] > 0 else -1), False
+    if precision is None:
+        return 0, True
+    message = f"difference vanishes below {precision} but the inputs are inexact"
+    return (InsufficientPrecision, message), True
+
+
+def refusal_or(call):
+    try:
+        return call()
+    except InsufficientPrecision as exc:
+        return (InsufficientPrecision, str(exc))
+
+
+def order_pairs(group, seed, count):
+    """Truncated and exact pairs, most of them near each other: a copy with
+    one more term, at or past the precision or below it, a truncation, a
+    coefficient with its sign flipped, the same object, or independent."""
+    smp = Sampler(seed)
+    for i in range(count):
+        a = smp.series(group, 4, smp.exponent(group) if i % 3 else None)
+        kind = i % 5
+        if kind == 0:
+            b = smp.series(group, 4, smp.exponent(group) if i % 2 else None)
+        elif kind == 1:
+            extra = (smp.exponent(group), smp.nonzero_rational())
+            b = Series.make(group, list(a.terms) + [extra])
+        elif kind == 2:
+            b = a.truncate_to(smp.exponent(group))
+        elif kind == 3:
+            b = a
+        else:
+            terms = list(a.terms)
+            if terms:
+                j = smp.rng.randrange(len(terms))
+                terms[j] = (terms[j][0], -terms[j][1])
+            b = Series(group, tuple(terms), a.precision)
+        yield a, b
+
+
+class TestOrderWalk:
+    """``compare``, ``agrees`` and ``sign`` are the exponent walk
+    ``first_difference`` plus the joint precision; surreal exponents are
+    ordered by the walk alone."""
+
+    @pytest.mark.parametrize("group", [Q, lex_power(2), surreal_depth(1)], ids=str)
+    def test_order_matches_the_difference_series(self, group):
+        hidden = 0
+        zero = Series.zero(group)
+        for a, b in order_pairs(group, 29, 300):
+            sign, agrees = reference_difference(a, b)
+            assert refusal_or(lambda: a.compare(b)) == sign
+            assert a.agrees(b) == agrees == b.agrees(a)
+            if type(sign) is int:
+                assert b.compare(a) == -sign
+            assert refusal_or(a.sign) == reference_difference(a, zero)[0]
+            # the terms differ, but only at or past the joint precision
+            hidden += type(sign) is tuple and a.terms != b.terms
+        assert hidden >= 10
+
+    def test_surreal_exponents_are_ordered_without_the_series_order(
+        self, monkeypatch
+    ):
+        group = surreal_depth(2)
+        smp = Sampler(31)
+        exponents = [(smp.exponent(group), smp.exponent(group)) for _ in range(30)]
+        series = [(smp.series(group), smp.series(group)) for _ in range(30)]
+
+        def refuse(self, other):
+            raise AssertionError("an exponent was ordered through Series order")
+
+        monkeypatch.setattr(Series, "_difference_sign", refuse)
+        monkeypatch.setattr(Series, "compare", refuse)
+        for (g, h), (a, b) in zip(exponents, series):
+            g.compare(h), h.compare(g), g + h, g - h
+            a + b, a * b, a * a
