@@ -267,7 +267,7 @@ def make_internal_mult(eps: Series) -> Automorphism:
 
 
 def make_external_group(zeta, scaling: ScalingFamily) -> Automorphism:
-    if scaling.descriptor != zeta.descriptor:
+    if scaling.descriptor is not zeta.descriptor:
         raise DescriptorMismatch("scaling family and exponent map disagree")
     return Automorphism(zeta.descriptor, ExternalGroup(zeta, scaling))
 
@@ -279,7 +279,7 @@ def compose_aut(auts) -> Automorphism:
     group = auts[0].group
     parts = []
     for a in auts:
-        if a.group != group:
+        if a.group is not group:
             raise DescriptorMismatch("composed automorphisms on different groups")
         if isinstance(a.node, Compose):
             parts.extend(a.node.parts)
@@ -412,7 +412,7 @@ def _internal_mult_inverse(unit, s, precision):
 
 
 def apply_aut(a: Automorphism, s: Series, precision=None) -> Series:
-    if a.group != s.group:
+    if a.group is not s.group:
         raise DescriptorMismatch(
             f"automorphism on {a.group} applied to series over {s.group}"
         )
@@ -473,7 +473,7 @@ def construct_theta(
     spec: SampleSpec = SampleSpec(),
     precision=None,
 ) -> Automorphism:
-    if tau.descriptor != sigma.group or chi.descriptor != sigma.group:
+    if tau.descriptor is not sigma.group or chi.descriptor is not sigma.group:
         raise DescriptorMismatch("sigma, chi and tau act on different groups")
     _gate(sigma, "sigma", _ONE_AUT_NODES, NotOneAut, spec, precision)
     return Automorphism(sigma.group, Theta(sigma, chi, tau))
@@ -486,7 +486,7 @@ def construct_tau(
     spec: SampleSpec = SampleSpec(),
     precision=None,
 ) -> Automorphism:
-    if zeta.descriptor != nu.group or scaling.descriptor != nu.group:
+    if zeta.descriptor is not nu.group or scaling.descriptor is not nu.group:
         raise DescriptorMismatch("nu, zeta and the scaling act on different groups")
     _gate(nu, "nu", _INTERNAL_NODES, NotInternal, spec, precision)
     return Automorphism(nu.group, TauBuild(nu, zeta, scaling))

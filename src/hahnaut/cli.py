@@ -13,7 +13,7 @@ import re
 import sys
 
 from . import automorphisms, derivations, groups, parsing
-from .errors import HahnError, ParseError
+from .errors import DomainError, HahnError, ParseError
 from .groups import GroupDescriptor
 from .sampling import SampleSpec, Sampler, first_counterexample
 from .series import Series
@@ -29,11 +29,13 @@ def _parse_group(text: str) -> GroupDescriptor:
     if m is None:
         raise UsageError(f"unknown group {text!r} (expected Z, Q, lexN or surrealD)")
     arity, depth = m.groups()
-    if arity is not None:
-        return groups.lex_power(int(arity))
-    if depth is not None:
-        return groups.surreal_depth(int(depth))
-    return groups.INTEGERS if text == "Z" else groups.RATIONALS
+    if arity is None and depth is None:
+        return groups.INTEGERS if text == "Z" else groups.RATIONALS
+    try:  # an arity above the bound, or more digits than int() reads
+        kind = "LexPower" if arity else "SurrealDepth"
+        return GroupDescriptor(kind, int(arity or depth))
+    except (DomainError, ValueError) as e:
+        raise UsageError(str(e)) from None
 
 
 def _config(args) -> parsing.SessionConfig:
@@ -190,7 +192,7 @@ def _cmd_selftest(args, config):
         failures.append(("parser_roundtrip", roundtrip.witness[1:]))
     print(f"parser_roundtrip: {roundtrip.describe()}")
 
-    if group == groups.RATIONALS:
+    if group is groups.RATIONALS:
         phi = groups.scaling_functional(group, 1)
         d = derivations.make_phi_derivation(phi, 1)
         target = groups.embed_rational(group, 6)

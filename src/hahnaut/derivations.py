@@ -86,7 +86,7 @@ def make_table_derivation(
     table = []
     for g, image in entries.items() if isinstance(entries, dict) else entries:
         g = groups.element(group, g)
-        if image.group != group:
+        if image.group is not group:
             raise DescriptorMismatch("table image over the wrong group")
         table.append((g, image))
     table.sort(key=lambda t: t[0])
@@ -141,7 +141,7 @@ def _check_table(d: MonomialDerivation):
 
 
 def _check_group(d: MonomialDerivation, s: Series):
-    if s.group is not d.group and s.group != d.group:
+    if s.group is not d.group:
         raise DescriptorMismatch(
             f"derivation over {d.group} applied to series over {s.group}"
         )
@@ -238,7 +238,7 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
     keys = _keys(d.group, [precision, shift] + [g for g, _ in terms])
     key = keys.key
     rows = []
-    if phi._slope is not None and phi.descriptor == d.group:
+    if phi._slope is not None and phi.descriptor is d.group:
         # phi(g) = key(g) * rn / (rd * L): one slope, no phi call, and no
         # refusal test, which cannot fire on rank one
         rn, rd = phi._slope.numerator, phi._slope.denominator

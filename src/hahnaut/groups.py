@@ -17,11 +17,10 @@ valuation comparison, finitely generated Q-linear functionals into the
 rationals, strictly order-preserving bijections, and additive
 order-preserving automorphisms with exact rational inverses.
 
-Descriptors are interned: ``lex_power(n)``, ``surreal_depth(d)`` and
-``exponent_group`` return one shared instance per argument, so the
-descriptor checks on the hot paths test identity first.  Identity is only
-a shortcut: dataclass equality still decides, so elements over an equal
-descriptor built directly with ``GroupDescriptor(...)`` combine as before.
+There is one descriptor per group: ``GroupDescriptor(kind, param)``,
+``lex_power``, ``surreal_depth``, ``exponent_group``, ``copy`` and
+``pickle`` all return its one shared instance.  Descriptors compare and
+hash by identity, so every "same group?" check is one ``is`` test.
 """
 
 from __future__ import annotations
@@ -42,22 +41,40 @@ from .errors import (
 )
 
 _KINDS = ("Integers", "Rationals", "LexPower", "SurrealDepth")
+_MAX_LEX_ARITY = 2**20  # a lexN element is an N-tuple: a larger N exhausts memory
+_SHARED: dict = {}  # (kind, param) -> the group's one GroupDescriptor
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
-    """Identifies one of the supported value groups."""
+class _OneInstancePerGroup(type):
+    """Validates ``GroupDescriptor(kind, param)``, whose param is an int (not
+    a bool or float), and returns the group's one instance, built once."""
+
+    def __call__(cls, kind, param=0):
+        if kind not in _KINDS:
+            raise DomainError(f"unknown group kind {kind!r}")
+        if type(param) is not int or (param and kind in ("Integers", "Rationals")):
+            raise DomainError(f"{kind} does not take the parameter {param!r}")
+        if kind == "LexPower" and param < 1:
+            raise DomainError("LexPower arity must be >= 1")
+        if kind == "LexPower" and param > _MAX_LEX_ARITY:
+            raise DomainError(f"LexPower arity must be <= {_MAX_LEX_ARITY}")
+        if kind == "SurrealDepth" and param < 0:
+            raise DomainError("SurrealDepth depth must be >= 0")
+        shared = _SHARED.get((kind, param))
+        if shared is None:  # setdefault: a thread that loses a race gets the winner's
+            shared = _SHARED.setdefault((kind, param), super().__call__(kind, param))
+        return shared
+
+
+@dataclass(frozen=True, eq=False)
+class GroupDescriptor(metaclass=_OneInstancePerGroup):
+    """Identifies one of the supported value groups, by its one instance."""
 
     kind: str
     param: int = 0
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown group kind {self.kind!r}")
-        if self.kind == "LexPower" and self.param < 1:
-            raise DomainError("LexPower arity must be >= 1")
-        if self.kind == "SurrealDepth" and self.param < 0:
-            raise DomainError("SurrealDepth depth must be >= 0")
+    def __reduce__(self):  # copy, deepcopy and pickle return the one instance
+        return GroupDescriptor, (self.kind, self.param)
 
     @property
     def rank_one(self) -> bool:
@@ -76,9 +93,7 @@ class GroupDescriptor:
         """
         if self.kind != "SurrealDepth" or self.param < 1:
             raise DomainError(f"{self} has no exponent group")
-        if self.param == 1:
-            return RATIONALS
-        return surreal_depth(self.param - 1)
+        return RATIONALS if self.param == 1 else surreal_depth(self.param - 1)
 
     def __str__(self):
         if self.kind == "Integers":
@@ -94,12 +109,10 @@ INTEGERS = GroupDescriptor("Integers")
 RATIONALS = GroupDescriptor("Rationals")
 
 
-@functools.cache
 def lex_power(n: int) -> GroupDescriptor:
     return GroupDescriptor("LexPower", n)
 
 
-@functools.cache
 def surreal_depth(d: int) -> GroupDescriptor:
     return GroupDescriptor("SurrealDepth", d)
 
@@ -119,7 +132,7 @@ class GroupElement:
 
     def _check(self, other: "GroupElement"):
         mine, theirs = self.descriptor, other.descriptor
-        if mine is not theirs and mine != theirs:
+        if mine is not theirs:
             raise DescriptorMismatch(f"cannot combine {mine} with {theirs}")
 
     def is_zero(self) -> bool:
@@ -248,7 +261,7 @@ def embed_rational(descriptor: GroupDescriptor, q) -> GroupElement:
 def element(descriptor: GroupDescriptor, raw) -> GroupElement:
     """Coerce a raw value (int, Fraction, tuple, Series) into the group."""
     if isinstance(raw, GroupElement):
-        if raw.descriptor is not descriptor and raw.descriptor != descriptor:
+        if raw.descriptor is not descriptor:
             raise DescriptorMismatch(f"expected {descriptor}, got {raw.descriptor}")
         return raw
     kind = descriptor.kind
@@ -266,7 +279,7 @@ def element(descriptor: GroupDescriptor, raw) -> GroupElement:
 
         if isinstance(raw, Series):
             inner = descriptor.exponent_group
-            if raw.group is not inner and raw.group != inner:
+            if raw.group is not inner:
                 raise DescriptorMismatch(
                     f"series over {raw.group} is not a {descriptor} element"
                 )
@@ -619,8 +632,7 @@ class Composite:
     def __post_init__(self):
         if not self.parts:
             raise InvalidMap("empty composite")
-        descs = {p.descriptor for p in self.parts}
-        if len(descs) != 1:
+        if len({p.descriptor for p in self.parts}) != 1:
             raise DescriptorMismatch("composite parts live on different groups")
 
     @property

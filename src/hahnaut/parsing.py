@@ -374,7 +374,7 @@ class _Parser:
                 self.field("at")
                 anchor = self.rational()
             self.expect("}")
-            if group != RATIONALS:
+            if group is not RATIONALS:
                 raise ParseError(
                     "piecewise maps are only available over the rationals", tok.pos
                 )

@@ -103,7 +103,7 @@ class Sampler:
         return groups.element(group, Series.make(inner, terms))
 
     def nonzero_exponent(self, group) -> GroupElement:
-        if group == groups.surreal_depth(0):
+        if group is groups.surreal_depth(0):
             raise DomainError("the trivial group only contains 0")
         while True:
             g = self.exponent(group)
@@ -135,7 +135,7 @@ class Sampler:
         Exponents are kept strictly increasing in the dominant direction so
         that every tail-to-leading exponent gap is non-infinitesimal.
         """
-        if group == groups.surreal_depth(0):
+        if group is groups.surreal_depth(0):
             return Series.constant(group, self.nonzero_rational())
         n_extra = self.rng.randint(0, max_terms - 1)
         offsets = sorted(self.rng.sample(range(-3, 9), n_extra + 1))
@@ -150,7 +150,7 @@ class Sampler:
 def canonical_series(group: GroupDescriptor) -> list[Series]:
     """Small fixed series prepended to every sample list, so documented
     witnesses show up deterministically before the random tail."""
-    if group == groups.surreal_depth(0):
+    if group is groups.surreal_depth(0):
         # the trivial group has no t^1 or t^-1: its series are constants
         return [Series.constant(group, q) for q in (2, -1, Fraction(1, 2), 3)]
     one = groups.embed_rational(group, 1)

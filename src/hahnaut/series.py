@@ -254,7 +254,7 @@ class Series:
     # -- structure ---------------------------------------------------------
 
     def _check(self, other: "Series"):
-        if self.group is not other.group and self.group != other.group:
+        if self.group is not other.group:
             raise DescriptorMismatch(
                 f"series over {self.group} and {other.group} cannot be combined"
             )

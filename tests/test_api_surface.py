@@ -2,8 +2,9 @@
 every private one is referenced outside its own definition, and every
 name a module imports is referenced there.  Also keeps the
 package off ``Fraction`` internals, which differ between the Python
-versions it supports, keeps one constructor per type, and keeps every
-function the benchmark's tracer wraps in place."""
+versions it supports, keeps one constructor per type, keeps every
+"same group?" check one identity test, and keeps every function the
+benchmark's tracer wraps in place."""
 
 import ast
 import importlib
@@ -140,6 +141,31 @@ def test_no_module_builds_around_the_constructor():
             and node.value.id == "object"
         ]
     assert calls == []
+
+
+def test_no_identity_test_falls_back_to_equality():
+    """There is one descriptor per group, so ``A is B`` decides: no check
+    backs ``A is not B`` with ``and A != B``, or ``A is B`` with ``or A == B``,
+    on the same two operands."""
+    pairs = {ast.And: (ast.IsNot, ast.NotEq), ast.Or: (ast.Is, ast.Eq)}
+    fallbacks = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.BoolOp):
+                continue
+            operands = {op: set() for op in pairs[type(node.op)]}
+            for test in node.values:
+                if (
+                    isinstance(test, ast.Compare)
+                    and len(test.ops) == 1
+                    and type(test.ops[0]) in operands
+                ):
+                    sides = (test.left, test.comparators[0])
+                    operands[type(test.ops[0])].add(frozenset(map(ast.dump, sides)))
+            identity, equality = operands.values()
+            if identity & equality:
+                fallbacks.append(f"{path.name}:{node.lineno}")
+    assert fallbacks == []
 
 
 def test_every_traced_target_resolves():

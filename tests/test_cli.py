@@ -53,6 +53,24 @@ class TestEval:
             f"USAGE ERROR: unknown group '{name}' (expected Z, Q, lexN or surrealD)\n"
         )
 
+    def test_the_largest_lex_arity_is_accepted(self, capsys):
+        assert run(capsys, "eval", f"--group=lex{2**20}", "1") == (0, "RESULT: 1\n", "")
+
+    # each is refused before any element is built: no arity between the bound
+    # and 2**62 may run, as its zero tuple alone would take gigabytes
+    @pytest.mark.parametrize(
+        "arity", [2**20 + 1, 99999999999999999999, 9223372036854775808]
+    )
+    def test_a_lex_arity_above_the_bound_is_a_usage_error(self, capsys, arity):
+        assert run(capsys, "eval", f"--group=lex{arity}", "1") == (
+            2, "", "USAGE ERROR: LexPower arity must be <= 1048576\n"
+        )
+
+    def test_a_depth_too_long_to_read_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--group=surreal" + "9" * 4301, "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("USAGE ERROR: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "name, expr, result",
         [

@@ -1,4 +1,5 @@
 import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -505,7 +506,7 @@ class TestGroupFastPaths:
     def test_equal_descriptors_built_directly_still_combine(
         self, direct, interned, low, high
     ):
-        assert direct == interned and direct is not interned
+        assert direct == interned and direct is interned
         a, b = element(direct, low), element(interned, high)
         assert a.compare(b) == -1 and b.compare(a) == 1
         assert a + b == element(interned, low) + b
@@ -658,3 +659,70 @@ class TestSharedZero:
         assert zero(direct) is zero(direct)
         assert zero(direct) + g == g == g + zero(direct)
         assert zero(direct).compare(g) < 0 < g.compare(zero(direct))
+
+
+class TestOneInstancePerGroup:
+    """``GroupDescriptor(kind, param)`` returns the group's one instance by
+    every route, and descriptors compare and hash by identity."""
+
+    @pytest.mark.parametrize(
+        "kind, param, named",
+        [
+            ("Integers", 0, INTEGERS),
+            ("Rationals", 0, RATIONALS),
+            ("LexPower", 3, lex_power(3)),
+            ("SurrealDepth", 0, surreal_depth(0)),
+            ("SurrealDepth", 2, surreal_depth(2)),
+        ],
+    )
+    def test_every_route_gives_the_shared_instance(self, kind, param, named):
+        routes = {
+            "positional": GroupDescriptor(kind, param),
+            "keyword": GroupDescriptor(kind=kind, param=param),
+            "copy": copy.copy(named),
+            "deepcopy": copy.deepcopy(named),
+            "pickle": pickle.loads(pickle.dumps(named)),
+            "element deepcopy": copy.deepcopy(zero(named)).descriptor,
+        }
+        assert {route: d is named for route, d in routes.items()} == dict.fromkeys(
+            routes, True
+        )
+        if not param:
+            assert GroupDescriptor(kind) is named
+
+    def test_descriptors_compare_and_hash_by_identity(self):
+        assert GroupDescriptor.__eq__ is object.__eq__
+        assert GroupDescriptor.__hash__ is object.__hash__
+
+    @pytest.mark.parametrize("refused, equal", [(2.0, 2), (True, 1), (Fraction(3), 3)])
+    def test_a_refused_parameter_leaves_the_equal_group_alone(self, refused, equal):
+        shared = lex_power(equal)
+        with pytest.raises(DomainError):
+            GroupDescriptor("LexPower", refused)
+        # read before any other construction, which an interning that
+        # re-initialises the shared instance would use to repair it
+        assert type(shared.param) is int and shared.param == equal
+        assert str(shared) == f"lex{equal}" and lex_power(equal) is shared
+
+    def test_a_shared_instance_is_initialised_once(self, monkeypatch):
+        shared, calls = lex_power(2), []
+        init = GroupDescriptor.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GroupDescriptor, "__init__", counted)
+        assert GroupDescriptor("LexPower", 2) is shared and lex_power(2) is shared
+        assert copy.deepcopy(shared) is shared and calls == []
+
+    @pytest.mark.parametrize("direct_first", [True, False])
+    def test_zero_has_the_shared_descriptor_whichever_is_asked_first(
+        self, direct_first
+    ):
+        # one arity per order, each asked for nowhere else in the suite
+        n = 5 if direct_first else 6
+        asks = [lambda: zero(GroupDescriptor("LexPower", n)), lambda: zero(lex_power(n))]
+        first, second = asks if direct_first else asks[::-1]
+        assert first() is second()
+        assert zero(GroupDescriptor("LexPower", n)).descriptor is lex_power(n)

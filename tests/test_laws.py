@@ -5,10 +5,11 @@
   and ``s * s.invert(p)`` agrees with 1 below ``p``.
 * ``log(exp D) = D``: with ``sigma = exp(D)`` applied by ``exp_apply``,
   ``L(s) = sum_{n>=1} (-1)^(n+1) (sigma - id)^n(s) / n`` agrees with
-  ``apply_derivation(D, s)`` below the bound, over Q, lex2 and surreal1.
-  The sum is finite because ``sigma - id`` raises valuations by at least
-  the gain, where the gain's class reaches the target's.  This checks
-  exp's row recurrence against ``D`` itself, not against a copy of it.
+  ``apply_derivation(D, s)`` below the bound, over Q, lex2 and surreal1,
+  for phi-shift derivations and for chain tables.  The sum is finite
+  because ``sigma - id`` raises valuations by at least the gain, where the
+  gain's class reaches the target's.  This checks exp's row recurrence
+  and its table rounds against ``D`` itself, not against a copy of it.
 """
 
 from fractions import Fraction
@@ -17,7 +18,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from hahnaut.derivations import apply_derivation, exp_apply, make_phi_derivation
+from hahnaut.derivations import (
+    TableRule,
+    apply_derivation,
+    exp_apply,
+    make_phi_derivation,
+    make_table_derivation,
+)
 from hahnaut.errors import NonTerminating
 from hahnaut.groups import (
     RATIONALS,
@@ -104,17 +111,64 @@ def surreal1_derivations():
     )
 
 
+def table_derivations(group):
+    """A chain table: keys ``start + i*gain`` for i < 5, each image
+    ``c_i t^(key+gain)`` plus at most one term above it, and 0 off the
+    keys, so that ``D^i`` of a key's monomial runs up the chain."""
+
+    def build(start, gain, images):
+        table = {}
+        for i, (c, above) in enumerate(images):
+            key = start + gain.scale(i)
+            terms = [(key + gain, c)]
+            if above is not None:
+                terms.append((key + gain + above[0], above[1]))
+            table[key] = Series.make(group, terms)
+        return make_table_derivation(group, table, gain, zero_default=True)
+
+    positives = positive(small_exponents(group))
+    images = st.tuples(nonzero, st.none() | st.tuples(positives, nonzero))
+    return st.builds(
+        build,
+        small_exponents(group),
+        positives,
+        st.lists(images, min_size=5, max_size=5),
+    )
+
+
+def q_tables():
+    return table_derivations(RATIONALS)
+
+
+def lex2_tables():
+    return table_derivations(LEX2)
+
+
+def surreal1_tables():
+    return table_derivations(SURREAL1)
+
+
 def log_cases(derivations):
     """A derivation, the terms of a series, and how many gains past the
-    series' last exponent its target (2-4) and precision (1-4 or none) lie."""
-    return derivations.flatmap(
-        lambda d: st.tuples(
+    series' last exponent its target and precision (1-4 or none) lie.  A
+    table's terms lie on its keys and its target 2-6 gains past, so that
+    its chains reach ``D^3`` and beyond; other targets lie 2-4 gains past."""
+
+    def case(d):
+        table = isinstance(d.rule, TableRule)
+        exps = (
+            st.sampled_from([g for g, _ in d.rule.entries])
+            if table
+            else small_exponents(d.group)
+        )
+        return st.tuples(
             st.just(d),
-            st.lists(st.tuples(small_exponents(d.group), nonzero), min_size=1, max_size=4),
-            st.integers(2, 4),
+            st.lists(st.tuples(exps, nonzero), min_size=1, max_size=4),
+            st.integers(2, 6 if table else 4),
             st.none() | st.integers(1, 4),
         )
-    )
+
+    return derivations.flatmap(case)
 
 
 def gain_reaches_bound(d, s, bound):
@@ -140,7 +194,15 @@ def log_of_exp(d, s, target):
 
 
 @pytest.mark.parametrize(
-    "derivations", [q_derivations, lex2_derivations, surreal1_derivations]
+    "derivations",
+    [
+        q_derivations,
+        lex2_derivations,
+        surreal1_derivations,
+        q_tables,
+        lex2_tables,
+        surreal1_tables,
+    ],
 )
 @given(data=st.data())
 def test_log_of_exp_is_the_derivation(derivations, data):

@@ -143,6 +143,41 @@ REFUSALS = {
         DomainError,
         "SurrealDepth depth must be >= 0",
     ),
+    "a parameter on Q": (
+        lambda: GroupDescriptor("Rationals", 1),
+        DomainError,
+        "Rationals does not take the parameter 1",
+    ),
+    "a parameter on Z": (
+        lambda: GroupDescriptor("Integers", -2),
+        DomainError,
+        "Integers does not take the parameter -2",
+    ),
+    "fractional lex arity": (
+        lambda: GroupDescriptor("LexPower", 2.5),
+        DomainError,
+        "LexPower does not take the parameter 2.5",
+    ),
+    "float lex arity equal to an int": (
+        lambda: GroupDescriptor("LexPower", 2.0),
+        DomainError,
+        "LexPower does not take the parameter 2.0",
+    ),
+    "boolean surreal depth": (
+        lambda: GroupDescriptor("SurrealDepth", True),
+        DomainError,
+        "SurrealDepth does not take the parameter True",
+    ),
+    "unhashable lex arity": (
+        lambda: GroupDescriptor("LexPower", [2]),
+        DomainError,
+        "LexPower does not take the parameter [2]",
+    ),
+    "lex arity above the bound": (
+        lambda: GroupDescriptor("LexPower", 2**20 + 1),
+        DomainError,
+        "LexPower arity must be <= 1048576",
+    ),
     "exponent group of Z": (
         lambda: Z.exponent_group,
         DomainError,
