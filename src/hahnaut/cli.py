@@ -38,16 +38,16 @@ def _parse_group(text: str) -> GroupDescriptor:
         raise UsageError(str(e)) from None
 
 
-def _config(args) -> parsing.SessionConfig:
+def _session(args) -> tuple[parsing.SessionConfig, SampleSpec]:
+    """The parser's settings and the sampling, read from argv."""
     group = _parse_group(args.group)
     precision = None
     if args.precision is not None:
         precision = parsing.parse_group_element(args.precision, group)
     if args.sample_count < 1:
         raise UsageError(f"--sample-count must be at least 1, not {args.sample_count}")
-    return parsing.SessionConfig(
-        group, precision, args.notation, args.seed, args.sample_count
-    )
+    config = parsing.SessionConfig(group, precision, args.notation)
+    return config, SampleSpec(args.seed, args.sample_count)
 
 
 def _print_witness(witness, config):
@@ -76,54 +76,55 @@ def _require_precision(config):
     return config.precision
 
 
+def _print_result(s: Series, config, cut: bool = True) -> int:
+    """Print the ``RESULT:`` line, with ``s`` cut at --precision if ``cut``:
+    ``invert`` reads --precision as its target and ``derive`` ignores it."""
+    if cut and config.precision is not None:
+        s = s.truncate_to(config.precision)
+    print(f"RESULT: {parsing.format_series(s, config)}")
+    return 0
+
+
+def _apply(aut, text: str, config) -> int:
+    """Print the image of the series ``text`` under ``aut``, cut at --precision."""
+    s = parsing.parse_series(text, config)
+    return _print_result(automorphisms.apply_aut(aut, s, config.precision), config)
+
+
 # -- subcommand bodies -------------------------------------------------------
 
 
-def _cmd_eval(args, config):
-    result = parsing.parse_expression(args.expr, config)
-    if config.precision is not None:
-        result = result.truncate_to(config.precision)
-    print(f"RESULT: {parsing.format_series(result, config)}")
-    return 0
+def _cmd_eval(args, config, spec):
+    return _print_result(parsing.parse_expression(args.expr, config), config)
 
 
-def _cmd_apply(args, config):
-    aut = parsing.load_aut_spec(args.aut, config)
-    s = parsing.parse_series(args.series, config)
-    image = automorphisms.apply_aut(aut, s, config.precision)
-    if config.precision is not None:
-        image = image.truncate_to(config.precision)
-    print(f"RESULT: {parsing.format_series(image, config)}")
-    return 0
+def _cmd_apply(args, config, spec):
+    return _apply(parsing.load_aut_spec(args.aut, config), args.series, config)
 
 
-def _cmd_compose(args, config):
+def _cmd_compose(args, config, spec):
     auts = [parsing.load_aut_spec(text, config) for text in args.auts]
     composed = automorphisms.compose_aut(auts)
     print(f"CLASS: {composed.class_tag}")
     if args.series is not None:
-        s = parsing.parse_series(args.series, config)
-        image = automorphisms.apply_aut(composed, s, config.precision)
-        print(f"RESULT: {parsing.format_series(image, config)}")
+        _apply(composed, args.series, config)
     return 0
 
 
-def _cmd_invert(args, config):
+def _cmd_invert(args, config, spec):
     target = _require_precision(config)
     s = parsing.parse_series(args.series, config)
-    print(f"RESULT: {parsing.format_series(s.invert(target), config)}")
-    return 0
+    return _print_result(s.invert(target), config, cut=False)
 
 
-def _cmd_classify(args, config):
+def _cmd_classify(args, config, spec):
     aut = parsing.load_aut_spec(args.aut, config)
-    spec = SampleSpec(config.seed, config.sample_count)
     report = automorphisms.classify_aut(aut, spec, config.precision)
     print(f"CLASS: {aut.class_tag}")
     return _report(report.as_items(), config)
 
 
-def _cmd_factorize(args, config):
+def _cmd_factorize(args, config, spec):
     aut = parsing.load_aut_spec(args.aut, config)
     samples = parsing.parse_sample_list(args.samples, config.group)
     result = automorphisms.factorize_aut(aut, args.mode, samples, config.precision)
@@ -138,52 +139,42 @@ def _cmd_factorize(args, config):
     return _report(result.certificates, config)
 
 
-def _cmd_derive(args, config):
+def _cmd_derive(args, config, spec):
     d = parsing.parse_derivation(args.deriv, config)
     s = parsing.parse_series(args.series, config)
-    image = derivations.apply_derivation(d, s)
-    print(f"RESULT: {parsing.format_series(image, config)}")
-    return 0
+    return _print_result(derivations.apply_derivation(d, s), config, cut=False)
 
 
-def _cmd_exp_deriv(args, config):
+def _cmd_exp_deriv(args, config, spec):
     target = _require_precision(config)
     d = parsing.parse_derivation(args.deriv, config)
-    spec = SampleSpec(config.seed, config.sample_count)
     aut = derivations.exp_derivation(d, target, verify=spec)
-    s = parsing.parse_series(args.series, config)
-    image = automorphisms.apply_aut(aut, s, target)
-    print(f"RESULT: {parsing.format_series(image, config)}")
-    return 0
+    return _apply(aut, args.series, config)
 
 
-def _cmd_check_deriv(args, config):
+def _cmd_check_deriv(args, config, spec):
     d = parsing.parse_derivation(args.deriv, config)
-    spec = SampleSpec(config.seed, config.sample_count)
     return _report(derivations.check_derivation(d, spec).as_items(), config)
 
 
-def _cmd_selftest(args, config):
-    spec = SampleSpec(config.seed, max(config.sample_count, 20))
+def _cmd_selftest(args, config, spec):
+    count = max(spec.count, 20)
     failures = []
     group = config.group
 
     sampler = Sampler(spec.seed)
     ring = first_counterexample(
         lambda a, b, c: ((a + b) * c).agrees(a * c + b * c),
-        ([sampler.series(group) for _ in range(3)] for _ in range(spec.count)),
+        ([sampler.series(group) for _ in range(3)] for _ in range(count)),
     )
     if not ring.ok:
         failures.append(("distributivity", ring.witness))
     print(f"ring_axioms: {ring.describe()}")
 
-    views = [
-        parsing.SessionConfig(group, None, notation, config.seed, config.sample_count)
-        for notation in ("t", "w")
-    ]
+    views = [parsing.SessionConfig(group, None, notation) for notation in ("t", "w")]
     # both notations check the same samples, drawn from a fresh sampler
     sampler = Sampler(spec.seed)
-    samples = [sampler.series(group) for _ in range(spec.count)]
+    samples = [sampler.series(group) for _ in range(count)]
     roundtrip = first_counterexample(
         lambda view, s: parsing.parse_series(parsing.format_series(s, view), view) == s,
         ((view, s) for view in views for s in samples),
@@ -212,6 +203,20 @@ def _cmd_selftest(args, config):
 
 # -- argument plumbing -------------------------------------------------------
 
+# (name, body, help, positionals), in ``--help`` order
+_COMMANDS = (
+    ("eval", _cmd_eval, "evaluate a series expression", ("expr",)),
+    ("apply", _cmd_apply, "apply an automorphism", ("aut", "series")),
+    ("compose", _cmd_compose, "compose automorphisms", ()),
+    ("invert", _cmd_invert, "invert a series", ("series",)),
+    ("classify", _cmd_classify, "classification report", ("aut",)),
+    ("factorize", _cmd_factorize, "decompose on samples", ("aut",)),
+    ("derive", _cmd_derive, "apply a derivation", ("deriv", "series")),
+    ("exp-deriv", _cmd_exp_deriv, "apply exp of a derivation", ("deriv", "series")),
+    ("check-deriv", _cmd_check_deriv, "check derivation laws", ("deriv",)),
+    ("selftest", _cmd_selftest, "run the property suites", ()),
+)
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -229,51 +234,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact Hahn-series arithmetic and automorphism workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", parents=[shared], help="evaluate a series expression")
-    p.add_argument("expr")
-    p.set_defaults(run=_cmd_eval)
-
-    p = sub.add_parser("apply", parents=[shared], help="apply an automorphism")
-    p.add_argument("aut")
-    p.add_argument("series")
-    p.set_defaults(run=_cmd_apply)
-
-    p = sub.add_parser("compose", parents=[shared], help="compose automorphisms")
-    p.add_argument("auts", nargs="+")
-    p.add_argument("--on", dest="series", default=None, help="series to apply to")
-    p.set_defaults(run=_cmd_compose)
-
-    p = sub.add_parser("invert", parents=[shared], help="invert a series")
-    p.add_argument("series")
-    p.set_defaults(run=_cmd_invert)
-
-    p = sub.add_parser("classify", parents=[shared], help="classification report")
-    p.add_argument("aut")
-    p.set_defaults(run=_cmd_classify)
-
-    p = sub.add_parser("factorize", parents=[shared], help="decompose on samples")
-    p.add_argument("aut")
-    p.add_argument("--mode", choices=["field", "group"], required=True)
-    p.add_argument("--samples", required=True, help="semicolon-separated exponents")
-    p.set_defaults(run=_cmd_factorize)
-
-    p = sub.add_parser("derive", parents=[shared], help="apply a derivation")
-    p.add_argument("deriv")
-    p.add_argument("series")
-    p.set_defaults(run=_cmd_derive)
-
-    p = sub.add_parser("exp-deriv", parents=[shared], help="apply exp of a derivation")
-    p.add_argument("deriv")
-    p.add_argument("series")
-    p.set_defaults(run=_cmd_exp_deriv)
-
-    p = sub.add_parser("check-deriv", parents=[shared], help="check derivation laws")
-    p.add_argument("deriv")
-    p.set_defaults(run=_cmd_check_deriv)
-
-    p = sub.add_parser("selftest", parents=[shared], help="run the property suites")
-    p.set_defaults(run=_cmd_selftest)
+    for name, body, summary, positionals in _COMMANDS:
+        p = sub.add_parser(name, parents=[shared], help=summary)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(run=body)
+    compose, factorize = sub.choices["compose"], sub.choices["factorize"]
+    compose.add_argument("auts", nargs="+")
+    compose.add_argument("--on", dest="series", default=None, help="series to apply to")
+    factorize.add_argument("--mode", choices=["field", "group"], required=True)
+    factorize.add_argument(
+        "--samples", required=True, help="semicolon-separated exponents"
+    )
     return parser
 
 
@@ -284,8 +256,7 @@ def run_command(argv) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        config = _config(args)
-        return args.run(args, config)
+        return args.run(args, *_session(args))
     except ParseError as e:
         print(f"PARSE ERROR at offset {e.pos}: {e}", file=sys.stderr)
         return 2

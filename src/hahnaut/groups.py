@@ -265,28 +265,31 @@ def element(descriptor: GroupDescriptor, raw) -> GroupElement:
             raise DescriptorMismatch(f"expected {descriptor}, got {raw.descriptor}")
         return raw
     kind = descriptor.kind
-    if kind == "LexPower":
-        if isinstance(raw, (int, Fraction)):
-            return embed_rational(descriptor, raw)
-        vals = tuple(Fraction(c) for c in raw)
-        if len(vals) != descriptor.param:
-            raise DomainError(
-                f"expected {descriptor.param} components, got {len(vals)}"
-            )
-        return GroupElement(descriptor, vals)
-    if kind == "SurrealDepth" and descriptor.param >= 1:
-        from .series import Series
-
-        if isinstance(raw, Series):
-            inner = descriptor.exponent_group
-            if raw.group is not inner:
-                raise DescriptorMismatch(
-                    f"series over {raw.group} is not a {descriptor} element"
+    try:
+        if kind == "LexPower" and not isinstance(raw, (int, Fraction)):
+            vals = tuple(Fraction(c) for c in raw)
+            if len(vals) != descriptor.param:
+                raise DomainError(
+                    f"expected {descriptor.param} components, got {len(vals)}"
                 )
-            if raw.precision is not None:
-                raise DomainError("group elements must be exact series")
-            return GroupElement(descriptor, raw)
-    return embed_rational(descriptor, raw)
+            return GroupElement(descriptor, vals)
+        if kind == "SurrealDepth" and descriptor.param >= 1:
+            from .series import Series
+
+            if isinstance(raw, Series):
+                inner = descriptor.exponent_group
+                if raw.group is not inner:
+                    raise DescriptorMismatch(
+                        f"series over {raw.group} is not a {descriptor} element"
+                    )
+                if raw.precision is not None:
+                    raise DomainError("group elements must be exact series")
+                return GroupElement(descriptor, raw)
+        return embed_rational(descriptor, raw)
+    except (TypeError, ValueError):  # Fraction() of a value of the wrong shape
+        raise DomainError(
+            f"a {type(raw).__name__} is not an element of {descriptor}"
+        ) from None
 
 
 _ORDER_SYMBOL = {-1: "<", 0: "=", 1: ">"}

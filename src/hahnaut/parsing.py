@@ -44,19 +44,16 @@ from .series import Series
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Shared CLI/session settings: group, precision, notation, sampling."""
+    """What the parser and formatter read: the group, the precision that
+    ``/`` inverts to, and the notation, ``t`` or ``w``."""
 
     group: GroupDescriptor = RATIONALS
     precision: GroupElement | None = None
     notation: str = "t"
-    seed: int = 7
-    sample_count: int = 50
 
     def __post_init__(self):
         if self.notation not in ("t", "w"):
             raise DomainError(f"unknown notation {self.notation!r}")
-        if self.sample_count < 1:
-            raise DomainError("sample_count must be at least 1")
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -89,9 +86,11 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+_CLOSERS = {"(": ")", "[": "]", "{": "}"}
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
         self.i = 0
 
@@ -119,15 +118,17 @@ class _Parser:
             self.error(f"expected {what or kind!r}")
         return self.advance()
 
-    def keyword(self, word: str):
-        tok = self.expect("ident", f"keyword {word!r}")
+    def keyword(self, word: str, what: str | None = None):
+        what = what or f"keyword {word!r}"
+        tok = self.expect("ident", what)
         if tok.text != word:
-            raise ParseError(f"expected keyword {word!r}, got {tok.text!r}", tok.pos)
+            raise ParseError(f"expected {what}, got {tok.text!r}", tok.pos)
 
-    def field(self, word: str):
-        """The label ``word:`` of a ``word: value`` field."""
+    def field(self, word: str, value):
+        """``word: value``: the result of ``value()``."""
         self.keyword(word)
         self.expect(":")
+        return value()
 
     def at_keyword(self, word: str) -> bool:
         return self.peek.kind == "ident" and self.peek.text == word
@@ -135,6 +136,13 @@ class _Parser:
     def done(self):
         if self.peek.kind != "end":
             self.error("unexpected trailing input")
+
+    def enclosed(self, opener: str, item):
+        """``opener item closer``: the result of ``item()``."""
+        self.expect(opener)
+        result = item()
+        self.expect(_CLOSERS[opener])
+        return result
 
     def separated(self, item, sep: str = ",") -> list:
         """``item (sep item)*``: the results of ``item()`` in order."""
@@ -165,24 +173,18 @@ class _Parser:
     def group_element(self, group: GroupDescriptor) -> GroupElement:
         kind = group.kind
         if kind == "LexPower" and self.peek.kind == "(":
-            self.advance()
-            coords = self.separated(self.rational)
-            self.expect(")")
+            coords = self.enclosed("(", lambda: self.separated(self.rational))
             if len(coords) != group.param:
                 self.error(f"expected {group.param} coordinates")
             return groups.element(group, tuple(coords))
         if kind == "SurrealDepth" and group.param >= 1 and self.peek.kind == "[":
-            self.advance()
-            inner = self.series_sum(SessionConfig(group.exponent_group))
-            self.expect("]")
+            config = SessionConfig(group.exponent_group)
+            inner = self.enclosed("[", lambda: self.series_sum(config))
             return groups.element(group, inner)
         return groups.element(group, self.rational())
 
     def rational_list(self) -> list[Fraction]:
-        self.expect("[")
-        values = self.separated(self.rational)
-        self.expect("]")
-        return values
+        return self.enclosed("[", lambda: self.separated(self.rational))
 
     def pair(self, group: GroupDescriptor, value):
         """``g: value``, with ``value`` parsed by the given method."""
@@ -192,13 +194,11 @@ class _Parser:
 
     # -- series ------------------------------------------------------------
 
-    def base_token(self, config: SessionConfig):
-        tok = self.expect("ident", f"the series variable {config.notation!r}")
-        if tok.text != config.notation:
-            raise ParseError(
-                f"expected the series variable {config.notation!r}, got {tok.text!r}",
-                tok.pos,
-            )
+    def power(self, config: SessionConfig) -> GroupElement:
+        """``base^(exponent)``: the exponent."""
+        self.keyword(config.notation, f"the series variable {config.notation!r}")
+        self.expect("^")
+        return self.exponent(config)
 
     def exponent(self, config: SessionConfig) -> GroupElement:
         self.expect("(", "'(' before the exponent")
@@ -216,13 +216,9 @@ class _Parser:
             coeff = self.rational()
             if self.peek.kind == "*" and self.peek_at(1).kind == "ident":
                 self.advance()
-                self.base_token(config)
-                self.expect("^")
-                return self.exponent(config), coeff
+                return self.power(config), coeff
             return groups.zero(config.group), coeff
-        self.base_token(config)
-        self.expect("^")
-        return self.exponent(config), Fraction(1)
+        return self.power(config), Fraction(1)
 
     def series_sum(self, config: SessionConfig) -> Series:
         terms = []
@@ -243,23 +239,16 @@ class _Parser:
                 break
         return Series.make(config.group, terms)
 
-    def mod_suffix(self, config: SessionConfig) -> GroupElement | None:
-        if self.peek.kind == "(" and self.peek_at(1).text == "mod":
-            self.advance()
-            self.keyword("mod")
-            self.base_token(config)
-            self.expect("^")
-            p = self.exponent(config)
-            self.expect(")")
-            return p
-        return None
-
     def series(self, config: SessionConfig) -> Series:
         body = self.series_sum(config)
-        precision = self.mod_suffix(config)
-        if precision is None:
+        if not (self.peek.kind == "(" and self.peek_at(1).text == "mod"):
             return body
-        return body.truncate_to(precision)
+
+        def bound():
+            self.keyword("mod")
+            return self.power(config)
+
+        return body.truncate_to(self.enclosed("(", bound))
 
     # -- arithmetic expressions over series ---------------------------------
 
@@ -292,10 +281,7 @@ class _Parser:
 
     def expr_atom(self, config: SessionConfig) -> Series:
         if self.peek.kind == "(":
-            self.advance()
-            inner = self.expression(config)
-            self.expect(")")
-            return inner
+            return self.enclosed("(", lambda: self.expression(config))
         if self.peek.kind == "-":
             self.advance()
             return -self.expr_atom(config)
@@ -320,15 +306,15 @@ class _Parser:
 
     def functional(self, config: SessionConfig) -> groups.LinearFunctional:
         self.keyword("linear")
-        self.expect("(")
-        if self._pairs_ahead():
-            gens = self.separated(lambda: self.pair(config.group, self.rational))
-            phi = groups.LinearFunctional(config.group, tuple(gens))
-        else:
+
+        def body():
+            if self._pairs_ahead():
+                gens = self.separated(lambda: self.pair(config.group, self.rational))
+                return groups.LinearFunctional(config.group, tuple(gens))
             values = self.separated(self.rational)
-            phi = groups.standard_functional(config.group, values)
-        self.expect(")")
-        return phi
+            return groups.standard_functional(config.group, values)
+
+        return self.enclosed("(", body)
 
     def value_map(self, config: SessionConfig, additive: bool):
         """An additive automorphism (``matrix``) or a monotone map (``translate``,
@@ -340,40 +326,34 @@ class _Parser:
         if name == "identity":
             return groups.identity_map(group)
         if name == "scalar":
-            self.expect("(")
-            q = self.rational()
-            self.expect(")")
-            return groups.PositiveScalar(group, q)
+            return groups.PositiveScalar(group, self.enclosed("(", self.rational))
         if name == "compose":
-            self.expect("(")
-            parts = self.separated(lambda: self.value_map(config, additive))
-            self.expect(")")
+            parts = self.enclosed(
+                "(", lambda: self.separated(lambda: self.value_map(config, additive))
+            )
             return groups.Composite(tuple(parts))
         if additive and name == "matrix":
-            self.expect("(")
-            self.expect("[")
-            rows = [tuple(row) for row in self.separated(self.rational_list)]
-            self.expect("]")
-            self.expect(")")
-            return groups.TriangularMatrix(group, tuple(rows))
+
+            def row_list():
+                return self.enclosed("[", lambda: self.separated(self.rational_list))
+
+            rows = self.enclosed("(", row_list)
+            return groups.TriangularMatrix(group, tuple(map(tuple, rows)))
         if not additive and name == "translate":
-            self.expect("(")
-            offset = self.group_element(group)
-            self.expect(")")
+            offset = self.enclosed("(", lambda: self.group_element(group))
             return groups.Translation(offset)
         if not additive and name == "piecewise":
-            self.expect("{")
-            self.field("breaks")
-            breaks = self.rational_list()
-            self.expect(",")
-            self.field("slopes")
-            slopes = self.rational_list()
-            anchor = Fraction(0)
-            if self.peek.kind == ",":
+
+            def body():
+                breaks = self.field("breaks", self.rational_list)
+                self.expect(",")
+                slopes = self.field("slopes", self.rational_list)
+                if self.peek.kind != ",":
+                    return breaks, slopes, Fraction(0)
                 self.advance()
-                self.field("at")
-                anchor = self.rational()
-            self.expect("}")
+                return breaks, slopes, self.field("at", self.rational)
+
+            breaks, slopes, anchor = self.enclosed("{", body)
             if group is not RATIONALS:
                 raise ParseError(
                     "piecewise maps are only available over the rationals", tok.pos
@@ -385,42 +365,40 @@ class _Parser:
 
     def phi_shift(self, config: SessionConfig):
         """A ``phi: <functional>, shift: <exponent>`` body, as ``(phi, shift)``."""
-        self.field("phi")
-        phi = self.functional(config)
+        phi = self.field("phi", lambda: self.functional(config))
         self.expect(",")
-        self.field("shift")
-        return phi, self.group_element(config.group)
+        return phi, self.field("shift", lambda: self.group_element(config.group))
 
     def derivation(self, config: SessionConfig) -> derivations.MonomialDerivation:
         tok = self.expect("ident", "a derivation spec")
         group = config.group
         if tok.text == "deriv":
-            self.expect("{")
-            phi, shift = self.phi_shift(config)
-            self.expect("}")
+            phi, shift = self.enclosed("{", lambda: self.phi_shift(config))
             return derivations.make_phi_derivation(phi, shift)
         if tok.text == "table":
-            self.expect("{")
-            self.field("map")
-            self.expect("{")
-            entries = self.separated(
-                lambda: self.pair(group, lambda: self.series_sum(config))
-            )
-            self.expect("}")
-            self.expect(",")
-            self.field("gain")
-            gain = self.group_element(group)
-            zero_default = False
-            if self.peek.kind == ",":
+
+            def entry():
+                return self.pair(group, lambda: self.series_sum(config))
+
+            def body():
+                entries = self.field(
+                    "map", lambda: self.enclosed("{", lambda: self.separated(entry))
+                )
+                self.expect(",")
+                gain = self.field("gain", lambda: self.group_element(group))
+                if self.peek.kind != ",":
+                    return entries, gain, False
                 self.advance()
-                self.field("zero_default")
-                flag = self.expect("ident", "true or false")
+                flag = self.field(
+                    "zero_default", lambda: self.expect("ident", "true or false")
+                )
                 if flag.text not in ("true", "false"):
                     raise ParseError(
                         f"expected true or false, got {flag.text!r}", flag.pos
                     )
-                zero_default = flag.text == "true"
-            self.expect("}")
+                return entries, gain, flag.text == "true"
+
+            entries, gain, zero_default = self.enclosed("{", body)
             return derivations.make_table_derivation(
                 group, entries, gain, zero_default, validate=False
             )
@@ -448,15 +426,12 @@ class _Parser:
         if name == "identity":
             return automorphisms.identity_aut(group)
         if name == "external_field":
-            self.expect("{")
-            self.field("tau")
-            tau = self.value_map(config, additive=True)
-            self.expect("}")
+            tau = self.enclosed(
+                "{", lambda: self.field("tau", lambda: self.value_map(config, True))
+            )
             return automorphisms.make_external_field(tau)
         if name == "character":
-            self.expect("{")
-            entries = self.pairs(config)
-            self.expect("}")
+            entries = self.enclosed("{", lambda: self.pairs(config))
             chi = automorphisms.PartialCharacter(
                 group,
                 tuple(g for g, _ in entries),
@@ -464,46 +439,47 @@ class _Parser:
             )
             return automorphisms.make_character_lift(chi)
         if name == "internal_mult":
-            self.expect("{")
-            self.field("eps")
-            eps = self.series_sum(config)
-            self.expect("}")
+            eps = self.enclosed(
+                "{", lambda: self.field("eps", lambda: self.series_sum(config))
+            )
             return automorphisms.make_internal_mult(eps)
         if name == "external_group":
-            self.expect("{")
-            self.field("zeta")
-            zeta = self.value_map(config, additive=False)
-            default = Fraction(1)
-            exceptions = []
-            if self.peek.kind == ",":
-                self.advance()
-                if self.at_keyword("scale"):
-                    self.field("scale")
-                    exceptions = self.pairs(config, stop_words=("default",))
-                if self.at_keyword("default"):
-                    self.field("default")
-                    default = self.rational()
-            self.expect("}")
+
+            def body():
+                zeta = self.field("zeta", lambda: self.value_map(config, False))
+                default = Fraction(1)
+                exceptions = []
+                if self.peek.kind == ",":
+                    self.advance()
+                    if self.at_keyword("scale"):
+                        exceptions = self.field(
+                            "scale", lambda: self.pairs(config, stop_words=("default",))
+                        )
+                    if self.at_keyword("default"):
+                        default = self.field("default", self.rational)
+                return zeta, default, exceptions
+
+            zeta, default, exceptions = self.enclosed("{", body)
             scaling = automorphisms.ScalingFamily(group, default, tuple(exceptions))
             return automorphisms.make_external_group(zeta, scaling)
         if name == "exp_derivation":
-            self.expect("{")
-            phi, shift = self.phi_shift(config)
-            self.expect(",")
-            self.field("precision")
-            target = self.group_element(group)
-            self.expect("}")
+
+            def body():
+                phi, shift = self.phi_shift(config)
+                self.expect(",")
+                target = self.field("precision", lambda: self.group_element(group))
+                return phi, shift, target
+
+            phi, shift, target = self.enclosed("{", body)
             d = derivations.make_phi_derivation(phi, shift)
             return derivations.exp_derivation(d, target)
         if name == "compose":
-            self.expect("(")
-            parts = self.separated(lambda: self.automorphism(config))
-            self.expect(")")
+            parts = self.enclosed(
+                "(", lambda: self.separated(lambda: self.automorphism(config))
+            )
             return automorphisms.compose_aut(parts)
         if name == "inverse":
-            self.expect("(")
-            inner = self.automorphism(config)
-            self.expect(")")
+            inner = self.enclosed("(", lambda: self.automorphism(config))
             return automorphisms.invert_aut(inner)
         raise ParseError(f"unknown automorphism spec {name!r}", tok.pos)
 

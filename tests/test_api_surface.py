@@ -3,8 +3,9 @@ every private one is referenced outside its own definition, and every
 name a module imports is referenced there.  Also keeps the
 package off ``Fraction`` internals, which differ between the Python
 versions it supports, keeps one constructor per type, keeps every
-"same group?" check one identity test, and keeps every function the
-benchmark's tracer wraps in place."""
+"same group?" check one identity test, keeps every function the
+benchmark's tracer wraps in place, and keeps the parser's bracket rule
+and session settings in one place each."""
 
 import ast
 import importlib
@@ -205,3 +206,58 @@ def test_every_empty_class_is_an_error_type():
                 if not issubclass(getattr(module, node.name), BaseException):
                     empty.append(node.name)
     assert empty == []
+
+
+def parsing_class(name: str) -> ast.ClassDef:
+    tree = ast.parse((PACKAGE / "parsing.py").read_text())
+    [node] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
+    return node
+
+
+BRACKETS = {"(", ")", "[", "]", "{", "}"}
+
+
+def is_method_call(node, name: str) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == name
+    )
+
+
+def names_a_bracket(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value in BRACKETS
+
+
+def test_brackets_are_paired_only_by_enclosed():
+    """``_Parser.enclosed`` reads every bracket pair.  No other method
+    passes a bracket to ``expect`` or advances past one it peeked at,
+    except for the exponent's parentheses, which carry their own labels."""
+    hand_paired = []
+    for method in parsing_class("_Parser").body:
+        if not isinstance(method, ast.FunctionDef) or method.name == "enclosed":
+            continue
+        for node in ast.walk(method):
+            if (
+                is_method_call(node, "expect")
+                and names_a_bracket(node.args[0])
+                and not (method.name == "exponent" and len(node.args) == 2)
+            ):
+                hand_paired.append(f"{method.name}:{node.lineno}")
+            if (
+                isinstance(node, ast.If)
+                and any(map(names_a_bracket, ast.walk(node.test)))
+                and any(
+                    is_method_call(inner, "advance")
+                    for statement in node.body
+                    for inner in ast.walk(statement)
+                )
+            ):
+                hand_paired.append(f"{method.name}:{node.lineno}")
+    assert hand_paired == []
+
+
+def test_session_config_holds_only_what_the_parser_reads():
+    config = parsing_class("SessionConfig")
+    fields = [node.target.id for node in config.body if isinstance(node, ast.AnnAssign)]
+    assert fields == ["group", "precision", "notation"]

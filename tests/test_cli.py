@@ -220,6 +220,14 @@ class TestCompose:
         assert "CLASS: group-aut" in out
         assert "RESULT: t^(-1) + 1 (mod t^(6))" in out
 
+    def test_on_cuts_at_the_precision_as_apply_does(self, capsys):
+        aut, series = "internal_mult{eps: t^(1)}", "t^(1) + t^(5)"
+        image = "RESULT: t^(1) + t^(2) (mod t^(3))\n"
+        assert run(capsys, "apply", "--precision=3", aut, series) == (0, image, "")
+        assert run(capsys, "compose", "--precision=3", aut, "--on", series) == (
+            0, "CLASS: group-aut\n" + image, ""
+        )
+
 
 class TestFactorize:
     def test_field_mode_tables(self, capsys):
@@ -411,6 +419,45 @@ class TestSelftest:
             "failed: parser_roundtrip\n"
             "witness: -2*t^(-2) + 9 - 8*t^(3)\n"
         )
+
+
+# Each subcommand with its positionals and the options beyond the shared
+# ones, in the top-level help's order.  Whole help texts are not pinned:
+# argparse formats them differently across Python versions.
+SUBCOMMANDS = {
+    "eval": ["expr"],
+    "apply": ["aut", "series"],
+    "compose": ["[--on SERIES]", "auts [auts ...]"],
+    "invert": ["series"],
+    "classify": ["aut"],
+    "factorize": ["--mode {field,group}", "--samples SAMPLES", "aut"],
+    "derive": ["deriv", "series"],
+    "exp-deriv": ["deriv", "series"],
+    "check-deriv": ["deriv"],
+    "selftest": [],
+}
+SHARED_OPTIONS = [
+    "[-h]", "[--group GROUP]", "[--precision PRECISION]", "[--notation {t,w}]",
+    "[--seed SEED]", "[--sample-count SAMPLE_COUNT]",
+]
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_subcommand_help_names_its_arguments(capsys, name):
+    assert run_command([name, "--help"]) == 0
+    out = capsys.readouterr().out
+    usage = " ".join(out.split("\n\n")[0].split())
+    rest = usage.removeprefix(f"usage: hahnaut {name}")
+    for word in SHARED_OPTIONS + SUBCOMMANDS[name]:
+        assert rest.startswith(" " + word), usage
+        rest = rest[len(word) + 1 :]
+    assert rest == "", usage
+
+
+def test_top_level_help_lists_the_subcommands_in_order(capsys):
+    assert run_command(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in out
 
 
 # The hand-checked argv corpus the benchmark's cli workload replays.

@@ -193,6 +193,27 @@ REFUSALS = {
         DomainError,
         "expected 2 components, got 3",
     ),
+    # a raw value of the wrong shape names its type and the group
+    "series into Z": (
+        lambda: element(Z, Series.one(Q)),
+        DomainError,
+        "a Series is not an element of Z",
+    ),
+    "tuple into Q": (
+        lambda: element(Q, (1, 2)),
+        DomainError,
+        "a tuple is not an element of Q",
+    ),
+    "string into lex2": (
+        lambda: element(LEX2, "x"),
+        DomainError,
+        "a str is not an element of lex2",
+    ),
+    "series into the trivial group": (
+        lambda: element(SURREAL0, Series.one(Q)),
+        DomainError,
+        "a Series is not an element of surreal0",
+    ),
     "surreal element from another group's series": (
         lambda: element(SURREAL1, Series.one(LEX2)),
         DescriptorMismatch,
@@ -263,11 +284,6 @@ REFUSALS = {
         lambda: SessionConfig(Q, notation="x"),
         DomainError,
         "unknown notation 'x'",
-    ),
-    "no samples": (
-        lambda: SessionConfig(Q, sample_count=0),
-        DomainError,
-        "sample_count must be at least 1",
     ),
     "misspelt keyword": (
         lambda: load_aut_spec(
