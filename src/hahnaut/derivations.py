@@ -41,7 +41,7 @@ from .errors import (
 from . import groups
 from .groups import GroupDescriptor, GroupElement, LinearFunctional, arch_compare
 from .sampling import CheckResult, SampleSpec, Sampler, first_counterexample
-from .series import Series, _cut, _keys, _pmin
+from .series import Series, _cut, _keys, _pmin, _rounds
 
 
 @dataclass(frozen=True)
@@ -235,14 +235,15 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
     phi, shift = d.rule.phi, d.rule.shift
     precision = _pmin(s.precision, target)
     terms = _cut(s.terms, precision)
-    keys = _keys(d.group, [precision, shift] + [g for g, _ in terms])
-    key = keys.key
-    rows = []
+    exponents = [precision, shift] + [g for g, _ in terms]
     if phi._slope is not None and phi.descriptor is d.group:
         # phi(g) = key(g) * rn / (rd * L): one slope, no phi call, and no
         # refusal test, which cannot fire on rank one
+        keys = _keys(d.group, exponents, None)
+        key = keys.key
         rn, rd = phi._slope.numerator, phi._slope.denominator
         q, du = rd * keys.scale, key(shift) * rn
+        rows = []
         for g, c in terms:
             kg = key(g)
             rows.append((kg, c, kg * rn, du, q))
@@ -257,6 +258,7 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
                 break
         ds = 1 if k_shift is None else k_shift.denominator
         ns = 0 if k_shift is None else k_shift.numerator
+        rows = []
         for (g, c), k in zip(terms, ks):
             if not _factor_vanishes(k, k_shift) and arch_compare(precision - g, shift) == "<":
                 raise NonTerminating(
@@ -266,7 +268,31 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
                     f"precision {precision}, and no factor phi(g) + i*phi(shift) vanishes"
                 )
             q = lcm(k.denominator, ds)
-            rows.append((key(g), c, k.numerator * (q // k.denominator), ns * (q // ds), q))
+            rows.append((g, c, k.numerator * (q // k.denominator), ns * (q // ds), q))
+
+        def reach():
+            # On lexN the row from g forms g + i*shift for i up to the
+            # first at or past P or past the first zero factor: i = 1 if
+            # the shift leads before P - g, _rounds(P - g, shift) if both
+            # lead at one index, and -phi(g)/phi(shift) + 1 if the shift
+            # leads after (the refusals above leave only a vanishing row
+            # there).  With M the largest digit keyed, its digits stay
+            # within M(1 + i).
+            most = 0
+            for (g, _), k in zip(terms, ks):
+                gap = precision - g
+                order = arch_compare(gap, shift)
+                if order == "=":
+                    most = max(most, _rounds(gap, shift))
+                elif order == "<" and k_shift:
+                    most = max(most, int(-k / k_shift) + 1)
+                else:
+                    most = max(most, 1)
+            return 1 + most
+
+        keys = _keys(d.group, exponents, reach)
+        key = keys.key
+        rows = [(key(g), *row) for g, *row in rows]
     # The row (kg, c, u, du, q) from key kg ascends by the shift's key below
     # the precision's, up to its first zero factor
     # phi(g) + i*phi(shift) = (u + i*du) / q: a_i is num * u / (den * q * i)

@@ -78,18 +78,25 @@ class GroupDescriptor(metaclass=_OneInstancePerGroup):
 
     @property
     def rank_one(self) -> bool:
-        """Whether this is Z or Q, the rank-one kinds whose elements are
-        single rationals (``int`` or ``Fraction`` values).  ``lex_power(1)``
-        is rank one as a group too, but its values are 1-tuples and it
-        takes the general paths."""
+        """Whether this is Z or Q, whose elements are each a single rational
+        value (``int`` or ``Fraction``), so that a functional on them is one
+        slope.  ``lex_power(1)`` is rank one as a group too, but its values
+        are 1-tuples."""
         return self.kind in ("Integers", "Rationals")
 
     @property
+    def keyed(self) -> bool:
+        """Whether the series kernels run on int exponent keys here: Z, Q
+        and lexN, whose elements are finitely many rational coordinates."""
+        return self.kind in ("Integers", "Rationals", "LexPower")
+
+    @functools.cached_property
     def exponent_group(self) -> "GroupDescriptor":
         """Group the exponents of a depth-d element live in (d >= 1).
 
         Depth 1 bottoms out at the rationals so that depth-1 elements are
-        ordinary series with rational exponents.
+        ordinary series with rational exponents.  Found on first access,
+        not with the descriptor, which would build every lower depth.
         """
         if self.kind != "SurrealDepth" or self.param < 1:
             raise DomainError(f"{self} has no exponent group")
@@ -259,7 +266,8 @@ def embed_rational(descriptor: GroupDescriptor, q) -> GroupElement:
 
 
 def element(descriptor: GroupDescriptor, raw) -> GroupElement:
-    """Coerce a raw value (int, Fraction, tuple, Series) into the group."""
+    """Coerce a raw value (int, Fraction, a lex tuple or list, Series) into
+    the group."""
     if isinstance(raw, GroupElement):
         if raw.descriptor is not descriptor:
             raise DescriptorMismatch(f"expected {descriptor}, got {raw.descriptor}")
@@ -267,6 +275,8 @@ def element(descriptor: GroupDescriptor, raw) -> GroupElement:
     kind = descriptor.kind
     try:
         if kind == "LexPower" and not isinstance(raw, (int, Fraction)):
+            if not isinstance(raw, (tuple, list)):  # a str or dict iterates too
+                raise TypeError("lex coordinates come as a tuple or a list")
             vals = tuple(Fraction(c) for c in raw)
             if len(vals) != descriptor.param:
                 raise DomainError(

@@ -34,16 +34,18 @@ int product, and each output term becomes one normalized ``Fraction``, so
 the ``Fraction`` gcd is paid once per result term instead of once per
 pair.
 
-``invert`` and the ``PhiShift`` exponential rows of ``derivations`` run
-over exponent keys (``_keys``): like exponents meet in a dict keyed by
-key, a heap or a sort orders the keys, and each output exponent is built
-once, from its key.  On the rank-one groups Z and Q a key is the int
-``value * L``, with ``L`` the lcm of the denominators in play (1 on Z),
-so an exponent sum is an int add and an order test an int compare
-(``_Keys``); on lex and surreal groups an exponent is its own key.
-``*`` keeps a fork: int keys in a dict on Z and Q (``_keyed_products``),
-and elsewhere pairwise row merges (``_merge_rows``).  ``+``, ``make`` and
-these merges hash no exponent; ``invert`` and the exp rows do off Z and Q.
+``*``, ``invert`` and the ``PhiShift`` exponential rows of ``derivations``
+run over exponent keys (``_keys``): like exponents meet in a dict keyed
+by key, a heap or a sort orders the keys, and each output exponent is
+built once, from its key.  On Z, Q and lexN (``GroupDescriptor.keyed``) a
+key is an int, so an exponent sum is an int add and an order test an int
+compare: ``value * L`` on Z and Q, with ``L`` the lcm of the denominators
+in play (1 on Z) (``_Keys``), and on lexN the coordinates times ``L`` read
+as the digits of one int in a radix that each kernel bounds
+(``_LexKeys``).  On surreal groups an exponent is its own key, and ``*``
+merges its rows pairwise instead (``_merge_rows``).  ``+``, ``make`` and
+these merges hash no exponent; ``invert`` and the exp rows do on surreal
+groups.
 
 Off the keys, ``GroupElement.compare`` orders exponents, by the exact walk
 ``groups.first_difference`` on surreal groups.  ``compare``, ``agrees`` and
@@ -52,6 +54,7 @@ Off the keys, ``GroupElement.compare`` orders exponents, by the exact walk
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,8 +117,9 @@ def _merge(a: tuple, b: tuple) -> list:
 def _merge_rows(rows: list) -> list:
     """The sum of normalized term lists, merged pairwise as a bottom-up
     merge sort would, so like exponents meet and collapse without hashing
-    an exponent: the rows of ``Series._mul`` off Z and Q (int numerators
-    over one denominator) and the one-term lists of ``Series.make``."""
+    an exponent: the rows of ``Series._mul`` on surreal groups (int
+    numerators over one denominator) and the one-term lists of
+    ``Series.make``."""
     while len(rows) > 1:
         merged = [_merge(rows[k], rows[k + 1]) for k in range(0, len(rows) - 1, 2)]
         if len(rows) % 2:
@@ -132,7 +136,8 @@ def _numerators(terms) -> tuple[int, list]:
 
 
 class _Keys:
-    """The int keys of the module docstring, with ``scale`` their ``L``.
+    """The int keys on Z and Q of the module docstring, with ``scale``
+    their ``L``.
 
     A key goes back through ``GroupElement(...)``: an ``int`` value on Z, a
     ``Fraction(k, scale)`` on Q.
@@ -157,9 +162,70 @@ class _Keys:
         return GroupElement(self.group, Fraction(k, self.scale))
 
 
+# Fraction(k) of an int k, cached: the digits of small lex exponents recur,
+# and a hit costs a third of Fraction()'s int path (Python 3.11, x86_64)
+_int_fraction = functools.lru_cache(maxsize=1024)(Fraction)
+
+
+class _LexKeys:
+    """The int keys of lexN exponents: a Kronecker substitution.
+
+    With ``scale`` the lcm ``L`` of the coordinate denominators of the
+    exponents keyed, an exponent's digits are ``c_i = coord_i * L`` and its
+    key is ``sum(c_i * R**(N-1-i))``, with ``R = 2B + 1``.  The key is
+    linear in the digits, so int ``+`` is exponent ``+``.  On digits in
+    ``[-B, B]`` it is one to one and keeps lex order: the first digit that
+    differs between two keys outweighs all later ones, since
+    ``2B * (R**m - 1) / (R - 1) < R**m``.  So ``B`` must bound every digit
+    of every key a kernel forms, also of a sum formed only to fail its
+    ``>= stop`` test; ``element`` reads the digits back in balanced base
+    ``R``.  The caller's ``reach`` gives ``B`` as a multiple of the
+    largest digit ``M`` of the exponents keyed:
+
+    * ``*`` forms sums of two exponents: ``B = 2M``.
+    * ``invert``: see ``Series.invert``.
+    * the exp rows: see ``derivations._exp_phi_shift``.
+    """
+
+    __slots__ = ("group", "scale", "bound", "radix")
+
+    def __init__(self, group: GroupDescriptor, exponents, reach):
+        self.group = group
+        coords = [c for e in exponents for c in e.value]
+        self.scale = scale = lcm(*[c.denominator for c in coords])
+        if scale == 1:
+            digits = [c.numerator for c in coords]
+        else:
+            digits = [c.numerator * (scale // c.denominator) for c in coords]
+        self.bound = reach() * max(max(digits), -min(digits))
+        self.radix = 2 * self.bound + 1
+
+    def key(self, e: GroupElement) -> int:
+        k, radix, scale = 0, self.radix, self.scale
+        if scale == 1:
+            for c in e.value:
+                k = k * radix + c.numerator
+        else:
+            for c in e.value:
+                k = k * radix + c.numerator * (scale // c.denominator)
+        return k
+
+    def element(self, k: int) -> GroupElement:
+        bound, radix, scale = self.bound, self.radix, self.scale
+        digits = []
+        for _ in range(self.group.param - 1):
+            k, d = divmod(k + bound, radix)
+            digits.append(d - bound)
+        digits.append(k)
+        if scale == 1:
+            value = tuple(map(_int_fraction, reversed(digits)))
+        else:
+            value = tuple(Fraction(c, scale) for c in reversed(digits))
+        return GroupElement(self.group, value)
+
+
 class _ExponentKeys:
-    """The keys off Z and Q of the module docstring: each exponent is its
-    own key."""
+    """The keys on surreal groups: each exponent is its own key."""
 
     @staticmethod
     def key(e: GroupElement) -> GroupElement:
@@ -171,20 +237,36 @@ class _ExponentKeys:
 _EXPONENT_KEYS = _ExponentKeys()
 
 
-def _keys(group: GroupDescriptor, exponents):
-    """The keys of ``exponents`` and of the sums formed from them."""
-    return _Keys(group, exponents) if group.rank_one else _EXPONENT_KEYS
+def _keys(group: GroupDescriptor, exponents, reach):
+    """The keys of ``exponents`` and of the sums formed from them.  On lexN
+    ``reach()`` bounds every digit of those sums, as a multiple of the
+    largest digit of ``exponents`` (``_LexKeys``); elsewhere it is not
+    asked."""
+    if not group.keyed:
+        return _EXPONENT_KEYS
+    if group.rank_one:
+        return _Keys(group, exponents)
+    return _LexKeys(group, exponents, reach)
+
+
+def _rounds(gap: GroupElement, step: GroupElement) -> int:
+    """On lexN, for positive ``gap`` and ``step`` of one archimedean class,
+    so of one leading index ``j``: ``gap_j // step_j + 1``, a count ``n``
+    with ``n * step > gap``."""
+    j = next(i for i, c in enumerate(step.value) if c)
+    return gap.value[j] // step.value[j] + 1
 
 
 def _keyed_products(group: GroupDescriptor, a: list, b: list, precision) -> list:
-    """``Series._mul``'s summed rows on Z and Q: the nonzero sums of the
-    numerator products of ``a`` and ``b`` below ``precision``, ascending."""
+    """``Series._mul``'s summed rows on Z, Q and lexN: the nonzero sums of
+    the numerator products of ``a`` and ``b`` below ``precision``,
+    ascending."""
     if not (a and b):
         return []
     exponents = [ex for ex, _ in a + b]
     if precision is not None:
         exponents.append(precision)
-    keys = _Keys(group, exponents)
+    keys = _keys(group, exponents, lambda: 2)  # sums of two exponents
     key = keys.key
     b = [(key(eb), nb) for eb, nb in b]
     # an exact product stops past its last key
@@ -338,13 +420,13 @@ class Series:
         precision = _pmin(precision, bound)
         da, a = _numerators(self.terms)
         db, b = _numerators(other.terms)
-        if self.group.rank_one:
+        if self.group.keyed:
             sums = _keyed_products(self.group, a, b, precision)
         else:
             # Not a dict over exponent keys as in invert: that made
-            # products of sparse 4-term lex2, surreal1 and surreal2
-            # operands 1.7x, 2.9x and 4.2x slower (Python 3.11, x86_64),
-            # as it hashes every sum, and a surreal sum hashes a series.
+            # products of sparse 4-term surreal1 and surreal2 operands
+            # 2.9x and 4.2x slower (Python 3.11, x86_64), as it hashes
+            # every sum, and a surreal sum hashes a series.
             rows = []
             for ea, na in a:
                 row = []
@@ -422,7 +504,18 @@ class Series:
                 f"archimedean class of v(eps) = {v_eps} is infinitesimal "
                 f"relative to the class of the target {target}"
             )
-        keys = _keys(self.group, [precision, g] + [ex for ex, _ in rest])
+        # On lexN every step x = ex - g leads at the target's leading index
+        # j, with 0 < x_j <= target_j: the refusal above leaves no step
+        # infinitesimal against the target, and a step that dominates it
+        # lies past it.  So a popped key, -g plus a sum below the target,
+        # sums at most n = target_j // v(eps)_j steps, and a formed key
+        # n + 1, whose digits stay within M + 2M(n + 1), with M the largest
+        # digit keyed.  With no step, only -g is formed, within M.
+        keys = _keys(
+            self.group,
+            [precision, g] + [ex for ex, _ in rest],
+            lambda: 2 * _rounds(target, v_eps) + 1 if rest else 1,
+        )
         key = keys.key
         kg, stop = key(g), key(precision)
         rn, rd = r.numerator, r.denominator

@@ -86,6 +86,13 @@ class TestGroupArithmetic:
         with pytest.raises(DomainError):
             embed_rational(INTEGERS, Fraction(1, 2))
 
+    def test_keyed_kinds_and_rank_one_kinds(self):
+        # the kernels run on int exponent keys over Z, Q and lexN; a
+        # functional has one slope over Z and Q only
+        kinds = [INTEGERS, RATIONALS, lex_power(1), LEX2, surreal_depth(0), surreal_depth(1)]
+        assert [g.keyed for g in kinds] == [True] * 4 + [False] * 2
+        assert [g.rank_one for g in kinds] == [True] * 2 + [False] * 4
+
 
 class TestArchCompare:
     def test_rank_one_groups_are_one_class(self):
@@ -715,6 +722,20 @@ class TestOneInstancePerGroup:
         monkeypatch.setattr(GroupDescriptor, "__init__", counted)
         assert GroupDescriptor("LexPower", 2) is shared and lex_power(2) is shared
         assert copy.deepcopy(shared) is shared and calls == []
+
+    def test_exponent_group_is_found_once(self, monkeypatch):
+        group = surreal_depth(3)
+        first, calls = group.exponent_group, []
+        call = groups._OneInstancePerGroup.__call__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return call(cls, *args, **kwargs)
+
+        monkeypatch.setattr(groups._OneInstancePerGroup, "__call__", counted)
+        second = group.exponent_group
+        monkeypatch.undo()
+        assert calls == [] and second is first is surreal_depth(2)
 
     @pytest.mark.parametrize("direct_first", [True, False])
     def test_zero_has_the_shared_descriptor_whichever_is_asked_first(

@@ -17,11 +17,13 @@ constructor that coerces and normalizes:
   built from those definitions,
 * the images of the relabelling automorphism nodes are ``make`` on the
   relabelled and rescaled terms at the mapped precision,
-* ``*``, ``invert`` and ``exp_apply`` over Z and Q, which compute on int
-  exponent keys, are their results on the same case embedded in lex1,
-  whose exponents are their own keys, and the drawn ``invert`` and
-  ``exp_apply`` cases also equal ``ref_invert`` and ``ref_exp`` (inverses
-  where ``few_summands`` keeps the reference small).
+* ``*``, ``invert`` and ``exp_apply`` over Z, Q, lex2 and lex3, which
+  compute on int exponent keys, are their results on the same case
+  embedded in surreal1, whose exponents are their own keys, and the drawn
+  ``invert`` and ``exp_apply`` cases also equal ``ref_invert`` and
+  ``ref_exp`` (inverses where ``few_summands`` keeps the reference small),
+* on lex2 and lex3 those kernels agree with the definitions where a
+  formed key reaches its radix bound.
 
 "The same" means equal terms tuples and equal precision or, when the
 definition refuses, the same error type with the same message.  Every
@@ -29,6 +31,7 @@ result must also hold the normalized invariant.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given
@@ -863,32 +866,55 @@ def test_seeded_relabelling_images_match_definition(index):
         )
 
 
-# -- rank-one int keys against the general path -----------------------------------
+# -- int keys against the general path ----------------------------------------------
 #
-# On Z and Q, ``*``, ``invert`` and ``exp_apply`` compute on int exponent
-# keys.  lex1 is rank one as well, but its exponents are their own keys
-# and its products merge rows, so a Z or Q case embedded there and mapped
-# back must give the same terms and precision, or the same error type
-# (messages print lex1 exponents as tuples).  invert and exp_apply run the
-# same recurrence and row walk on either kind of key, so their drawn cases
-# are also checked against the references above, which share no code
-# with them.
+# On Z, Q and lexN, ``*``, ``invert`` and ``exp_apply`` compute on int
+# exponent keys.  On surreal1 an exponent is its own key and products merge
+# rows.  Z and Q embed in surreal1 as q -> q t^0, and lexN as
+# (c_0, ..., c_(N-1)) -> c_0 t^0 + ... + c_(N-1) t^(N-1).  Both embeddings
+# are additive, keep order and map archimedean classes to classes, so a
+# case embedded there and mapped back must give the same terms and
+# precision, or the same error type (messages print surreal1 exponents as
+# series).  invert and exp_apply run the same recurrence and row walk on
+# either kind of key, so their drawn cases are also checked against the
+# references above, which share no code with them.
 
-LEX1 = lex_power(1)
+LEX3 = lex_power(3)
 # large and pairwise coprime, so the key scale of a case reaches 10**18
 DENOMINATORS = [1, 2, 3, 7, 999_999_937, 10**9 + 7]
 
 
-def keyed_exponents(group, lo=-6, hi=9):
-    """Z exponents, or Q exponents ``k + n/d`` off any one lattice."""
-    if group is INTEGERS:
-        return st.integers(lo, hi).map(lambda k: element(group, k))
+def keyed_rationals(lo, hi):
+    """``k + n/d`` with ``lo <= k <= hi``, off any one lattice."""
     return st.builds(
-        lambda k, n, d: element(group, k + Fraction(n, d)),
+        lambda k, n, d: k + Fraction(n, d),
         st.integers(lo, hi),
         st.integers(0, 3),
         st.sampled_from(DENOMINATORS),
     )
+
+
+def keyed_exponents(group, lo=-6, hi=9):
+    """Z exponents, Q exponents off any one lattice, or lexN exponents whose
+    leading coordinate is drawn so and whose others range over signs."""
+    if group is INTEGERS:
+        return st.integers(lo, hi).map(lambda k: element(group, k))
+    if group is RATIONALS:
+        return keyed_rationals(lo, hi).map(lambda q: element(group, q))
+    rest = [keyed_rationals(-6, 9)] * (group.param - 1)
+    return st.tuples(keyed_rationals(lo, hi), *rest).map(lambda t: element(group, t))
+
+
+def keyed_steps(group):
+    """Positive exponents at least 1 in their leading coordinate, so that
+    few of them fit below a target of their class; on lexN they lead at
+    index 0 or 1."""
+    steps = keyed_exponents(group, 1, 2)
+    if group.kind != "LexPower":
+        return steps
+    rest = [keyed_rationals(-6, 9)] * (group.param - 2)
+    second = st.tuples(st.just(0), keyed_rationals(1, 2), *rest)
+    return steps | second.map(lambda t: element(group, t))
 
 
 def keyed_series(group, max_size=6):
@@ -900,68 +926,103 @@ def keyed_series(group, max_size=6):
     )
 
 
-def to_lex1(x):
-    """A Z or Q exponent or series (or None) embedded in lex1."""
+def to_surreal1(x):
+    """A Z, Q or lexN exponent, series or functional (or None) embedded in
+    surreal1."""
     if x is None:
         return None
     if isinstance(x, GroupElement):
-        return element(LEX1, (x.value,))
+        coords = x.value if x.descriptor.kind == "LexPower" else (x.value,)
+        return element(SURREAL1, Series.make(RATIONALS, list(enumerate(coords))))
+    if isinstance(x, LinearFunctional):
+        return LinearFunctional(
+            SURREAL1, tuple((to_surreal1(g), v) for g, v in x.generators)
+        )
     return Series.make(
-        LEX1, [(to_lex1(ex), c) for ex, c in x.terms], to_lex1(x.precision)
+        SURREAL1, [(to_surreal1(ex), c) for ex, c in x.terms], to_surreal1(x.precision)
     )
 
 
-def from_lex1(group, x):
+def from_surreal1(group, x):
     if x is None:
         return None
     if isinstance(x, GroupElement):
-        (value,) = x.value
+        coords = [Fraction(0)] * (group.param if group.kind == "LexPower" else 1)
+        for i, c in x.value.terms:
+            assert i.value.denominator == 1
+            coords[int(i.value)] = c
+        if group.kind == "LexPower":
+            return element(group, coords)
+        (value,) = coords
         if group is INTEGERS:
             assert value.denominator == 1
             value = int(value)
         return element(group, value)
-    terms = [(from_lex1(group, ex), c) for ex, c in x.terms]
-    return Series.make(group, terms, from_lex1(group, x.precision))
+    terms = [(from_surreal1(group, ex), c) for ex, c in x.terms]
+    return Series.make(group, terms, from_surreal1(group, x.precision))
 
 
 def assert_keyed_like_general(group, fn, keyed_args, general_args):
-    """``fn`` on Z or Q arguments against ``fn`` on their lex1 embedding."""
+    """``fn`` on Z, Q or lexN arguments against ``fn`` on their surreal1
+    embedding."""
     got, want = outcome(fn, *keyed_args), outcome(fn, *general_args)
     if want[0] != "value":
         assert got[0] == want[0]
         return
     assert got[0] == "value"
-    fast, general = got[1], from_lex1(group, want[1])
+    fast, general = got[1], from_surreal1(group, want[1])
     assert_normalized(fast)
     assert (fast.terms, fast.precision) == (general.terms, general.precision)
     # int or Fraction, not merely equal values
-    value_type = int if group is INTEGERS else Fraction
     exps = [ex for ex, _ in fast.terms]
     if fast.precision is not None:
         exps.append(fast.precision)
-    assert all(type(ex.value) is value_type for ex in exps)
+    if group.kind == "LexPower":
+        assert all(type(c) is Fraction for ex in exps for c in ex.value)
+    else:
+        value_type = int if group is INTEGERS else Fraction
+        assert all(type(ex.value) is value_type for ex in exps)
 
 
 def keyed_groups():
     return st.sampled_from([INTEGERS, RATIONALS])
 
 
-@given(
-    keyed_groups().flatmap(
+def lex_groups():
+    return st.sampled_from([LEX2, LEX3])
+
+
+def product_cases(groups):
+    return groups.flatmap(
         lambda g: st.tuples(keyed_series(g), keyed_series(g), keyed_exponents(g))
     )
-)
+
+
+@given(product_cases(keyed_groups()))
 def test_keyed_products_match_general_path(case):
+    check_keyed_products(case)
+
+
+@given(product_cases(lex_groups()))
+def test_lex_keyed_products_match_general_path(case):
+    check_keyed_products(case)
+
+
+def check_keyed_products(case):
     a, b, p = case
     mul = lambda x, y: x * y
     for x, y in ((a, b), (a.truncate_to(p), b), (a, a), (a + b, b.truncate_to(p))):
-        assert_keyed_like_general(a.group, mul, (x, y), (to_lex1(x), to_lex1(y)))
+        assert_keyed_like_general(
+            a.group, mul, (x, y), (to_surreal1(x), to_surreal1(y))
+        )
 
 
 def keyed_unit_case(group, g, c, steps, target, slack):
-    """``c t^g (1 + sum c_i t^(e_i))`` with every ``e_i >= 1``, so only
-    sums of at most ``target`` of them lie below the target; truncated
-    ``slack`` past (or, when negative, short of) what certifies it."""
+    """``c t^g (1 + sum c_i t^(e_i))`` with every ``e_i`` positive and at
+    least 1 in its leading coordinate, so only sums of at most about the
+    target's leading coordinate of them lie below a target of their class;
+    truncated ``slack`` past (or, when negative, short of) what certifies
+    it."""
     s = Series.make(group, [(g, c)] + [(g + e, ci) for e, ci in steps])
     if slack is not None:
         s = s.truncate_to(target + g + element(group, slack))
@@ -973,7 +1034,7 @@ def keyed_units(group):
         lambda *case: keyed_unit_case(group, *case),
         keyed_exponents(group),
         coefficients.filter(bool),
-        st.lists(st.tuples(keyed_exponents(group, 1, 2), coefficients), max_size=4),
+        st.lists(st.tuples(keyed_steps(group), coefficients), max_size=4),
         keyed_exponents(group, -1, 6),
         st.none() | st.integers(-1, 2),
     )
@@ -981,9 +1042,18 @@ def keyed_units(group):
 
 @given(keyed_groups().flatmap(keyed_units))
 def test_keyed_inverses_match_general_path(case):
+    check_keyed_inverse(case)
+
+
+@given(lex_groups().flatmap(keyed_units))
+def test_lex_keyed_inverses_match_general_path(case):
+    check_keyed_inverse(case)
+
+
+def check_keyed_inverse(case):
     s, target = case
     assert_keyed_like_general(
-        s.group, Series.invert, (s, target), (to_lex1(s), to_lex1(target))
+        s.group, Series.invert, (s, target), (to_surreal1(s), to_surreal1(target))
     )
     # ref_invert needs a leading term and a precision that certifies the target
     certified = s.terms and (
@@ -993,23 +1063,58 @@ def test_keyed_inverses_match_general_path(case):
         assert_same(Series.invert, ref_invert, s, target)
 
 
+def keyed_functionals(group):
+    """On Z and Q ``phi(gen) = q`` for a generator ``gen`` (1, as
+    ``standard_functional`` takes it, or 3, -2 or on Q 5/7); on lexN the
+    standard generators, or all but the last, with drawn values."""
+    values = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    if group.kind != "LexPower":
+        gens = [1, 3, -2] + ([Fraction(5, 7)] if group is RATIONALS else [])
+        return st.builds(
+            lambda gen, q: LinearFunctional(group, ((element(group, gen), q),)),
+            st.sampled_from(gens),
+            values,
+        )
+    n = group.param
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return st.builds(
+        lambda vs, full: LinearFunctional(group, tuple(zip(units[: n if full else -1], vs))),
+        st.lists(values, min_size=n, max_size=n),
+        st.sampled_from([True, True, True, False]),
+    )
+
+
 def keyed_phi_cases(group):
-    """``phi(gen) = q`` for a generator ``gen`` (1, as ``standard_functional``
-    takes it, or 3, -2 or on Q 5/7), a shift of at least 1, a series and a
-    target."""
-    gens = [1, 3, -2] + ([Fraction(5, 7)] if group is RATIONALS else [])
+    """A functional, a shift, a series and a target, on lexN mostly above
+    the series' terms."""
+    if group.kind != "LexPower":
+        return st.tuples(
+            keyed_functionals(group),
+            keyed_steps(group),
+            keyed_series(group, max_size=5),
+            keyed_exponents(group),
+        )
+    terms = st.lists(
+        st.tuples(keyed_exponents(group, -3, 4), coefficients), min_size=1, max_size=4
+    )
     return st.tuples(
-        st.sampled_from(gens),
-        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
-        keyed_exponents(group, 1, 2),
-        keyed_series(group, max_size=5),
-        keyed_exponents(group),
+        keyed_functionals(group),
+        keyed_steps(group),
+        st.builds(Series.make, st.just(group), terms, st.none() | keyed_exponents(group, 2, 9)),
+        keyed_exponents(group, 2, 9),
     )
 
 
 def _phi_example(group, gen, q):
     s = Series.make(group, [(-1, 4), (0, 1), (1, Fraction(-2, 3)), (3, 5)], 7)
-    return (gen, Fraction(q), element(group, 1), s, element(group, 6))
+    phi = LinearFunctional(group, ((element(group, gen), Fraction(q)),))
+    return (phi, element(group, 1), s, element(group, 6))
+
+
+def _lex_phi_example(values, shift, g):
+    # the row from t^g ends at a zero factor before the precision
+    s = Series.make(LEX2, [(g, 2), ((0, 5), 1)])
+    return (standard_functional(LEX2, values), element(LEX2, shift), s, element(LEX2, (3, 0)))
 
 
 @example(case=_phi_example(INTEGERS, 3, 2))
@@ -1017,21 +1122,29 @@ def _phi_example(group, gen, q):
 @example(case=_phi_example(RATIONALS, Fraction(5, 7), -3))
 @given(keyed_groups().flatmap(keyed_phi_cases))
 def test_keyed_exponentials_match_general_path(case):
-    gen, q, shift, s, target = case
-    group = s.group
-    d = make_phi_derivation(LinearFunctional(group, ((element(group, gen), q),)), shift)
-    general = make_phi_derivation(
-        LinearFunctional(LEX1, ((to_lex1(element(group, gen)), q),)), to_lex1(shift)
-    )
+    check_keyed_exponential(case)
+
+
+@example(case=_lex_phi_example([1, 1], (0, 1), (0, -3)))
+@example(case=_lex_phi_example([2, -1], (1, 2), (0, -2)))
+@given(lex_groups().flatmap(keyed_phi_cases))
+def test_lex_keyed_exponentials_match_general_path(case):
+    check_keyed_exponential(case)
+
+
+def check_keyed_exponential(case):
+    phi, shift, s, target = case
+    d = make_phi_derivation(phi, shift)
+    general = make_phi_derivation(to_surreal1(phi), to_surreal1(shift))
     assert_keyed_like_general(
-        group, exp_apply, (d, s, target), (general, to_lex1(s), to_lex1(target))
+        s.group, exp_apply, (d, s, target), (general, to_surreal1(s), to_surreal1(target))
     )
     assert_same(exp_apply, ref_exp, d, s, target)
 
 
 def test_keyed_paths_cover_refusals():
     # no leading term, a precision short of the target, and the exact zero
-    for group in (INTEGERS, RATIONALS):
+    for group in (INTEGERS, RATIONALS, LEX2, LEX3):
         for s in (
             Series.make(group, [], 3),
             Series.make(group, [(0, 1), (1, 2)], 2),
@@ -1039,7 +1152,7 @@ def test_keyed_paths_cover_refusals():
         ):
             target = element(group, 4)
             assert_keyed_like_general(
-                group, Series.invert, (s, target), (to_lex1(s), to_lex1(target))
+                group, Series.invert, (s, target), (to_surreal1(s), to_surreal1(target))
             )
 
 
@@ -1064,6 +1177,148 @@ def test_empty_functional_exponential_is_refused_at_the_first_nonzero_exponent(
     # phi(0) = 0: a constant comes back cut to the target
     constant = Series.make(group, [(0, Fraction(-7, 3))], 5)
     assert exp_apply(d, constant, element(group, 2)) == constant.truncate_to(2)
+
+
+# -- lex keys at their radix bound ------------------------------------------------
+#
+# A lexN key is a Kronecker int whose digits are the exponent's coordinates
+# times the lcm L of their denominators (``series._LexKeys``).  Every digit
+# of every key a kernel forms must stay within a bound B, a multiple of the
+# largest digit M of the exponents it keys: 2M for ``*``, M + 2M(n + 1)
+# for ``invert`` with n = target_j // v(eps)_j, and M(1 + i) for the exp
+# rows with i the most rounds a row forms.  In each case below some formed
+# sum has a digit of exactly B or -B, on a 10**18-scale L where the case
+# has the two large denominators.
+
+BIG, BIGGER = DENOMINATORS[-2:]
+
+
+def lex_digit_bound(keyed, factor, formed):
+    """Checks that ``formed``'s largest digit is ``factor`` times the
+    largest digit of ``keyed``, both times the lcm of their denominators."""
+    coords = [c for e in keyed for c in e.value]
+    scale = lcm(*[c.denominator for c in coords])
+    largest = max(abs(c * scale) for c in coords)
+    assert max(abs(c * scale) for c in formed.value) == factor * largest
+
+
+def lex(*coords):
+    return element(lex_power(len(coords)), coords)
+
+
+def bound_products():
+    """``*``: the sum of two exponents, at 2M."""
+    cases = [
+        # (0, 1) + (0, 1) is (0, 2L) in digits
+        (
+            [((0, 1), 2), ((Fraction(1, BIG), Fraction(-1, BIGGER)), -3)],
+            [((0, 1), Fraction(1, 2)), ((Fraction(2, BIGGER), 0), 5)],
+            None,
+            lex(0, 2),
+        ),
+        (
+            [((0, -1), 1), ((1, Fraction(1, BIG)), 1)],
+            [((0, -1), 3), ((Fraction(-1, BIGGER), 1), Fraction(-1, 2))],
+            (1, 0),
+            lex(0, -2),
+        ),
+        (
+            [((0, 0, 1), 1), ((0, Fraction(1, 7), -1), 2)],
+            [((0, 0, 1), -1), ((0, -1, Fraction(-1, 3)), 1)],
+            (0, 1, 0),
+            lex(0, 0, 2),
+        ),
+        (
+            [((0, 0, -1), 1), ((0, -1, Fraction(-1, 3)), 5)],
+            [((0, 0, -1), 4)],
+            None,
+            lex(0, 0, -2),
+        ),
+    ]
+    for a, b, p, formed in cases:
+        group = formed.descriptor
+        a, b = Series.make(group, a), Series.make(group, b, p)
+        keyed = [ex for ex, _ in a.terms + b.terms] + ([b.precision] if p else [])
+        yield "mul", (lambda x, y: x * y), ref_mul, (a, b), keyed, 2, formed
+
+
+def bound_inverses():
+    """``invert``: ``-g`` plus ``n + 1`` steps ``x``, at M + 2M(n + 1) = 7M,
+    since n = 2 steps sum below the target; and ``-g`` alone, at M, where
+    no step lies below the target."""
+    d = Fraction(1, BIGGER)
+    for g in (lex(0, 5 * d), lex(0, Fraction(-1, 3), 1)):
+        target = embed_rational(g.descriptor, Fraction(1, BIG))
+        s = Series.make(g.descriptor, [(g, 3), (g + target, 1)])
+        yield "invert", Series.invert, ref_invert, (s, target), [target - g, g], 1, -g
+    cases = [
+        # x = (2d, 10d), -g + 3x = (6d, 35d) at M = 5d; y brings in BIG
+        ((0, -5 * d), [((2 * d, 10 * d), 3), ((3 * d, Fraction(1, BIG)), -1)], (5 * d, 0)),
+        ((0, 5 * d), [((2 * d, -10 * d), Fraction(1, 2)), ((3 * d, Fraction(-1, BIG)), 2)], (5 * d, 0)),
+        # leading at index 1 of lex3, the bound at index 2
+        (
+            (Fraction(1, 7), 0, Fraction(-5, 7)),
+            [((0, Fraction(2, 7), Fraction(10, 7)), 1), ((0, Fraction(3, 7), Fraction(1, 3)), 4)],
+            (0, Fraction(5, 7), 0),
+        ),
+        (
+            (Fraction(1, 7), 0, Fraction(5, 7)),
+            [((0, Fraction(2, 7), Fraction(-10, 7)), -1)],
+            (0, Fraction(5, 7), 0),
+        ),
+    ]
+    for g, steps, target in cases:
+        g, target = lex(*g), lex(*target)
+        group = g.descriptor
+        s = Series.make(group, [(g, Fraction(-3, 2))] + [(g + lex(*x), c) for x, c in steps])
+        x = lex(*steps[0][0])
+        keyed = [target - g, g] + [ex for ex, _ in s.terms[1:]]
+        formed = -g + x + x + x
+        yield "invert", Series.invert, ref_invert, (s, target), keyed, 7, formed
+
+
+def bound_exponentials():
+    """The exp rows: ``g + i*shift``, at M(1 + i), where the shift leads at
+    the index of P - g, before it, or after it with a vanishing factor."""
+    d, e = Fraction(1, BIGGER), Fraction(1, BIG * BIGGER)
+    cases = [
+        # one index: i = 5 // 2 + 1 = 3, and g + 3*shift = (6d, 20d) at M = 5d
+        ([1, 1], (2 * d, 5 * d), [((0, 5 * d), 1), ((0, Fraction(1, BIG)), 2)], (5 * d, 0), 4),
+        # one index: i = 3 // 1 + 1 = 4, and g + 4*shift = (4, -25) at M = 5
+        ([1, 1], (1, -5), [((0, -5), Fraction(2, 3))], (3, 5), 5),
+        # the shift leads before P - g: i = 1, and g + shift = (1, -8) at M = 4
+        ([1, 1], (1, -4), [((0, -4), -1)], (0, 2), 2),
+        # the same at M = 1 on L = BIG * BIGGER, where g + shift = (e, -2e,
+        # -2e) lies past P = (0, e, e) by less than a radix 2B - 1 can tell
+        ([1, 1, 1], (e, -e, -e), [((0, -e, -e), 1)], (0, e, e), 2),
+        # the shift leads after P - g, and phi(g) + 2*phi(shift) = 0:
+        # i = 3, and g + 3*shift = (0, -1, 12) at M = 3
+        ([5, 9, 1], (0, 0, 3), [((0, -1, 3), 7)], (0, 0, 0), 4),
+    ]
+    for values, shift, terms, target, factor in cases:
+        shift, target = lex(*shift), lex(*target)
+        group = shift.descriptor
+        derivation = make_phi_derivation(standard_functional(group, values), shift)
+        s = Series.make(group, terms)
+        keyed = [target, shift] + [ex for ex, _ in s.terms]
+        formed = lex(*terms[0][0]) + shift.scale(factor - 1)
+        yield "exp", exp_apply, ref_exp, (derivation, s, target), keyed, factor, formed
+
+
+BOUND_CASES = [*bound_products(), *bound_inverses(), *bound_exponentials()]
+
+
+@pytest.mark.parametrize(
+    "kernel, fast, ref, args, keyed, factor, formed",
+    BOUND_CASES,
+    ids=[f"{case[0]}-{k}" for k, case in enumerate(BOUND_CASES)],
+)
+def test_lex_keys_at_their_digit_bound_match_definitions(
+    kernel, fast, ref, args, keyed, factor, formed
+):
+    lex_digit_bound(keyed, factor, formed)
+    assert_same(fast, ref, *args)
+    assert outcome(fast, *args)[0] == "value"
 
 
 # -- the keyed path is taken ---------------------------------------------------------
@@ -1098,6 +1353,39 @@ def test_dense_rank_one_kernels_make_linearly_many_group_calls(monkeypatch):
         counts.update(add=0, compare=0)
         op()
         assert counts["add"] <= 2 * n and counts["compare"] <= 2 * n, counts
+
+
+def test_dense_lex_kernels_make_linearly_many_group_calls(monkeypatch):
+    """A dense 24-term lex2 product, inverse to t^(0,24) and exponential to
+    t^(0,24) each make O(N) ``GroupElement`` additions and compares; the
+    general path makes O(N^2), one per product or row term.  The
+    exponential subtracts each term from the precision twice: for its
+    refusal test and for its keys' bound."""
+    n = 24
+    counts = {"add": 0, "compare": 0}
+
+    def counting(name, method):
+        def counted(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return counted
+
+    a = Series.make(
+        LEX2, [((0, k), Fraction((-1) ** k * (k + 2), 1 + k % 3)) for k in range(n)]
+    )
+    unit = Series.make(
+        LEX2, [((0, 0), 1)] + [((0, k), Fraction(k + 1, 2 + k % 5)) for k in range(1, n)]
+    )
+    target = element(LEX2, (0, n))
+    d = make_phi_derivation(standard_functional(LEX2, [1, 1]), (0, 1))
+    ops = (lambda: a * unit, lambda: unit.invert(target), lambda: exp_apply(d, a, target))
+    for name, attr in (("add", "__add__"), ("compare", "compare")):
+        monkeypatch.setattr(GroupElement, attr, counting(name, getattr(GroupElement, attr)))
+    for op in ops:
+        counts.update(add=0, compare=0)
+        op()
+        assert counts["add"] <= 3 * n and counts["compare"] <= 2 * n, counts
 
 
 def test_dense_rank_one_inverse_and_exponential_make_no_per_term_group_calls(

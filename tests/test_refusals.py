@@ -209,6 +209,18 @@ REFUSALS = {
         DomainError,
         "a str is not an element of lex2",
     ),
+    # only a tuple or list gives coordinates: not a string's digits or a
+    # dict's keys
+    "string of two digits into lex2": (
+        lambda: element(LEX2, "12"),
+        DomainError,
+        "a str is not an element of lex2",
+    ),
+    "dict into lex2": (
+        lambda: element(LEX2, {3: 0, 4: 1}),
+        DomainError,
+        "a dict is not an element of lex2",
+    ),
     "series into the trivial group": (
         lambda: element(SURREAL0, Series.one(Q)),
         DomainError,
