@@ -26,7 +26,6 @@ those tables and certifies that the residual fixes leading terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import derivations as deriv_mod
@@ -41,7 +40,7 @@ from .errors import (
     NotOneAut,
     SampleInsufficiency,
 )
-from .groups import GroupDescriptor, GroupElement
+from .groups import GroupDescriptor, GroupElement, Record
 from .sampling import (
     CheckResult,
     SampleSpec,
@@ -55,8 +54,7 @@ from .series import Series, _cut, _pmin
 # -- coefficient-side factor data ------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartialCharacter:
+class PartialCharacter(Record):
     """Multiplicative character on the integer span of a finite lattice.
 
     Values are positive rationals (order preservation); evaluation at
@@ -67,7 +65,7 @@ class PartialCharacter:
     lattice: tuple[GroupElement, ...]
     values: tuple[Fraction, ...]
     # the span of the lattice, derived once from ``lattice``
-    _span: dict = field(init=False, compare=False, repr=False)
+    _span: dict
 
     def __post_init__(self):
         lattice = tuple(groups.element(self.descriptor, g) for g in self.lattice)
@@ -98,8 +96,7 @@ class PartialCharacter:
         return out
 
 
-@dataclass(frozen=True)
-class ScalingFamily:
+class ScalingFamily(Record):
     """A positive rescaling per exponent: a default plus finite exceptions.
 
     No homomorphism law is imposed; the family represents an arbitrary
@@ -131,35 +128,29 @@ class ScalingFamily:
 # -- node types -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExternalField:
+class ExternalField(Record):
     tau: object  # an additive value-group map
 
 
-@dataclass(frozen=True)
-class CharacterLift:
+class CharacterLift(Record):
     chi: PartialCharacter
 
 
-@dataclass(frozen=True)
-class InternalMult:
+class InternalMult(Record):
     unit: Series  # 1 + eps with v(eps) > 0
 
 
-@dataclass(frozen=True)
-class ExternalGroup:
+class ExternalGroup(Record):
     zeta: object  # a monotone value-group map
     scaling: ScalingFamily
 
 
-@dataclass(frozen=True)
-class ExpDerivation:
+class ExpDerivation(Record):
     derivation: deriv_mod.MonomialDerivation
     target: GroupElement
 
 
-@dataclass(frozen=True)
-class Theta:
+class Theta(Record):
     """Direct-formula field automorphism built from a leading-term-fixing
     automorphism, a character and a group automorphism."""
 
@@ -168,8 +159,7 @@ class Theta:
     tau: object  # an additive value-group map
 
 
-@dataclass(frozen=True)
-class TauBuild:
+class TauBuild(Record):
     """Direct-formula group automorphism built from an internal group
     automorphism, an order bijection and a scaling family."""
 
@@ -178,33 +168,29 @@ class TauBuild:
     scaling: ScalingFamily
 
 
-@dataclass(frozen=True)
-class TableMonomial:
+class TableMonomial(Record):
     """Monomial action given by a finite table (factorization scaffolding)."""
 
     entries: tuple[tuple[GroupElement, GroupElement, Fraction], ...]
     # exponent -> (image, factor) and image -> (exponent, factor), derived
     # once from ``entries``
-    _forward: dict = field(init=False, compare=False, repr=False)
-    _backward: dict = field(init=False, compare=False, repr=False)
+    _forward: dict
+    _backward: dict
 
     def __post_init__(self):
         object.__setattr__(self, "_forward", {g: (e, c) for g, e, c in self.entries})
         object.__setattr__(self, "_backward", {e: (g, c) for g, e, c in self.entries})
 
 
-@dataclass(frozen=True)
-class Compose:
+class Compose(Record):
     parts: tuple
 
 
-@dataclass(frozen=True)
-class Inverse:
+class Inverse(Record):
     inner: object
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Record):
     group: GroupDescriptor
     node: object
 
@@ -513,8 +499,7 @@ def _induced(a: Automorphism, samples, precision):
     return out
 
 
-@dataclass(frozen=True)
-class ClassifyReport:
+class ClassifyReport(Record):
     additive: CheckResult
     multiplicative: CheckResult
     order_preserving: CheckResult
@@ -526,7 +511,7 @@ class ClassifyReport:
         return [n for n, r in self.as_items() if r.status == "fail"]
 
     def as_items(self):
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+        return [(name, getattr(self, name)) for name in self._fields]
 
 
 def classify_aut(
@@ -607,8 +592,7 @@ def classify_aut(
     )
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
+class FactorizationResult(Record):
     mode: str
     exponent_map: tuple[tuple[GroupElement, GroupElement], ...]
     coefficients: tuple[tuple[GroupElement, Fraction], ...]

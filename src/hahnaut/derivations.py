@@ -26,7 +26,6 @@ docstring gives the row recurrence and when a row is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -39,25 +38,22 @@ from .errors import (
     UnmappedExponent,
 )
 from . import groups
-from .groups import GroupDescriptor, GroupElement, LinearFunctional, arch_compare
+from .groups import GroupDescriptor, GroupElement, LinearFunctional, Record, arch_compare
 from .sampling import CheckResult, SampleSpec, Sampler, first_counterexample
 from .series import Series, _cut, _keys, _pmin, _rounds
 
 
-@dataclass(frozen=True)
-class PhiShift:
+class PhiShift(Record):
     phi: LinearFunctional
     shift: GroupElement
 
 
-@dataclass(frozen=True)
-class TableRule:
+class TableRule(Record):
     entries: tuple[tuple[GroupElement, Series], ...]
     zero_default: bool = False
 
 
-@dataclass(frozen=True)
-class MonomialDerivation:
+class MonomialDerivation(Record):
     group: GroupDescriptor
     rule: PhiShift | TableRule
     gain: GroupElement
@@ -258,15 +254,20 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
                 break
         ds = 1 if k_shift is None else k_shift.denominator
         ns = 0 if k_shift is None else k_shift.numerator
-        rows = []
+        # per row, the gap P - g from its exponent to the precision and the
+        # order of the gap's archimedean class against the shift's
+        rows, gaps = [], []
         for (g, c), k in zip(terms, ks):
-            if not _factor_vanishes(k, k_shift) and arch_compare(precision - g, shift) == "<":
+            gap = precision - g
+            order = arch_compare(gap, shift)
+            if order == "<" and not _factor_vanishes(k, k_shift):
                 raise NonTerminating(
                     "exponential series does not reach the target precision: the "
                     f"archimedean class of the shift {shift} is infinitesimal relative "
-                    f"to the class of {precision - g}, the gap from t^{g} to the "
+                    f"to the class of {gap}, the gap from t^{g} to the "
                     f"precision {precision}, and no factor phi(g) + i*phi(shift) vanishes"
                 )
+            gaps.append((gap, order))
             q = lcm(k.denominator, ds)
             rows.append((g, c, k.numerator * (q // k.denominator), ns * (q // ds), q))
 
@@ -279,9 +280,7 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
             # there).  With M the largest digit keyed, its digits stay
             # within M(1 + i).
             most = 0
-            for (g, _), k in zip(terms, ks):
-                gap = precision - g
-                order = arch_compare(gap, shift)
+            for (gap, order), k in zip(gaps, ks):
                 if order == "=":
                     most = max(most, _rounds(gap, shift))
                 elif order == "<" and k_shift:
@@ -368,8 +367,7 @@ def exp_derivation(
     )
 
 
-@dataclass(frozen=True)
-class DerivationReport:
+class DerivationReport(Record):
     leibniz: CheckResult
     contracting: CheckResult
     additive: CheckResult

@@ -17,6 +17,10 @@ valuation comparison, finitely generated Q-linear functionals into the
 rationals, strictly order-preserving bijections, and additive
 order-preserving automorphisms with exact rational inverses.
 
+Every value type of the package is a ``Record``: immutable, with
+equality, hash and repr read from its fields, and defined without
+generating code, so that importing the package stays cheap.
+
 There is one descriptor per group: ``GroupDescriptor(kind, param)``,
 ``lex_power``, ``surreal_depth``, ``exponent_group``, ``copy`` and
 ``pickle`` all return its one shared instance.  Descriptors compare and
@@ -27,9 +31,8 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul, truediv
+from operator import attrgetter, mul, truediv
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -43,6 +46,83 @@ from .errors import (
 _KINDS = ("Integers", "Rationals", "LexPower", "SurrealDepth")
 _MAX_LEX_ARITY = 2**20  # a lexN element is an N-tuple: a larger N exhausts memory
 _SHARED: dict = {}  # (kind, param) -> the group's one GroupDescriptor
+
+_setfield = object.__setattr__  # how a Record sets its own fields
+
+
+class Record:
+    """Base of the package's immutable value types; it generates no code.
+
+    A subclass's fields are its annotated names without a leading ``_``,
+    in order, and a field's default is the class attribute of that name.
+    ``__init__`` takes the fields by position or keyword, then runs
+    ``__post_init__``, which may coerce them or derive ``_`` attributes
+    with ``object.__setattr__``.  Two records are equal when they are of
+    one class with equal fields, and a record hashes as the tuple of its
+    fields, unless its class body defines ``__eq__`` or ``__hash__``.
+    Setting or deleting an attribute raises ``AttributeError``.  A type
+    built per term gives itself an ``__init__`` that sets each field.
+    Records do not inherit from one another.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(
+            name
+            for name in cls.__dict__.get("__annotations__", ())
+            if not name.startswith("_")
+        )
+        if "__eq__" in cls.__dict__ or "__hash__" in cls.__dict__:
+            return
+        get = attrgetter(*cls._fields)  # the tuple of the fields, if two or more
+        values = get if len(cls._fields) > 1 else lambda record: (get(record),)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(values(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(fields)} arguments, got {len(args)}"
+            )
+        for name, value in zip(fields, args):
+            _setfield(self, name, value)
+        for name in fields[len(args) :]:
+            if name in kwargs:
+                _setfield(self, name, kwargs.pop(name))
+            elif name in cls.__dict__:
+                _setfield(self, name, cls.__dict__[name])
+            else:
+                raise TypeError(f"{cls.__name__}() is missing the argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "two values for" if name in fields else "an unknown"
+            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class _OneInstancePerGroup(type):
@@ -66,12 +146,15 @@ class _OneInstancePerGroup(type):
         return shared
 
 
-@dataclass(frozen=True, eq=False)
-class GroupDescriptor(metaclass=_OneInstancePerGroup):
+class GroupDescriptor(Record, metaclass=_OneInstancePerGroup):
     """Identifies one of the supported value groups, by its one instance."""
 
     kind: str
     param: int = 0
+
+    # one instance per group, so equality and hash are by identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __reduce__(self):  # copy, deepcopy and pickle return the one instance
         return GroupDescriptor, (self.kind, self.param)
@@ -125,8 +208,7 @@ def surreal_depth(d: int) -> GroupDescriptor:
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """An element of one of the value groups.
 
     ``value`` is an ``int`` (Integers), ``Fraction`` (Rationals and the
@@ -136,6 +218,18 @@ class GroupElement:
 
     descriptor: GroupDescriptor
     value: object
+
+    def __init__(self, descriptor: GroupDescriptor, value):
+        _setfield(self, "descriptor", descriptor)
+        _setfield(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is GroupElement:
+            return self.descriptor is other.descriptor and self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.descriptor, self.value))
 
     def _check(self, other: "GroupElement"):
         mine, theirs = self.descriptor, other.descriptor
@@ -415,8 +509,7 @@ def _span_coefficients(span: dict, g: GroupElement) -> dict | None:
 # -- Q-linear functionals ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearFunctional:
+class LinearFunctional(Record):
     """A Q-linear map into the rationals, stored on a finite generator list.
 
     Evaluation extends Q-linearly over the span of the generators;
@@ -426,10 +519,10 @@ class LinearFunctional:
     descriptor: GroupDescriptor
     generators: tuple[tuple[GroupElement, Fraction], ...]
     # the span of the generators, derived once from ``generators``
-    _span: dict = field(init=False, compare=False, repr=False)
+    _span: dict
     # on Z and Q, ``v / g`` for the one generator ``(g, v)``, so that
     # ``phi(h) = h.value * _slope``; None off rank one or with no generator
-    _slope: Fraction | None = field(init=False, compare=False, repr=False)
+    _slope: Fraction | None
 
     def __post_init__(self):
         gens = tuple(
@@ -505,8 +598,7 @@ def scaling_functional(descriptor: GroupDescriptor, q) -> LinearFunctional:
 # and ``TauBuild`` need only be monotone.
 
 
-@dataclass(frozen=True)
-class Translation:
+class Translation(Record):
     offset: GroupElement
 
     @property
@@ -520,8 +612,7 @@ class Translation:
         return g - self.offset
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(Record):
     """Continuous piecewise-affine bijection of the rationals.
 
     ``slopes[0]`` applies left of the first breakpoint, ``slopes[i]`` on
@@ -534,7 +625,7 @@ class PiecewiseLinear:
     slopes: tuple[Fraction, ...]
     anchor: Fraction = Fraction(0)
     # values at the breakpoints, derived once from the fields above
-    _values: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
+    _values: tuple[Fraction, ...]
 
     def __post_init__(self):
         breaks = tuple(Fraction(b) for b in self.breakpoints)
@@ -573,8 +664,7 @@ class PiecewiseLinear:
         return self._walk(g.value, self._values, self.breakpoints, truediv)
 
 
-@dataclass(frozen=True)
-class PositiveScalar:
+class PositiveScalar(Record):
     descriptor: GroupDescriptor
     factor: Fraction
 
@@ -592,8 +682,7 @@ class PositiveScalar:
         return g.scale(1 / self.factor)
 
 
-@dataclass(frozen=True)
-class TriangularMatrix:
+class TriangularMatrix(Record):
     """Rational matrix on a lex power, triangular in the dominance direction.
 
     The image of each standard generator must have its first nonzero
@@ -636,8 +725,7 @@ class TriangularMatrix:
         return GroupElement(self.descriptor, tuple(x))
 
 
-@dataclass(frozen=True)
-class Composite:
+class Composite(Record):
     """Composition: the first listed map is applied last; additive if every part is."""
 
     parts: tuple

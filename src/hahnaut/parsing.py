@@ -27,7 +27,6 @@ series, including truncated ones.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -38,12 +37,11 @@ from .errors import (
     InsufficientPrecision,
     ParseError,
 )
-from .groups import RATIONALS, GroupDescriptor, GroupElement
+from .groups import RATIONALS, GroupDescriptor, GroupElement, Record, _setfield
 from .series import Series
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(Record):
     """What the parser and formatter read: the group, the precision that
     ``/`` inverts to, and the notation, ``t`` or ``w``."""
 
@@ -51,9 +49,12 @@ class SessionConfig:
     precision: GroupElement | None = None
     notation: str = "t"
 
-    def __post_init__(self):
-        if self.notation not in ("t", "w"):
-            raise DomainError(f"unknown notation {self.notation!r}")
+    def __init__(self, group=RATIONALS, precision=None, notation="t"):
+        if notation not in ("t", "w"):
+            raise DomainError(f"unknown notation {notation!r}")
+        _setfield(self, "group", group)
+        _setfield(self, "precision", precision)
+        _setfield(self, "notation", notation)
 
 
 # -- tokenizer ---------------------------------------------------------------

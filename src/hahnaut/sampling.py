@@ -11,30 +11,32 @@ functionals stay applicable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groups
 from .errors import DomainError
-from .groups import GroupDescriptor, GroupElement
+from .groups import GroupDescriptor, GroupElement, Record, _setfield
 from .series import Series
 
 
-@dataclass(frozen=True)
-class SampleSpec:
+class SampleSpec(Record):
     """Reproducible sample description: a seed and a sample count."""
 
     seed: int = 7
     count: int = 50
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one sampled law: pass, fail with witness, or n/a."""
 
     status: str  # "pass" | "fail" | "n/a"
     witness: tuple = ()
     note: str = ""
+
+    def __init__(self, status: str, witness: tuple = (), note: str = ""):
+        _setfield(self, "status", status)
+        _setfield(self, "witness", witness)
+        _setfield(self, "note", note)
 
     @property
     def ok(self) -> bool:

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
@@ -69,7 +68,15 @@ from .errors import (
     NonTerminating,
     ZeroSeries,
 )
-from .groups import GroupDescriptor, GroupElement, arch_compare, element, first_difference
+from .groups import (
+    GroupDescriptor,
+    GroupElement,
+    Record,
+    _setfield,
+    arch_compare,
+    element,
+    first_difference,
+)
 
 _exponent = itemgetter(0)
 
@@ -284,17 +291,36 @@ def _keyed_products(group: GroupDescriptor, a: list, b: list, precision) -> list
     return [(keys.element(k), n) for k in sorted(sums) if (n := sums[k])]
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
+class LeadingTerm(Record):
     valuation: GroupElement
     coefficient: Fraction
 
+    def __init__(self, valuation: GroupElement, coefficient: Fraction):
+        _setfield(self, "valuation", valuation)
+        _setfield(self, "coefficient", coefficient)
 
-@dataclass(frozen=True)
-class Series:
+
+class Series(Record):
     group: GroupDescriptor
     terms: tuple[tuple[GroupElement, Fraction], ...] = ()
     precision: GroupElement | None = None
+
+    def __init__(self, group: GroupDescriptor, terms: tuple = (), precision=None):
+        _setfield(self, "group", group)
+        _setfield(self, "terms", terms)
+        _setfield(self, "precision", precision)
+
+    def __eq__(self, other):
+        if other.__class__ is Series:
+            return (
+                self.group is other.group
+                and self.terms == other.terms
+                and self.precision == other.precision
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self.terms, self.precision))
 
     # -- construction ------------------------------------------------------
 

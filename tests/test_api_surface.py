@@ -4,12 +4,15 @@ name a module imports is referenced there.  Also keeps the
 package off ``Fraction`` internals, which differ between the Python
 versions it supports, keeps one constructor per type, keeps every
 "same group?" check one identity test, keeps every function the
-benchmark's tracer wraps in place, and keeps the parser's bracket rule
-and session settings in one place each."""
+benchmark's tracer wraps in place, keeps the parser's bracket rule
+and session settings in one place each, and keeps the import free of
+modules that generate code."""
 
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -129,7 +132,7 @@ def test_no_private_fraction_attribute_is_used():
 
 def test_no_module_builds_around_the_constructor():
     """Each kernel type has one constructor: no module makes an instance
-    with ``object.__new__``, around the dataclass ``__init__``."""
+    with ``object.__new__``, around the type's own ``__init__``."""
     calls = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -261,3 +264,26 @@ def test_session_config_holds_only_what_the_parser_reads():
     config = parsing_class("SessionConfig")
     fields = [node.target.id for node in config.body if isinstance(node, ast.AnnAssign)]
     assert fields == ["group", "precision", "notation"]
+
+
+def test_import_loads_no_code_generating_module():
+    """``import hahnaut`` in a fresh interpreter adds neither ``dataclasses``
+    nor ``inspect`` (which pulls in ``ast`` and ``dis``) to ``sys.modules``:
+    the value types are defined without generating code.  Only the modules
+    the import adds are checked, as ``site`` may load others before it."""
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import hahnaut\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    added = subprocess.run(
+        [sys.executable, "-c", probe, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout.split()
+    assert "hahnaut.automorphisms" in added
+    assert not {"dataclasses", "inspect"} & set(added), added

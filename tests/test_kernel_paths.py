@@ -1359,8 +1359,8 @@ def test_dense_lex_kernels_make_linearly_many_group_calls(monkeypatch):
     """A dense 24-term lex2 product, inverse to t^(0,24) and exponential to
     t^(0,24) each make O(N) ``GroupElement`` additions and compares; the
     general path makes O(N^2), one per product or row term.  The
-    exponential subtracts each term from the precision twice: for its
-    refusal test and for its keys' bound."""
+    exponential subtracts each term from the precision once, for both its
+    refusal test and its keys' bound."""
     n = 24
     counts = {"add": 0, "compare": 0}
 
@@ -1385,7 +1385,35 @@ def test_dense_lex_kernels_make_linearly_many_group_calls(monkeypatch):
     for op in ops:
         counts.update(add=0, compare=0)
         op()
-        assert counts["add"] <= 3 * n and counts["compare"] <= 2 * n, counts
+        assert counts["add"] <= 2 * n and counts["compare"] <= 2 * n, counts
+
+
+def test_dense_lex_exponential_orders_each_gap_once(monkeypatch):
+    """A dense 24-term lex2 exponential to t^(0,24) forms each row's gap
+    ``P - g`` to the precision and orders its archimedean class against the
+    shift once: the refusal pass records both and the keys' bound reads
+    them."""
+    n = 24
+    counts = {"sub": 0, "arch_compare": 0}
+
+    def counting(name, method):
+        def counted(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return counted
+
+    a = Series.make(
+        LEX2, [((0, k), Fraction((-1) ** k * (k + 2), 1 + k % 3)) for k in range(n)]
+    )
+    target = element(LEX2, (0, n))
+    d = make_phi_derivation(standard_functional(LEX2, [1, 1]), (0, 1))
+    monkeypatch.setattr(GroupElement, "__sub__", counting("sub", GroupElement.__sub__))
+    monkeypatch.setattr(
+        "hahnaut.derivations.arch_compare", counting("arch_compare", arch_compare)
+    )
+    exp_apply(d, a, target)
+    assert counts["sub"] <= n and counts["arch_compare"] <= n, counts
 
 
 def test_dense_rank_one_inverse_and_exponential_make_no_per_term_group_calls(
