@@ -186,8 +186,11 @@ def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
     ``a_0 = c`` and ``a_i = a_(i-1) * (phi(g) + (i-1)*phi(shift)) / i``.
     Each term of ``s`` below ``P`` gives that ascending row up to its first
     exponent at or past ``P`` or its first zero factor, and the rows are
-    summed per exponent key (``series._keys``).  The row from ``g`` is
-    infinite exactly when every ``g + i*shift`` stays below ``P``, that is
+    summed per exponent key (``series._keys``): an int key on Z, Q and
+    lexN, decoded once per output term to its shared exponent
+    (``series._Keys``), and the exponent itself on surreal groups.  The
+    row from ``g`` is infinite exactly when every ``g + i*shift`` stays
+    below ``P``, that is
     ``arch_compare(P - g, shift)`` is ``<``, and no factor vanishes, that
     is ``-phi(g)/phi(shift)`` is not a nonnegative integer.  Such a row is
     refused with ``NonTerminating`` before any coefficient is computed.
@@ -234,7 +237,8 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
     exponents = [precision, shift] + [g for g, _ in terms]
     if phi._slope is not None and phi.descriptor is d.group:
         # phi(g) = key(g) * rn / (rd * L): one slope, no phi call, and no
-        # refusal test, which cannot fire on rank one
+        # refusal test, which cannot fire on rank one; Z and Q keys have
+        # one digit, so _keys asks no reach
         keys = _keys(d.group, exponents, None)
         key = keys.key
         rn, rd = phi._slope.numerator, phi._slope.denominator
@@ -289,7 +293,7 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
                     most = max(most, 1)
             return 1 + most
 
-        keys = _keys(d.group, exponents, reach)
+        keys = _keys(d.group, exponents, reach)  # reach is asked on lexN only
         key = keys.key
         rows = [(key(g), *row) for g, *row in rows]
     # The row (kg, c, u, du, q) from key kg ascends by the shift's key below

@@ -39,13 +39,33 @@ run over exponent keys (``_keys``): like exponents meet in a dict keyed
 by key, a heap or a sort orders the keys, and each output exponent is
 built once, from its key.  On Z, Q and lexN (``GroupDescriptor.keyed``) a
 key is an int, so an exponent sum is an int add and an order test an int
-compare: ``value * L`` on Z and Q, with ``L`` the lcm of the denominators
-in play (1 on Z) (``_Keys``), and on lexN the coordinates times ``L`` read
-as the digits of one int in a radix that each kernel bounds
-(``_LexKeys``).  On surreal groups an exponent is its own key, and ``*``
-merges its rows pairwise instead (``_merge_rows``).  ``+``, ``make`` and
-these merges hash no exponent; ``invert`` and the exp rows do on surreal
+compare.  One class, ``_Keys``, makes them: an exponent's coordinates
+times ``L``, the lcm of the denominators in play, are its digits.  Z and
+Q have one digit, which is the key; lexN has N, read as one int in a
+radix that each kernel bounds.  ``_Keys.element`` decodes a key to the
+one shared exponent of its group, digits and ``L``, kept in a bounded
+table, so repeated calls stop rebuilding the same exponents.  The table
+keeps only exponents whose digits and ``L`` fit in a machine word and
+that have few coordinates.  Sharing an exponent object is only a
+shortcut: exponents compare and hash by value, and one built afresh is
+equal.  On surreal groups an exponent is its own key, and ``*`` merges
+its rows pairwise instead (``_merge_rows``).  ``+``, ``make`` and these
+merges hash no exponent; ``invert`` and the exp rows do on surreal
 groups.
+
+A keyed product whose operands are dense forms its sums with one int
+product, a Kronecker substitution of the coefficients
+(``_packed_products``).  Each operand's numerators become the signed
+base-``2**w`` digits of one int, at their keys' offsets from its least
+key.  At most ``min(n_a, n_b)`` pairs meet at one key, so each digit of
+the product is bounded by ``min(n_a, n_b) * max|num_a| * max|num_b|``,
+below ``2**(w-1)`` when ``w`` is that bound's bit length plus one, and the
+product's balanced base-``2**w`` digits are exactly the sums.  That path
+is taken when, after each operand is cut at the stop, it reads no more
+digit positions than the pair loop forms pairs:
+``span_a + span_b + 1 <= n_a * n_b``, in key units.  Other operands,
+such as sparse lex ones whose keys lie radix powers apart, sum their pairs
+in a dict.
 
 Off the keys, ``GroupElement.compare`` orders exponents, by the exact walk
 ``groups.first_difference`` on surreal groups.  ``compare``, ``agrees`` and
@@ -78,7 +98,7 @@ from .groups import (
     first_difference,
 )
 
-_exponent = itemgetter(0)
+_exponent, _coefficient = itemgetter(0), itemgetter(1)
 
 
 def _pmin(a: GroupElement | None, b: GroupElement | None) -> GroupElement | None:
@@ -142,93 +162,100 @@ def _numerators(terms) -> tuple[int, list]:
     return d, [(ex, c.numerator * (d // c.denominator)) for ex, c in terms]
 
 
+# ``_Keys.element`` keeps an exponent in the bounded table ``_interned`` only
+# when its digits and scale fit in a machine word and it has few coordinates.
+_MACHINE_WORD = 2**63
+_FEW_COORDINATES = 8
+
+
+def _element(group: GroupDescriptor, digits, scale: int) -> GroupElement:
+    """The exponent whose coordinates are ``digits`` over ``scale``: one
+    int digit on Z and Q, a tuple of N on lexN."""
+    if group.kind == "Integers":
+        return GroupElement(group, digits)
+    if group.kind == "Rationals":
+        return GroupElement(group, Fraction(digits, scale))
+    return GroupElement(group, tuple(Fraction(c, scale) for c in digits))
+
+
+_interned = functools.lru_cache(maxsize=1024)(_element)
+
+
 class _Keys:
-    """The int keys on Z and Q of the module docstring, with ``scale``
-    their ``L``.
-
-    A key goes back through ``GroupElement(...)``: an ``int`` value on Z, a
-    ``Fraction(k, scale)`` on Q.
-    """
-
-    __slots__ = ("group", "scale")
-
-    def __init__(self, group: GroupDescriptor, exponents):
-        self.group = group
-        self.scale = lcm(*[e.value.denominator for e in exponents])
-
-    def key(self, e: GroupElement) -> int:
-        v = e.value
-        return v.numerator * (self.scale // v.denominator)
-
-    def element(self, k: int) -> GroupElement:
-        if self.group.kind != "Rationals":
-            return GroupElement(self.group, k)
-        if self.scale == 1:
-            # the int fast path of Fraction(), which skips the gcd
-            return GroupElement(self.group, Fraction(k))
-        return GroupElement(self.group, Fraction(k, self.scale))
-
-
-# Fraction(k) of an int k, cached: the digits of small lex exponents recur,
-# and a hit costs a third of Fraction()'s int path (Python 3.11, x86_64)
-_int_fraction = functools.lru_cache(maxsize=1024)(Fraction)
-
-
-class _LexKeys:
-    """The int keys of lexN exponents: a Kronecker substitution.
+    """The int keys of Z, Q and lexN exponents: a Kronecker substitution.
 
     With ``scale`` the lcm ``L`` of the coordinate denominators of the
-    exponents keyed, an exponent's digits are ``c_i = coord_i * L`` and its
-    key is ``sum(c_i * R**(N-1-i))``, with ``R = 2B + 1``.  The key is
-    linear in the digits, so int ``+`` is exponent ``+``.  On digits in
-    ``[-B, B]`` it is one to one and keeps lex order: the first digit that
-    differs between two keys outweighs all later ones, since
+    exponents keyed, an exponent's digits are ``c_i = coord_i * L``: one on
+    Z and Q, N on lexN.  One digit is its own key.  N digits make the key
+    ``sum(c_i * R**(N-1-i))``, with ``R = 2B + 1``.  The key is linear in
+    the digits, so int ``+`` is exponent ``+``.  On digits in ``[-B, B]``
+    it is one to one and keeps lex order: the first digit that differs
+    between two keys outweighs all later ones, since
     ``2B * (R**m - 1) / (R - 1) < R**m``.  So ``B`` must bound every digit
     of every key a kernel forms, also of a sum formed only to fail its
     ``>= stop`` test; ``element`` reads the digits back in balanced base
     ``R``.  The caller's ``reach`` gives ``B`` as a multiple of the
-    largest digit ``M`` of the exponents keyed:
+    largest digit ``M`` of the exponents keyed, and is asked on lexN only:
 
     * ``*`` forms sums of two exponents: ``B = 2M``.
     * ``invert``: see ``Series.invert``.
     * the exp rows: see ``derivations._exp_phi_shift``.
+
+    ``element`` returns the one exponent per (group, digits, scale) held
+    in the bounded table ``_interned``, or builds a larger one afresh
+    without keeping it.
     """
 
-    __slots__ = ("group", "scale", "bound", "radix")
+    __slots__ = ("group", "scale", "bound", "radix", "retain")
 
     def __init__(self, group: GroupDescriptor, exponents, reach):
         self.group = group
+        self.bound = self.radix = None  # one digit
+        if group.kind != "LexPower":
+            self.scale = lcm(*[e.value.denominator for e in exponents])
+            self.retain = self.scale < _MACHINE_WORD
+            return
         coords = [c for e in exponents for c in e.value]
         self.scale = scale = lcm(*[c.denominator for c in coords])
         if scale == 1:
             digits = [c.numerator for c in coords]
         else:
             digits = [c.numerator * (scale // c.denominator) for c in coords]
-        self.bound = reach() * max(max(digits), -min(digits))
-        self.radix = 2 * self.bound + 1
+        self.bound = bound = reach() * max(max(digits), -min(digits))
+        self.radix = 2 * bound + 1
+        self.retain = (
+            group.param <= _FEW_COORDINATES
+            and bound < _MACHINE_WORD
+            and scale < _MACHINE_WORD
+        )
 
     def key(self, e: GroupElement) -> int:
-        k, radix, scale = 0, self.radix, self.scale
+        v, radix, scale = e.value, self.radix, self.scale
+        if radix is None:
+            return v.numerator * (scale // v.denominator)
+        k = 0
         if scale == 1:
-            for c in e.value:
+            for c in v:
                 k = k * radix + c.numerator
         else:
-            for c in e.value:
+            for c in v:
                 k = k * radix + c.numerator * (scale // c.denominator)
         return k
 
     def element(self, k: int) -> GroupElement:
-        bound, radix, scale = self.bound, self.radix, self.scale
-        digits = []
-        for _ in range(self.group.param - 1):
-            k, d = divmod(k + bound, radix)
-            digits.append(d - bound)
-        digits.append(k)
-        if scale == 1:
-            value = tuple(map(_int_fraction, reversed(digits)))
+        bound, radix = self.bound, self.radix
+        if radix is None:
+            digits, retain = k, self.retain and -_MACHINE_WORD < k < _MACHINE_WORD
         else:
-            value = tuple(Fraction(c, scale) for c in reversed(digits))
-        return GroupElement(self.group, value)
+            digits = []
+            for _ in range(self.group.param - 1):
+                k, d = divmod(k + bound, radix)
+                digits.append(d - bound)
+            digits.append(k)
+            digits, retain = tuple(reversed(digits)), self.retain
+        if retain:
+            return _interned(self.group, digits, self.scale)
+        return _element(self.group, digits, self.scale)
 
 
 class _ExponentKeys:
@@ -245,15 +272,13 @@ _EXPONENT_KEYS = _ExponentKeys()
 
 
 def _keys(group: GroupDescriptor, exponents, reach):
-    """The keys of ``exponents`` and of the sums formed from them.  On lexN
-    ``reach()`` bounds every digit of those sums, as a multiple of the
-    largest digit of ``exponents`` (``_LexKeys``); elsewhere it is not
-    asked."""
-    if not group.keyed:
-        return _EXPONENT_KEYS
-    if group.rank_one:
-        return _Keys(group, exponents)
-    return _LexKeys(group, exponents, reach)
+    """The keys of ``exponents`` and of the sums formed from them: int keys
+    on Z, Q and lexN (``_Keys``), where on lexN ``reach()`` bounds every
+    digit of those sums as a multiple of the largest digit of
+    ``exponents``; the exponents themselves on surreal groups."""
+    if group.keyed:
+        return _Keys(group, exponents, reach)
+    return _EXPONENT_KEYS
 
 
 def _rounds(gap: GroupElement, step: GroupElement) -> int:
@@ -267,7 +292,15 @@ def _rounds(gap: GroupElement, step: GroupElement) -> int:
 def _keyed_products(group: GroupDescriptor, a: list, b: list, precision) -> list:
     """``Series._mul``'s summed rows on Z, Q and lexN: the nonzero sums of
     the numerator products of ``a`` and ``b`` below ``precision``,
-    ascending."""
+    ascending.
+
+    Each operand is first cut where it meets the other's least key at the
+    stop.  The sums then lie at ``span_a + span_b + 1`` keys from the
+    least, and ``n_a * n_b`` pairs form them.  When the keys are no more
+    than the pairs, one int product forms them all
+    (``_packed_products``); otherwise each pair meets its like keys in a
+    dict.
+    """
     if not (a and b):
         return []
     exponents = [ex for ex, _ in a + b]
@@ -275,20 +308,59 @@ def _keyed_products(group: GroupDescriptor, a: list, b: list, precision) -> list
         exponents.append(precision)
     keys = _keys(group, exponents, lambda: 2)  # sums of two exponents
     key = keys.key
+    a = [(key(ea), na) for ea, na in a]
     b = [(key(eb), nb) for eb, nb in b]
-    # an exact product stops past its last key
-    stop = key(a[-1][0]) + b[-1][0] + 1 if precision is None else key(precision)
-    sums = {}
-    for ea, na in a:
-        ka = key(ea)
-        if ka + b[0][0] >= stop:
-            break
-        for kb, nb in b:
-            k = ka + kb
-            if k >= stop:
-                break
-            sums[k] = sums.get(k, 0) + na * nb
-    return [(keys.element(k), n) for k in sorted(sums) if (n := sums[k])]
+    if precision is None:  # an exact product stops past its last key
+        stop = a[-1][0] + b[-1][0] + 1
+    else:
+        stop = key(precision)
+        a = a[: bisect_left(a, stop - b[0][0], key=_exponent)]
+        if not a:
+            return []
+        b = b[: bisect_left(b, stop - a[0][0], key=_exponent)]
+    if a[-1][0] - a[0][0] + b[-1][0] - b[0][0] + 1 <= len(a) * len(b):
+        sums = _packed_products(a, b, stop)
+    else:
+        table = {}
+        for ka, na in a:
+            for kb, nb in b:
+                k = ka + kb
+                if k >= stop:
+                    break
+                table[k] = table.get(k, 0) + na * nb
+        sums = [(k, n) for k in sorted(table) if (n := table[k])]
+    return [(keys.element(k), n) for k, n in sums]
+
+
+def _packed_products(a: list, b: list, stop: int) -> list:
+    """The nonzero sums ``(key, n)`` of the pair products of the keyed
+    numerators ``a`` and ``b`` below ``stop``, ascending, from one int
+    product, with the width ``w`` of the module docstring.  Each operand
+    holds its numerator at key ``k`` as its signed base-``2**w`` digit at
+    ``k`` less its least key.  The product's balanced digits, read from the
+    bottom with a borrow for each negative one, are the sums."""
+    lo_a, lo_b = a[0][0], b[0][0]
+    most_a = max(map(abs, map(_coefficient, a)))
+    most_b = max(map(abs, map(_coefficient, b)))
+    w = (min(len(a), len(b)) * most_a * most_b).bit_length() + 1
+    packed_a = packed_b = 0
+    for k, n in a:
+        packed_a += n << w * (k - lo_a)
+    for k, n in b:
+        packed_b += n << w * (k - lo_b)
+    product = packed_a * packed_b
+    top = min(stop, a[-1][0] + b[-1][0] + 1)
+    mask, half, base = (1 << w) - 1, 1 << (w - 1), 1 << w
+    sums = []
+    for k in range(lo_a + lo_b, top):
+        n = product & mask
+        product >>= w
+        if n >= half:
+            n -= base
+            product += 1
+        if n:
+            sums.append((k, n))
+    return sums
 
 
 class LeadingTerm(Record):
@@ -430,7 +502,9 @@ class Series(Record):
 
         Each operand's coefficients are put over the lcm of its
         denominators, ``da`` and ``db``, as integer numerators, so a pair
-        product is one int product.  Each row of products ``ea + eb``
+        product is one int product.  On Z, Q and lexN the sums are formed on
+        int keys, by one packed int product where the operands are dense
+        (``_keyed_products``).  Elsewhere each row of products ``ea + eb``
         ascends with ``eb``, so a row stops at the first product at or past
         the result's precision and later rows start no lower.  Each summed
         term becomes one ``Fraction(n, da * db)``.

@@ -23,7 +23,14 @@ constructor that coerces and normalizes:
   ``invert`` and ``exp_apply`` cases also equal ``ref_invert`` and
   ``ref_exp`` (inverses where ``few_summands`` keeps the reference small),
 * on lex2 and lex3 those kernels agree with the definitions where a
-  formed key reaches its radix bound.
+  formed key reaches its radix bound,
+* a product of dense keyed operands, which is one packed int product,
+  equals ``ref_mul`` where a product digit reaches the packing width's
+  bound, through borrow chains, at every cut and on both sides of the
+  rule that picks the packed path,
+* the exponents those kernels return are shared through a bounded table:
+  a repeated call builds none, an oversized exponent is not kept, and
+  results do not depend on what the table holds.
 
 "The same" means equal terms tuples and equal precision or, when the
 definition refuses, the same error type with the same message.  Every
@@ -37,6 +44,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import hahnaut.series
 from hahnaut.automorphisms import (
     Automorphism,
     CharacterLift,
@@ -82,7 +90,7 @@ from hahnaut.groups import (
     surreal_depth,
 )
 from hahnaut.sampling import Sampler
-from hahnaut.series import Series
+from hahnaut.series import Series, _element, _interned, _keys
 
 GROUPS = {
     "Z": INTEGERS,
@@ -90,6 +98,8 @@ GROUPS = {
     "lex2": lex_power(2),
     "surreal1": surreal_depth(1),
     "surreal2": surreal_depth(2),
+    "lex1": lex_power(1),
+    "lex3": lex_power(3),
 }
 
 
@@ -544,6 +554,11 @@ EXP_DERIVATIONS = PHI_DERIVATIONS + [
         surreal_basis([2, 1, -1, 1, 1, 1, 3, 1]),
         Series.monomial(RATIONALS, 1),
     ),
+    # lex1 keys have one digit, as on Q, but values are 1-tuples
+    make_phi_derivation(
+        standard_functional(lex_power(1), [Fraction(-1, 2)]), (Fraction(1, 2),)
+    ),
+    make_phi_derivation(standard_functional(lex_power(3), [1, 0, 2]), (1, 0, -1)),
 ]
 
 
@@ -624,7 +639,7 @@ def test_phi_gain_above_the_shift_is_refused():
 # common denominators large, and the results must still equal the Fraction
 # definitions above.
 
-KERNEL_GROUPS = [INTEGERS, RATIONALS, LEX2, SURREAL1]
+KERNEL_GROUPS = [INTEGERS, RATIONALS, LEX2, SURREAL1, lex_power(1), lex_power(3)]
 PRIMES = [2, 3, 5, 7, 11, 13, 101, 65537, 998244353, 10**9 + 7, 2**61 - 1]
 
 
@@ -1182,7 +1197,8 @@ def test_empty_functional_exponential_is_refused_at_the_first_nonzero_exponent(
 # -- lex keys at their radix bound ------------------------------------------------
 #
 # A lexN key is a Kronecker int whose digits are the exponent's coordinates
-# times the lcm L of their denominators (``series._LexKeys``).  Every digit
+# times the lcm L of their denominators (``series._Keys``, which gives Z
+# and Q one digit, its own key, and lexN its N).  Every digit
 # of every key a kernel forms must stay within a bound B, a multiple of the
 # largest digit M of the exponents it keys: 2M for ``*``, M + 2M(n + 1)
 # for ``invert`` with n = target_j // v(eps)_j, and M(1 + i) for the exp
@@ -1463,3 +1479,272 @@ def test_dense_rank_one_inverse_and_exponential_make_no_per_term_group_calls(
     assert small == large
     _, exp_counts = small
     assert "phi" not in exp_counts and "arch_compare" not in exp_counts, exp_counts
+
+
+# -- packed products ----------------------------------------------------------------
+#
+# A keyed product whose sums lie at no more keys than it forms pairs is one
+# int product of the numerators packed as signed base-2**w digits
+# (``series._packed_products``), with w one more than the bit length of
+# min(n_a, n_b) * max|num_a| * max|num_b|.  The cases below meet each
+# limit of that reading: a product digit at exactly that bound, borrows
+# through runs of negative digits, a cut at every digit, and operands on
+# both sides of the rule that picks the path.
+
+
+def dense(group, coefficients, start=0):
+    """``sum c_k t^(start + k)``; on lexN at ``(0, ..., 0, start + k)``."""
+    def at(k):
+        if group.kind == "LexPower":
+            return (0,) * (group.param - 1) + (start + k,)
+        return start + k
+
+    return Series.make(group, [(at(k), c) for k, c in enumerate(coefficients)])
+
+
+def packed_calls(monkeypatch):
+    """The operand sizes of each packed product made from now on."""
+    calls = []
+    packed = hahnaut.series._packed_products
+
+    def spy(a, b, stop):
+        calls.append((len(a), len(b)))
+        return packed(a, b, stop)
+
+    monkeypatch.setattr("hahnaut.series._packed_products", spy)
+    return calls
+
+
+def mul(x, y):
+    return x * y
+
+
+@pytest.mark.parametrize(
+    "group, n_a, n_b, c_a, c_b",
+    [
+        (RATIONALS, 24, 24, 9, 9),
+        (RATIONALS, 24, 24, -9, 9),
+        (RATIONALS, 24, 24, Fraction(-9, 4), Fraction(-7, 4)),
+        (INTEGERS, 3, 10, 7, -5),
+        (INTEGERS, 1, 6, -4, 4),
+        (lex_power(1), 5, 5, 2**40, -(2**40)),
+        (LEX2, 24, 24, -9, -9),
+        (LEX3, 4, 7, 3, 5),
+    ],
+)
+def test_packed_digit_at_the_width_bound_matches_schoolbook(
+    monkeypatch, group, n_a, n_b, c_a, c_b
+):
+    """Every numerator at its operand's largest: the middle digits of the
+    product are exactly +-min(n_a, n_b) * max|num_a| * max|num_b|."""
+    calls = packed_calls(monkeypatch)
+    a, b = dense(group, [c_a] * n_a), dense(group, [c_b] * n_b)
+    assert_same(mul, ref_mul, a, b)
+    assert calls == [(n_a, n_b)]
+    largest = max(abs(c) for _, c in (a * b).terms)
+    assert largest == min(n_a, n_b) * abs(c_a) * abs(c_b)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 23])
+def test_packed_borrow_chains_match_schoolbook(monkeypatch, k):
+    """``(1 - t) * (1 + t + ... + t^k)`` is ``1 - t^(k+1)``, every digit
+    between them zero; all-negative operands make every digit of the
+    product negative, so each one borrows from the next."""
+    calls = packed_calls(monkeypatch)
+    geometric = dense(RATIONALS, [1] * (k + 1))
+    one_minus_t = dense(RATIONALS, [1, -1])
+    assert one_minus_t * geometric == Series.make(RATIONALS, [(0, 1), (k + 1, -1)])
+    pairs = [
+        (one_minus_t, geometric),
+        (-geometric, geometric),
+        (-geometric, -geometric),
+        (-geometric, dense(RATIONALS, [-3, -1, -2])),
+        (dense(RATIONALS, [-1, 2] * (k + 1)), -geometric),
+    ]
+    for a, b in pairs:
+        assert_same(mul, ref_mul, a, b)
+    assert len(calls) == len(pairs) + 1
+
+
+def test_packed_product_cut_at_every_position_matches_schoolbook(monkeypatch):
+    """Each operand and the product cut at each key and between keys: the
+    operands lose their terms at or past the stop and the digits read stop
+    there."""
+    calls = packed_calls(monkeypatch)
+    n = 8
+    a_terms = [(k, Fraction((-1) ** k * (k + 2), 1 + k % 3)) for k in range(n)]
+    b = dense(RATIONALS, [Fraction(k - 3, 1 + k % 2) or 5 for k in range(n)])
+    for p in range(-1, 2 * n + 1):
+        for cut in (p, p + Fraction(1, 2)):
+            a = Series.make(RATIONALS, a_terms, cut)
+            assert_same(mul, ref_mul, a, b)
+            assert_same(mul, ref_mul, b, a)
+            assert_same(mul, ref_mul, a.shift(Fraction(-1, 3)), b)
+    assert len(calls) > 4 * n
+
+
+@pytest.mark.parametrize("last, packed", [(3, True), (4, True), (5, False)])
+def test_packed_path_taken_exactly_when_keys_do_not_exceed_pairs(
+    monkeypatch, last, packed
+):
+    """``a`` at keys 0 and 1, ``b`` at 0, 1 and ``last``: 6 pairs form sums
+    at ``1 + last + 1`` keys, one fewer than the pairs, as many, one more."""
+    calls = packed_calls(monkeypatch)
+    for group in (INTEGERS, RATIONALS, LEX2):
+        a = dense(group, [2, -3])
+        b = dense(group, [5, 1]) + dense(group, [-7], last)
+        assert_same(mul, ref_mul, a, b)
+    assert len(calls) == (3 if packed else 0)
+
+
+def test_packed_path_rule_reads_the_operands_after_the_cut(monkeypatch):
+    """``a`` at keys 0, 1 and 100 times ``b`` at 0, 1 and 2 cut at 3: the
+    term at 100 lies past the stop, so 6 pairs form sums at 4 keys, where
+    uncut they would lie at 103 keys."""
+    calls = packed_calls(monkeypatch)
+    a = Series.make(RATIONALS, [(0, 2), (1, -3), (100, 5)])
+    b = Series.make(RATIONALS, [(0, 1), (1, Fraction(1, 2)), (2, -4)], 3)
+    assert_same(mul, ref_mul, a, b)
+    assert_same(mul, ref_mul, b, a)
+    assert calls == [(2, 3), (3, 2)]
+
+
+def test_dense_q_products_pack_and_sparse_lex_products_loop(monkeypatch):
+    calls = packed_calls(monkeypatch)
+    a = dense(RATIONALS, [Fraction((-1) ** k * (k + 2), 1 + k % 3) for k in range(24)])
+    b = dense(RATIONALS, [Fraction(k + 1, 2 + k % 5) for k in range(24)])
+    assert_same(mul, ref_mul, a, b)
+    assert calls == [(24, 24)]
+    calls.clear()
+    x = Series.make(LEX2, [((0, 1), 2), ((1, -2), 3), ((2, 5), -1), ((3, 0), 1)])
+    y = Series.make(LEX2, [((-1, 3), 1), ((0, 0), -4), ((1, 1), 5)])
+    assert_same(mul, ref_mul, x, y)
+    assert calls == []
+
+
+# -- shared exponents ---------------------------------------------------------------
+#
+# On Z, Q and lexN each output exponent of ``*``, ``invert`` and the exp rows
+# is decoded from its key through ``_Keys.element``, which returns the one
+# exponent per (group, digits, scale) held in the bounded table
+# ``series._interned``, when the digits and scale fit in a machine word and
+# the group has few coordinates.
+
+
+def constructions(monkeypatch):
+    """Every ``GroupElement`` built from now on."""
+    built = []
+    init = GroupElement.__init__
+
+    def counting(self, descriptor, value):
+        built.append(self)
+        init(self, descriptor, value)
+
+    monkeypatch.setattr(GroupElement, "__init__", counting)
+    return built
+
+
+def test_repeated_dense_kernels_build_no_new_exponent(monkeypatch):
+    """A dense 24-term Q product, inverse to t^24 and exponential to t^24,
+    made twice: the second call builds none of its output exponents, and
+    the product builds no ``GroupElement`` at all."""
+    n = 24
+    a = dense(RATIONALS, [Fraction((-1) ** k * (k + 2), 1 + k % 3) for k in range(n)])
+    unit = dense(RATIONALS, [1] + [Fraction(k + 1, 2 + k % 5) for k in range(1, n)])
+    target = embed_rational(RATIONALS, n)
+    d = make_phi_derivation(scaling_functional(RATIONALS, 1), 1)
+    built = constructions(monkeypatch)
+    ops = {
+        "mul": lambda: a * unit,
+        "invert": lambda: unit.invert(target),
+        "exp": lambda: exp_apply(d, a, target),
+    }
+    for name, op in ops.items():
+        first = op()
+        built.clear()
+        again = op()
+        assert again == first and len(again.terms) > n // 2
+        assert all(x is y for (x, _), (y, _) in zip(first.terms, again.terms))
+        assert not any(ex is e for e in built for ex, _ in again.terms), name
+        if name == "mul":
+            assert built == []
+
+
+def test_one_digit_keys_decode_to_one_element_per_group():
+    """Z ``3``, Q ``3`` and lex1 ``(3)`` all have the one digit 3, and decode
+    to three distinct elements, each of its own group, each shared."""
+    decoded = []
+    for group, value, value_type in (
+        (INTEGERS, 3, int),
+        (RATIONALS, 3, Fraction),
+        (lex_power(1), (3,), tuple),
+    ):
+        e = element(group, value)
+        keys = _keys(group, [e], lambda: 1)
+        assert keys.key(e) == 3
+        got = keys.element(3)
+        assert got == e and got.descriptor is group and type(got.value) is value_type
+        assert keys.element(3) is got
+        decoded.append(got)
+    assert len(set(decoded)) == 3
+
+
+@pytest.mark.parametrize(
+    "group, value",
+    [
+        (RATIONALS, Fraction(10**100_000 + 1)),  # a 10**5-digit numerator
+        (RATIONALS, Fraction(1, 2**64 + 1)),  # a scale past a machine word
+        (INTEGERS, -(2**63)),
+        (LEX2, (1, 10**30)),  # a digit bound past a machine word
+        # more coordinates than the table keeps, as any lex arity up to 2**20
+        (lex_power(9), (1, 0, 0, 0, 0, 0, 0, 0, -1)),
+    ],
+    ids=["long-numerator", "wide-scale", "wide-int", "wide-lex-digit", "lex9"],
+)
+def test_oversized_exponents_decode_but_are_not_retained(group, value):
+    e = element(group, value)
+    keys = _keys(group, [e], lambda: 2)
+    before = _interned.cache_info()
+    got = keys.element(keys.key(e))
+    assert got == e and keys.element(keys.key(e)) is not got
+    after = _interned.cache_info()
+    assert (after.currsize, after.hits, after.misses) == (
+        before.currsize,
+        before.hits,
+        before.misses,
+    )
+
+
+def test_intern_table_never_grows_past_its_bound():
+    bound = _interned.cache_info().maxsize
+    e = element(RATIONALS, Fraction(1, 7))
+    keys = _keys(RATIONALS, [e], None)
+    for k in range(bound + 100):
+        assert keys.element(k) == element(RATIONALS, Fraction(k, 7))
+        assert _interned.cache_info().currsize <= bound
+    assert _interned.cache_info().currsize == bound
+
+
+def test_results_equal_with_a_cold_table_a_warm_one_and_none(monkeypatch):
+    """Seeded ``*``, ``invert`` and exp cases on Z, Q and lex1-3 give the same
+    outcomes with an emptied table, with the table those calls filled, and
+    with every exponent built afresh."""
+    cases = []
+    for group in (INTEGERS, RATIONALS, lex_power(1), LEX2, LEX3):
+        smp = Sampler(2024)
+        for _ in range(12):
+            a, b = smp.series(group, max_terms=6), smp.series(group, max_terms=6)
+            cases.append((mul, (a, b)))
+            s = smp.invertible_series(group, max_terms=4)
+            cases.append((Series.invert, (s, smp.exponent(group, lo=0, hi=4))))
+    for d in EXP_DERIVATIONS:
+        if d.group.keyed:
+            for s, target in seeded_exp_cases(d, 606, 6):
+                cases.append((exp_apply, (d, s, target)))
+    _interned.cache_clear()
+    cold = [outcome(fn, *args) for fn, args in cases]
+    warm = [outcome(fn, *args) for fn, args in cases]
+    monkeypatch.setattr("hahnaut.series._interned", _element)
+    fresh = [outcome(fn, *args) for fn, args in cases]
+    assert cold == warm == fresh
+    assert sum(got[0] == "value" for got in cold) > len(cases) // 2
