@@ -17,6 +17,7 @@ from .errors import (
     NotOneAut,
     OutsideSpan,
     ParseError,
+    ResultTooLong,
     SampleInsufficiency,
     UnmappedExponent,
     ZeroArgument,

@@ -135,7 +135,7 @@ def _cmd_factorize(args, config, spec):
             f"{parsing.format_group_element(g)} -> {parsing.format_group_element(e)}"
         )
     for g, c in result.coefficients:
-        print(f"coeff: {parsing.format_group_element(g)} -> {c!s}")
+        print(f"coeff: {parsing.format_group_element(g)} -> {parsing.format_number(c)}")
     return _report(result.certificates, config)
 
 

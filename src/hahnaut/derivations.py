@@ -38,9 +38,9 @@ from .errors import (
     UnmappedExponent,
 )
 from . import groups
-from .groups import GroupDescriptor, GroupElement, LinearFunctional, Record, arch_compare
+from .groups import GroupDescriptor, GroupElement, LinearFunctional, Record, _steps_past
 from .sampling import CheckResult, SampleSpec, Sampler, first_counterexample
-from .series import Series, _cut, _keys, _pmin, _rounds
+from .series import Series, _cut, _keys, _pmin
 
 
 class PhiShift(Record):
@@ -189,11 +189,11 @@ def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
     summed per exponent key (``series._keys``): an int key on Z, Q and
     lexN, decoded once per output term to its shared exponent
     (``series._Keys``), and the exponent itself on surreal groups.  The
-    row from ``g`` is infinite exactly when every ``g + i*shift`` stays
-    below ``P``, that is
-    ``arch_compare(P - g, shift)`` is ``<``, and no factor vanishes, that
-    is ``-phi(g)/phi(shift)`` is not a nonnegative integer.  Such a row is
-    refused with ``NonTerminating`` before any coefficient is computed.
+    walk-length helper ``groups._steps_past(P - g, shift)`` gives how many
+    shifts pass ``P`` from ``g``, or None when none does.  Then the row
+    is infinite unless a factor vanishes, that is unless
+    ``-phi(g)/phi(shift)`` is a nonnegative integer, and is refused with
+    ``NonTerminating`` before any coefficient is computed.
     ``phi`` is called on every term of ``s``, then on ``g + shift`` for the
     least ``g`` whose image survives below the target, as the first two
     rounds of ``D`` call it, so the same ``OutsideSpan`` or
@@ -237,9 +237,8 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
     exponents = [precision, shift] + [g for g, _ in terms]
     if phi._slope is not None and phi.descriptor is d.group:
         # phi(g) = key(g) * rn / (rd * L): one slope, no phi call, and no
-        # refusal test, which cannot fire on rank one; Z and Q keys have
-        # one digit, so _keys asks no reach
-        keys = _keys(d.group, exponents, None)
+        # refusal test, which cannot fire on rank one; one digit, no bound
+        keys = _keys(d.group, exponents, 1)
         key = keys.key
         rn, rd = phi._slope.numerator, phi._slope.denominator
         q, du = rd * keys.scale, key(shift) * rn
@@ -251,49 +250,31 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
         ks = [phi(ex) for ex, _ in s.terms]
         # phi(shift), read off the least image that survives the first round
         survives = _pmin(target, None if s.precision is None else s.precision + d.gain)
-        k_shift = None
+        k_shift = Fraction(0)
         for (ex, _), k in zip(s.terms, ks):
             if k and (ex + shift).compare(survives) < 0:
                 k_shift = phi(ex + shift) - k
                 break
-        ds = 1 if k_shift is None else k_shift.denominator
-        ns = 0 if k_shift is None else k_shift.numerator
-        # per row, the gap P - g from its exponent to the precision and the
-        # order of the gap's archimedean class against the shift's
-        rows, gaps = [], []
+        # Per row, u + i*du = q * phi(g + i*shift) over ints, and n shifts
+        # pass P - g; a row they never pass ends past its first zero
+        # factor, or is refused.  A formed key adds g and at most n shifts.
+        rows, most = [], 0
         for (g, c), k in zip(terms, ks):
-            gap = precision - g
-            order = arch_compare(gap, shift)
-            if order == "<" and not _factor_vanishes(k, k_shift):
+            q = lcm(k.denominator, k_shift.denominator)
+            u, du = int(k * q), int(k_shift * q)
+            n = _steps_past(gap := precision - g, shift)
+            if n is None and u and not (du and u % du == 0 and u * du < 0):
                 raise NonTerminating(
                     "exponential series does not reach the target precision: the "
                     f"archimedean class of the shift {shift} is infinitesimal relative "
                     f"to the class of {gap}, the gap from t^{g} to the "
                     f"precision {precision}, and no factor phi(g) + i*phi(shift) vanishes"
                 )
-            gaps.append((gap, order))
-            q = lcm(k.denominator, ds)
-            rows.append((g, c, k.numerator * (q // k.denominator), ns * (q // ds), q))
-
-        def reach():
-            # On lexN the row from g forms g + i*shift for i up to the
-            # first at or past P or past the first zero factor: i = 1 if
-            # the shift leads before P - g, _rounds(P - g, shift) if both
-            # lead at one index, and -phi(g)/phi(shift) + 1 if the shift
-            # leads after (the refusals above leave only a vanishing row
-            # there).  With M the largest digit keyed, its digits stay
-            # within M(1 + i).
-            most = 0
-            for (gap, order), k in zip(gaps, ks):
-                if order == "=":
-                    most = max(most, _rounds(gap, shift))
-                elif order == "<" and k_shift:
-                    most = max(most, int(-k / k_shift) + 1)
-                else:
-                    most = max(most, 1)
-            return 1 + most
-
-        keys = _keys(d.group, exponents, reach)  # reach is asked on lexN only
+            if n is None:
+                n = -u // du + 1 if u else 1
+            most = max(most, n)
+            rows.append((g, c, u, du, q))
+        keys = _keys(d.group, exponents, 1 + most)
         key = keys.key
         rows = [(key(g), *row) for g, *row in rows]
     # The row (kg, c, u, du, q) from key kg ascends by the shift's key below
@@ -327,14 +308,6 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
                 continue
         out.append((keys.element(k), Fraction(num, den)))
     return Series(d.group, tuple(out), precision)
-
-
-def _factor_vanishes(k: Fraction, k_shift: Fraction | None) -> bool:
-    """Whether ``k + j*k_shift`` is 0 for some integer ``j >= 0``."""
-    if not k_shift:
-        return not k
-    j = -k / k_shift
-    return j.denominator == 1 and j >= 0
 
 
 def exp_derivation(

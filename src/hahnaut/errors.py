@@ -69,6 +69,10 @@ class SampleInsufficiency(HahnError):
     """A table-based reconstruction cannot represent the requested value."""
 
 
+class ResultTooLong(HahnError):
+    """A result holds a number with more digits than Python writes as text."""
+
+
 class ParseError(HahnError):
     """Malformed input text; carries the offset of the offending token."""
 

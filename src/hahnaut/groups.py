@@ -237,11 +237,7 @@ class GroupElement(Record):
             raise DescriptorMismatch(f"cannot combine {mine} with {theirs}")
 
     def is_zero(self) -> bool:
-        if self.descriptor.kind == "LexPower":
-            return all(c == 0 for c in self.value)
-        if self.descriptor.kind == "SurrealDepth" and self.descriptor.param >= 1:
-            return not self.value.terms
-        return self.value == 0
+        return not _coordinates(self)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         desc = self.descriptor
@@ -399,6 +395,27 @@ def element(descriptor: GroupDescriptor, raw) -> GroupElement:
 _ORDER_SYMBOL = {-1: "<", 0: "=", 1: ">"}
 
 
+def _coordinates(g: GroupElement) -> tuple:
+    """The nonzero coordinates ``(key, x)`` of ``g`` over a Q-basis of its
+    group, the largest archimedean class first: keyed by position on Z, Q
+    and lexN, and by exponent on surrealD with D >= 1, whose elements'
+    coordinates are their terms; surreal0 has none."""
+    desc = g.descriptor
+    if desc.rank_one:
+        return ((0, g.value),) if g.value else ()
+    if desc.kind == "LexPower":
+        return tuple((i, c) for i, c in enumerate(g.value) if c)
+    return g.value.terms if desc.param else ()
+
+
+def _class_order(i, j) -> int:
+    """-1, 0 or 1 as the class at first coordinate key ``i`` is larger
+    than, equal to or smaller than the class at ``j``."""
+    if type(i) is int:
+        return (i > j) - (i < j)
+    return i.compare(j)
+
+
 def arch_compare(g: GroupElement, h: GroupElement) -> str:
     """Compare the archimedean classes v_G(g) and v_G(h).
 
@@ -407,15 +424,20 @@ def arch_compare(g: GroupElement, h: GroupElement) -> str:
     g._check(h)
     if g.is_zero() or h.is_zero():
         raise ZeroArgument("the natural valuation is undefined at 0")
-    if g.descriptor.rank_one:
-        return "="
-    if g.descriptor.kind == "LexPower":
-        ig = min(i for i, c in enumerate(g.value) if c != 0)
-        ih = min(i for i, c in enumerate(h.value) if c != 0)
-        return _ORDER_SYMBOL[(ig > ih) - (ig < ih)]
-    eg = g.value.terms[0][0]
-    eh = h.value.terms[0][0]
-    return _ORDER_SYMBOL[eg.compare(eh)]
+    return _ORDER_SYMBOL[_class_order(_coordinates(g)[0][0], _coordinates(h)[0][0])]
+
+
+def _steps_past(gap: GroupElement, step: GroupElement) -> int | None:
+    """How long a walk by ``step`` stays below ``gap``, both positive: None
+    when ``step`` is infinitesimal against ``gap``, else a count ``n`` with
+    ``(n - 2) * step < gap < n * step``, read off the first coordinates:
+    1 when ``step`` dominates, ``gap_j // step_j + 1`` when the two share a
+    class, as on Z and Q always."""
+    (i, x), (j, y) = _coordinates(gap)[0], _coordinates(step)[0]
+    order = _class_order(i, j)
+    if order < 0:
+        return None
+    return x // y + 1 if order == 0 else 1
 
 
 # -- exact rational linear algebra -----------------------------------------
@@ -430,28 +452,14 @@ def arch_compare(g: GroupElement, h: GroupElement) -> str:
 # solver as the independent oracle for both.
 
 
-def _coordinates(g: GroupElement) -> dict:
-    """The nonzero coordinates of ``g`` over a Q-basis of its group: keyed
-    by position on Z, Q and lexN, and by exponent on surrealD with D >= 1,
-    whose elements' coordinates are their coefficients; surreal0 has none."""
-    desc = g.descriptor
-    if desc.rank_one:
-        return {0: g.value} if g.value else {}
-    if desc.kind == "LexPower":
-        return {i: c for i, c in enumerate(g.value) if c}
-    if desc.param == 0:
-        return {}
-    return dict(g.value.terms)
-
-
-def _reduce(span: dict, coords: dict) -> tuple[dict, dict]:
-    """Subtract from ``coords``, at each of its keys that is a pivot of
-    ``span``, that pivot's row scaled by the entry there.  Returns the
-    nonzero coordinates left, none of them a pivot, and the combination of
-    the basis subtracted."""
+def _reduce(span: dict, coords) -> tuple[dict, dict]:
+    """Subtract from the coordinate pairs ``coords``, at each of their keys
+    that is a pivot of ``span``, that pivot's row scaled by the entry
+    there.  Returns the nonzero coordinates left, none of them a pivot, and
+    the combination of the basis subtracted."""
     left = dict(coords)
     combination = {}
-    for pivot, x in coords.items():
+    for pivot, x in coords:
         row = span.get(pivot)
         if row is None:
             continue
@@ -487,13 +495,11 @@ def _span_of(basis: Sequence[GroupElement]) -> dict | None:
         }
         # clear the new pivot from the earlier rows
         for p, (entries, row_combination) in span.items():
-            entries = dict(entries)
-            if pivot in entries:
-                entries, subtracted = _reduce(new, entries)
-                rest = dict(row_combination)
-                for i, q in subtracted.items():
-                    rest[i] = rest.get(i, 0) - q
-                span[p] = (tuple(entries.items()), tuple(rest.items()))
+            entries, subtracted = _reduce(new, entries)
+            rest = dict(row_combination)
+            for i, q in subtracted.items():
+                rest[i] = rest.get(i, 0) - q
+            span[p] = (tuple(entries.items()), tuple(rest.items()))
         span.update(new)
     return span
 

@@ -27,6 +27,7 @@ series, including truncated ones.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -36,6 +37,7 @@ from .errors import (
     ExponentParseError,
     InsufficientPrecision,
     ParseError,
+    ResultTooLong,
 )
 from .groups import RATIONALS, GroupDescriptor, GroupElement, Record, _setfield
 from .series import Series
@@ -88,12 +90,14 @@ def tokenize(text: str) -> list[Token]:
 
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
+MAX_NESTING = 100  # at up to 8 frames a level, well inside a recursion limit of 1000
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     # -- plumbing ----------------------------------------------------------
 
@@ -139,9 +143,14 @@ class _Parser:
             self.error("unexpected trailing input")
 
     def enclosed(self, opener: str, item):
-        """``opener item closer``: the result of ``item()``."""
-        self.expect(opener)
+        """``opener item closer``: the result of ``item()``, nested at most
+        ``MAX_NESTING`` deep."""
+        tok = self.expect(opener)
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"brackets nest deeper than {MAX_NESTING} levels", tok.pos)
+        self.depth += 1
         result = item()
+        self.depth -= 1
         self.expect(_CLOSERS[opener])
         return result
 
@@ -155,6 +164,13 @@ class _Parser:
 
     # -- scalars and group elements ----------------------------------------
 
+    def natural(self, what: str) -> int:
+        tok = self.expect("number", what)
+        digits, limit = len(tok.text), sys.get_int_max_str_digits()
+        if digits > limit > 0:  # more digits than int() reads
+            raise ParseError(f"a number of {digits} digits, past {limit}", tok.pos)
+        return int(tok.text)
+
     def rational(self) -> Fraction:
         sign = 1
         if self.peek.kind == "-":
@@ -162,10 +178,10 @@ class _Parser:
             sign = -1
         elif self.peek.kind == "+":
             self.advance()
-        num = int(self.expect("number", "a number").text)
+        num = self.natural("a number")
         if self.peek.kind == "/" and self.peek_at(1).kind == "number":
             self.advance()
-            den = int(self.expect("number", "a denominator").text)
+            den = self.natural("a denominator")
             if den == 0:
                 self.error("zero denominator")
             return Fraction(sign * num, den)
@@ -281,13 +297,15 @@ class _Parser:
         return total
 
     def expr_atom(self, config: SessionConfig) -> Series:
-        if self.peek.kind == "(":
-            return self.enclosed("(", lambda: self.expression(config))
-        if self.peek.kind == "-":
+        negated = False
+        while self.peek.kind == "-":  # a run of unary minus signs, read flat
             self.advance()
-            return -self.expr_atom(config)
-        ex, c = self.series_term(config)
-        return Series.make(config.group, [(ex, c)])
+            negated = not negated
+        if self.peek.kind == "(":
+            atom = self.enclosed("(", lambda: self.expression(config))
+        else:
+            atom = Series.make(config.group, [self.series_term(config)])
+        return -atom if negated else atom
 
     # -- functionals, maps, value-group automorphisms -----------------------
 
@@ -535,13 +553,22 @@ def parse_sample_list(text: str, group: GroupDescriptor) -> list[GroupElement]:
 # -- formatting --------------------------------------------------------------
 
 
+def format_number(q) -> str:
+    """``str`` of an int or ``Fraction``, refused past the digits it writes."""
+    try:
+        return str(q)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ResultTooLong(f"a result number has more than {limit} digits") from None
+
+
 def format_group_element(g: GroupElement) -> str:
     kind = g.descriptor.kind
     if kind == "LexPower":
-        return "(" + ",".join(map(str, g.value)) + ")"
+        return "(" + ",".join(map(format_number, g.value)) + ")"
     if kind == "SurrealDepth" and g.descriptor.param >= 1:
         return "[" + format_series(g.value) + "]"
-    return str(g.value)
+    return format_number(g.value)
 
 
 def format_series(s: Series, config: SessionConfig | None = None) -> str:
@@ -551,9 +578,9 @@ def format_series(s: Series, config: SessionConfig | None = None) -> str:
     for ex, c in s.terms:
         shown = -ex if omega else ex
         if ex.is_zero():
-            body = str(abs(c))
+            body = format_number(abs(c))
         else:
-            prefix = "" if abs(c) == 1 else str(abs(c)) + "*"
+            prefix = "" if abs(c) == 1 else format_number(abs(c)) + "*"
             body = f"{prefix}{base}^({format_group_element(shown)})"
         pieces.append((c < 0, body))
     if not pieces:

@@ -26,7 +26,7 @@ under unknown tails at or above the bound:
 Inversion solves the coefficient recurrence of ``1/(1 + eps)`` in one
 ascending pass over the exponents below the target (``Series.invert``).
 The pass terminates exactly when ``v(eps)`` is not infinitesimal relative
-to the target; that is decided before it starts, and refused otherwise.
+to the target; ``groups._steps_past`` decides that before it starts.
 
 Products and inverses compute on integers: an operand's coefficients are
 integer numerators over one common denominator, every pair product is an
@@ -42,7 +42,8 @@ key is an int, so an exponent sum is an int add and an order test an int
 compare.  One class, ``_Keys``, makes them: an exponent's coordinates
 times ``L``, the lcm of the denominators in play, are its digits.  Z and
 Q have one digit, which is the key; lexN has N, read as one int in a
-radix that each kernel bounds.  ``_Keys.element`` decodes a key to the
+radix set by one rule: a key a kernel forms adds at most ``reach`` of
+the exponents it keyed.  ``_Keys.element`` decodes a key to the
 one shared exponent of its group, digits and ``L``, kept in a bounded
 table, so repeated calls stop rebuilding the same exponents.  The table
 keeps only exponents whose digits and ``L`` fit in a machine word and
@@ -61,11 +62,11 @@ key.  At most ``min(n_a, n_b)`` pairs meet at one key, so each digit of
 the product is bounded by ``min(n_a, n_b) * max|num_a| * max|num_b|``,
 below ``2**(w-1)`` when ``w`` is that bound's bit length plus one, and the
 product's balanced base-``2**w`` digits are exactly the sums.  That path
-is taken when, after each operand is cut at the stop, it reads no more
-digit positions than the pair loop forms pairs:
-``span_a + span_b + 1 <= n_a * n_b``, in key units.  Other operands,
-such as sparse lex ones whose keys lie radix powers apart, sum their pairs
-in a dict.
+is taken where it is the faster one (``_packs``): after each operand is
+cut at the stop, when the pair loop would form more pairs than the packed
+path packs numerators and reads digit positions.  Other operands, such as
+small ones and sparse lex ones whose keys lie radix powers apart, sum
+their pairs in a dict.
 
 Off the keys, ``GroupElement.compare`` orders exponents, by the exact walk
 ``groups.first_difference`` on surreal groups.  ``compare``, ``agrees`` and
@@ -93,7 +94,7 @@ from .groups import (
     GroupElement,
     Record,
     _setfield,
-    arch_compare,
+    _steps_past,
     element,
     first_difference,
 )
@@ -194,12 +195,11 @@ class _Keys:
     ``2B * (R**m - 1) / (R - 1) < R**m``.  So ``B`` must bound every digit
     of every key a kernel forms, also of a sum formed only to fail its
     ``>= stop`` test; ``element`` reads the digits back in balanced base
-    ``R``.  The caller's ``reach`` gives ``B`` as a multiple of the
-    largest digit ``M`` of the exponents keyed, and is asked on lexN only:
-
-    * ``*`` forms sums of two exponents: ``B = 2M``.
-    * ``invert``: see ``Series.invert``.
-    * the exp rows: see ``derivations._exp_phi_shift``.
+    ``R``.  One rule gives ``B``: every key a kernel forms adds at most
+    ``reach`` of the exponents keyed, each with a sign, so with ``M`` the
+    largest digit among them, ``B = reach * M``.  ``*`` adds two;
+    ``invert`` and the exp rows pass the count that their walk's length
+    gives (``Series.invert``, ``derivations._exp_phi_shift``).
 
     ``element`` returns the one exponent per (group, digits, scale) held
     in the bounded table ``_interned``, or builds a larger one afresh
@@ -208,7 +208,7 @@ class _Keys:
 
     __slots__ = ("group", "scale", "bound", "radix", "retain")
 
-    def __init__(self, group: GroupDescriptor, exponents, reach):
+    def __init__(self, group: GroupDescriptor, exponents, reach: int):
         self.group = group
         self.bound = self.radix = None  # one digit
         if group.kind != "LexPower":
@@ -217,11 +217,8 @@ class _Keys:
             return
         coords = [c for e in exponents for c in e.value]
         self.scale = scale = lcm(*[c.denominator for c in coords])
-        if scale == 1:
-            digits = [c.numerator for c in coords]
-        else:
-            digits = [c.numerator * (scale // c.denominator) for c in coords]
-        self.bound = bound = reach() * max(max(digits), -min(digits))
+        digits = [c.numerator * (scale // c.denominator) for c in coords]
+        self.bound = bound = reach * max(max(digits), -min(digits))
         self.radix = 2 * bound + 1
         self.retain = (
             group.param <= _FEW_COORDINATES
@@ -271,22 +268,13 @@ class _ExponentKeys:
 _EXPONENT_KEYS = _ExponentKeys()
 
 
-def _keys(group: GroupDescriptor, exponents, reach):
-    """The keys of ``exponents`` and of the sums formed from them: int keys
-    on Z, Q and lexN (``_Keys``), where on lexN ``reach()`` bounds every
-    digit of those sums as a multiple of the largest digit of
-    ``exponents``; the exponents themselves on surreal groups."""
+def _keys(group: GroupDescriptor, exponents, reach: int):
+    """The keys of ``exponents`` and of the signed sums of at most ``reach``
+    of them: int keys on Z, Q and lexN (``_Keys``), the exponents
+    themselves on surreal groups."""
     if group.keyed:
         return _Keys(group, exponents, reach)
     return _EXPONENT_KEYS
-
-
-def _rounds(gap: GroupElement, step: GroupElement) -> int:
-    """On lexN, for positive ``gap`` and ``step`` of one archimedean class,
-    so of one leading index ``j``: ``gap_j // step_j + 1``, a count ``n``
-    with ``n * step > gap``."""
-    j = next(i for i, c in enumerate(step.value) if c)
-    return gap.value[j] // step.value[j] + 1
 
 
 def _keyed_products(group: GroupDescriptor, a: list, b: list, precision) -> list:
@@ -296,17 +284,16 @@ def _keyed_products(group: GroupDescriptor, a: list, b: list, precision) -> list
 
     Each operand is first cut where it meets the other's least key at the
     stop.  The sums then lie at ``span_a + span_b + 1`` keys from the
-    least, and ``n_a * n_b`` pairs form them.  When the keys are no more
-    than the pairs, one int product forms them all
-    (``_packed_products``); otherwise each pair meets its like keys in a
-    dict.
+    least, and ``n_a * n_b`` pairs form them.  Where ``_packs`` says so, one
+    int product forms them all (``_packed_products``); otherwise each pair
+    meets its like keys in a dict.
     """
     if not (a and b):
         return []
     exponents = [ex for ex, _ in a + b]
     if precision is not None:
         exponents.append(precision)
-    keys = _keys(group, exponents, lambda: 2)  # sums of two exponents
+    keys = _keys(group, exponents, 2)  # sums of two exponents
     key = keys.key
     a = [(key(ea), na) for ea, na in a]
     b = [(key(eb), nb) for eb, nb in b]
@@ -318,7 +305,7 @@ def _keyed_products(group: GroupDescriptor, a: list, b: list, precision) -> list
         if not a:
             return []
         b = b[: bisect_left(b, stop - a[0][0], key=_exponent)]
-    if a[-1][0] - a[0][0] + b[-1][0] - b[0][0] + 1 <= len(a) * len(b):
+    if _packs(len(a), len(b), a[-1][0] - a[0][0] + b[-1][0] - b[0][0] + 1):
         sums = _packed_products(a, b, stop)
     else:
         table = {}
@@ -330,6 +317,14 @@ def _keyed_products(group: GroupDescriptor, a: list, b: list, precision) -> list
                 table[k] = table.get(k, 0) + na * nb
         sums = [(k, n) for k in sorted(table) if (n := table[k])]
     return [(keys.element(k), n) for k, n in sums]
+
+
+def _packs(n_a: int, n_b: int, keys: int) -> bool:
+    """Whether ``n_a`` by ``n_b`` numerators whose sums lie at ``keys`` keys
+    multiply faster packed than in the pair loop.  A size sweep over dense
+    and sparse operands (CPython 3.11, x86_64) puts a pair at about the
+    cost of a packed numerator or a read digit, and packing at 2 more."""
+    return n_a * n_b >= keys + n_a + n_b + 2
 
 
 def _packed_products(a: list, b: list, stop: int) -> list:
@@ -569,11 +564,11 @@ class Series(Record):
         ``Fraction``.
 
         The pass ends exactly when ``v(eps)`` is not infinitesimal relative
-        to the target: then some ``n * v(eps)`` reaches the target, so only
-        sums of fewer than ``n`` exponents of ``eps`` lie below it, and
-        there are finitely many.  Otherwise ``NonTerminating`` is raised
-        before any coefficient is computed; never on Z and Q, where two
-        nonzero elements are always in one archimedean class.
+        to the target: then ``n * v(eps)`` passes it (``groups._steps_past``),
+        so only the finitely many sums of fewer than ``n`` exponents of
+        ``eps`` lie below it.  Otherwise ``NonTerminating`` is raised before
+        any coefficient is computed; never on Z and Q, where two nonzero
+        elements are always in one archimedean class.
         """
         target = element(self.group, target)
         if not self.terms:
@@ -598,24 +593,17 @@ class Series(Record):
         # with -c/r = -n*rd / (D*rn), an int numerator over D*|rn|; d is
         # the least such denominator, the lcm of those of the reduced -c/r.
         rest = _cut(self.terms[1:], target + g)
-        if rest and arch_compare(target, v_eps := rest[0][0] - g) == "<":
+        n = _steps_past(target, v_eps := rest[0][0] - g) if rest else 0
+        if n is None:
             raise NonTerminating(
                 "geometric expansion does not reach the target precision: the "
                 f"archimedean class of v(eps) = {v_eps} is infinitesimal "
                 f"relative to the class of the target {target}"
             )
-        # On lexN every step x = ex - g leads at the target's leading index
-        # j, with 0 < x_j <= target_j: the refusal above leaves no step
-        # infinitesimal against the target, and a step that dominates it
-        # lies past it.  So a popped key, -g plus a sum below the target,
-        # sums at most n = target_j // v(eps)_j steps, and a formed key
-        # n + 1, whose digits stay within M + 2M(n + 1), with M the largest
-        # digit keyed.  With no step, only -g is formed, within M.
-        keys = _keys(
-            self.group,
-            [precision, g] + [ex for ex, _ in rest],
-            lambda: 2 * _rounds(target, v_eps) + 1 if rest else 1,
-        )
+        # Each step x = ex - g lies in [v(eps), target), so fewer than n
+        # steps sum below the target.  A formed key, -g plus a popped sum
+        # and one step, adds -g and at most n differences: 2n + 1 exponents.
+        keys = _keys(self.group, [precision, g] + [ex for ex, _ in rest], 2 * n + 1)
         key = keys.key
         kg, stop = key(g), key(precision)
         rn, rd = r.numerator, r.denominator

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 import time
 from pathlib import Path
 
@@ -471,3 +473,112 @@ CLI_EXPECTED = json.loads(
 )
 def test_bench_corpus_replays_byte_for_byte(capsys, case):
     assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+# -- extreme argv -------------------------------------------------------------------
+#
+# Each input limit at its bound and one past it: a number as long as int()
+# reads (``sys.get_int_max_str_digits()``) in every place a number is
+# written, a result number as long as str() writes, brackets nested
+# ``parsing.MAX_NESTING`` deep in every nesting form, and runs of unary
+# minus signs, which have no limit.  At the bound the command succeeds;
+# past it, it is refused with a typed line.  A derandomized slice of a
+# contract fuzzer: exit 0, 1 or 2, and the same bytes on a second call.
+
+DIGITS = sys.get_int_max_str_digits()
+NESTING = parsing.MAX_NESTING
+# 2**POWER has DIGITS digits and 2**(POWER + 1) one more
+POWER = next(k for k in range(3 * DIGITS, 4 * DIGITS) if 2 ** (k + 1) >= 10**DIGITS)
+
+
+def nested(opener, closer, inner, depth):
+    return opener * depth + inner + closer * depth
+
+
+def surreal_nested(depth):
+    """A surreal exponent ``depth`` brackets deep, in the group that has them."""
+    inner = nested("[t^(", ")]", "1", depth)
+    return [f"--group=surreal{depth}", f"t^({inner})"]
+
+
+# name -> the argv at the limit (``past=0``) or one past it (``past=1``)
+EXTREME_ARGV = {
+    "number": lambda past: ["eval", "7" * (DIGITS + past)],
+    "denominator": lambda past: ["eval", "1/" + "3" * (DIGITS + past)],
+    "exponent": lambda past: ["eval", f"t^({'1' * (DIGITS + past)})"],
+    "lex-coordinate": lambda past: [
+        "eval", "--group=lex2", f"t^((1,{'2' * (DIGITS + past)}))"
+    ],
+    "precision": lambda past: ["eval", "--precision=" + "1" * (DIGITS + past), "1"],
+    "samples": lambda past: [
+        "factorize", "--mode=field", "--samples=" + "9" * (DIGITS + past), "identity"
+    ],
+    "printed-coefficient": lambda past: ["eval", "9" * (DIGITS - 1 + past) + " * 10"],
+    # 55...5 + 55...5 = 11...10, one digit longer
+    "printed-lex-exponent": lambda past: [
+        "eval", "--group=lex1", " * ".join(["t^((" + "5" * (DIGITS - 1 + past) + "))"] * 2)
+    ],
+    "printed-character": lambda past: [
+        "apply", "character{1: 2}", f"t^({POWER + past})"
+    ],
+    "printed-factor-coefficient": lambda past: [
+        "factorize", "--mode=field", f"--samples={POWER + past}", "character{1: 2}"
+    ],
+    "parentheses": lambda past: ["eval", nested("(", ")", "1", NESTING + past)],
+    "compose": lambda past: [
+        "apply", nested("compose(", ")", "identity", NESTING + past), "t^(1)"
+    ],
+    # the braces of the character are one level
+    "inverse": lambda past: [
+        "apply", nested("inverse(", ")", "character{1: 2}", NESTING - 1 + past), "t^(1)"
+    ],
+    "surreal-exponent": lambda past: ["eval", *surreal_nested(NESTING + past)],
+}
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at-limit", "past-limit"])
+@pytest.mark.parametrize("name", list(EXTREME_ARGV))
+def test_extreme_argv_succeed_at_their_limit_and_are_refused_past_it(
+    capsys, name, past
+):
+    argv = EXTREME_ARGV[name](past)
+    first = run(capsys, *argv)
+    code, out, err = first
+    assert run(capsys, *argv) == first
+    if not past:
+        assert (code, err) == (0, ""), err
+        return
+    assert code in (1, 2)
+    lines = err.splitlines()
+    assert len(lines) == 1 and re.match(
+        r"(ERROR: [A-Za-z]+: |PARSE ERROR at offset \d+: )", lines[0]
+    ), err
+    assert ("ResultTooLong" in err) == name.startswith("printed")
+    if name.startswith("printed"):
+        assert f"more than {DIGITS} digits" in err and code == 1
+
+
+@pytest.mark.parametrize("count", [1, 2, 985, 986, 5001])
+def test_runs_of_unary_minus_signs_are_read_without_recursion(capsys, count):
+    first = run(capsys, "eval", "--", "-" * count + "1")
+    assert first == (0, "RESULT: " + "-" * (count % 2) + "1\n", "")
+    assert run(capsys, "eval", "--", "-" * count + "1") == first
+
+
+def test_nesting_past_the_limit_is_refused_at_the_opening_bracket(capsys):
+    text = nested("(", ")", "1", NESTING + 1)
+    code, out, err = run(capsys, "eval", text)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"PARSE ERROR at offset {NESTING}: brackets nest deeper than {NESTING} "
+        f"levels (at offset {NESTING})\n"
+    )
+
+
+def test_an_overlong_number_is_refused_at_its_offset(capsys):
+    code, out, err = run(capsys, "eval", "1/" + "3" * (DIGITS + 1))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"PARSE ERROR at offset 2: a number of {DIGITS + 1} digits, past {DIGITS} "
+        "(at offset 2)\n"
+    )

@@ -466,6 +466,28 @@ def near(a, data):
     return element(a.descriptor, Series.make(inner, terms))
 
 
+def positive(name):
+    """Nonzero elements of ``ELEMENTS[name]``, negated where negative."""
+    return ELEMENTS[name].filter(lambda g: not g.is_zero()).map(
+        lambda g: -g if g.compare(zero(g.descriptor)) < 0 else g
+    )
+
+
+@pytest.mark.parametrize("name", ["Z", "Q", "lex2", "lex3", "surreal1", "surreal2"])
+@given(data=st.data())
+def test_walk_length_passes_the_gap_unless_the_step_is_infinitesimal(name, data):
+    """``_steps_past(gap, step)`` is None exactly when ``step`` is
+    infinitesimal against ``gap``; otherwise ``n`` steps pass the gap and
+    ``n - 2`` stay below it, by the group's own scale and order."""
+    gap, step = data.draw(positive(name)), data.draw(positive(name))
+    n = groups._steps_past(gap, step)
+    assert (n is None) == (arch_compare(gap, step) == "<")
+    if n is not None:
+        assert n >= 1
+        assert step.scale(n).compare(gap) > 0
+        assert step.scale(n - 2).compare(gap) < 0
+
+
 class TestGroupFastPaths:
     @pytest.mark.parametrize("name", sorted(ELEMENTS))
     @given(data=st.data())

@@ -81,6 +81,7 @@ from hahnaut.groups import (
     PositiveScalar,
     Translation,
     TriangularMatrix,
+    _steps_past,
     arch_compare,
     element,
     embed_rational,
@@ -1406,11 +1407,11 @@ def test_dense_lex_kernels_make_linearly_many_group_calls(monkeypatch):
 
 def test_dense_lex_exponential_orders_each_gap_once(monkeypatch):
     """A dense 24-term lex2 exponential to t^(0,24) forms each row's gap
-    ``P - g`` to the precision and orders its archimedean class against the
-    shift once: the refusal pass records both and the keys' bound reads
-    them."""
+    ``P - g`` to the precision and reads the walk length of the shift
+    against it once: one ``_steps_past`` call per row gives both the
+    row's refusal and its part of the keys' bound."""
     n = 24
-    counts = {"sub": 0, "arch_compare": 0}
+    counts = {"sub": 0, "_steps_past": 0}
 
     def counting(name, method):
         def counted(*args):
@@ -1426,10 +1427,10 @@ def test_dense_lex_exponential_orders_each_gap_once(monkeypatch):
     d = make_phi_derivation(standard_functional(LEX2, [1, 1]), (0, 1))
     monkeypatch.setattr(GroupElement, "__sub__", counting("sub", GroupElement.__sub__))
     monkeypatch.setattr(
-        "hahnaut.derivations.arch_compare", counting("arch_compare", arch_compare)
+        "hahnaut.derivations._steps_past", counting("_steps_past", _steps_past)
     )
     exp_apply(d, a, target)
-    assert counts["sub"] <= n and counts["arch_compare"] <= n, counts
+    assert counts["sub"] <= n and counts["_steps_past"] == n, counts
 
 
 def test_dense_rank_one_inverse_and_exponential_make_no_per_term_group_calls(
@@ -1438,8 +1439,8 @@ def test_dense_rank_one_inverse_and_exponential_make_no_per_term_group_calls(
     """A dense Q inverse to t^N and a dense Q exponential to t^N make as
     many ``GroupElement`` additions and compares at N = 48 as at N = 24:
     the inverse's steps and the exponential's rows are int keys from the
-    start.  The exponential reads phi as one slope, so it calls neither
-    phi nor ``arch_compare``."""
+    start.  The inverse reads its walk length once.  The exponential reads
+    phi as one slope, so it calls neither phi nor ``_steps_past``."""
     counts = {}
 
     def counting(name, method):
@@ -1473,23 +1474,25 @@ def test_dense_rank_one_inverse_and_exponential_make_no_per_term_group_calls(
     )
     for module in ("hahnaut.derivations", "hahnaut.series"):
         monkeypatch.setattr(
-            f"{module}.arch_compare", counting("arch_compare", arch_compare)
+            f"{module}._steps_past", counting("_steps_past", _steps_past)
         )
     small, large = calls(24), calls(48)
     assert small == large
-    _, exp_counts = small
-    assert "phi" not in exp_counts and "arch_compare" not in exp_counts, exp_counts
+    invert_counts, exp_counts = small
+    assert invert_counts["_steps_past"] == 1, invert_counts
+    assert "phi" not in exp_counts and "_steps_past" not in exp_counts, exp_counts
 
 
 # -- packed products ----------------------------------------------------------------
 #
-# A keyed product whose sums lie at no more keys than it forms pairs is one
-# int product of the numerators packed as signed base-2**w digits
-# (``series._packed_products``), with w one more than the bit length of
-# min(n_a, n_b) * max|num_a| * max|num_b|.  The cases below meet each
-# limit of that reading: a product digit at exactly that bound, borrows
-# through runs of negative digits, a cut at every digit, and operands on
-# both sides of the rule that picks the path.
+# A keyed product that forms more pairs than it would pack numerators and
+# read keys (``series._packs``) is one int product of the numerators
+# packed as signed base-2**w digits (``series._packed_products``), with w
+# one more than the bit length of min(n_a, n_b) * max|num_a| * max|num_b|.
+# The cases below meet each limit of that reading, on the packed path
+# whatever their size: a product digit at exactly that bound, borrows
+# through runs of negative digits and a cut at every digit.  Operands on
+# both sides of the rule that picks the path take the path it picks.
 
 
 def dense(group, coefficients, start=0):
@@ -1502,8 +1505,9 @@ def dense(group, coefficients, start=0):
     return Series.make(group, [(at(k), c) for k, c in enumerate(coefficients)])
 
 
-def packed_calls(monkeypatch):
-    """The operand sizes of each packed product made from now on."""
+def packed_calls(monkeypatch, every=False):
+    """The operand sizes of each packed product made from now on; with
+    ``every``, every keyed product is made packed."""
     calls = []
     packed = hahnaut.series._packed_products
 
@@ -1512,6 +1516,8 @@ def packed_calls(monkeypatch):
         return packed(a, b, stop)
 
     monkeypatch.setattr("hahnaut.series._packed_products", spy)
+    if every:
+        monkeypatch.setattr("hahnaut.series._packs", lambda *sizes: True)
     return calls
 
 
@@ -1537,7 +1543,7 @@ def test_packed_digit_at_the_width_bound_matches_schoolbook(
 ):
     """Every numerator at its operand's largest: the middle digits of the
     product are exactly +-min(n_a, n_b) * max|num_a| * max|num_b|."""
-    calls = packed_calls(monkeypatch)
+    calls = packed_calls(monkeypatch, every=True)
     a, b = dense(group, [c_a] * n_a), dense(group, [c_b] * n_b)
     assert_same(mul, ref_mul, a, b)
     assert calls == [(n_a, n_b)]
@@ -1550,7 +1556,7 @@ def test_packed_borrow_chains_match_schoolbook(monkeypatch, k):
     """``(1 - t) * (1 + t + ... + t^k)`` is ``1 - t^(k+1)``, every digit
     between them zero; all-negative operands make every digit of the
     product negative, so each one borrows from the next."""
-    calls = packed_calls(monkeypatch)
+    calls = packed_calls(monkeypatch, every=True)
     geometric = dense(RATIONALS, [1] * (k + 1))
     one_minus_t = dense(RATIONALS, [1, -1])
     assert one_minus_t * geometric == Series.make(RATIONALS, [(0, 1), (k + 1, -1)])
@@ -1570,7 +1576,7 @@ def test_packed_product_cut_at_every_position_matches_schoolbook(monkeypatch):
     """Each operand and the product cut at each key and between keys: the
     operands lose their terms at or past the stop and the digits read stop
     there."""
-    calls = packed_calls(monkeypatch)
+    calls = packed_calls(monkeypatch, every=True)
     n = 8
     a_terms = [(k, Fraction((-1) ** k * (k + 2), 1 + k % 3)) for k in range(n)]
     b = dense(RATIONALS, [Fraction(k - 3, 1 + k % 2) or 5 for k in range(n)])
@@ -1587,26 +1593,27 @@ def test_packed_product_cut_at_every_position_matches_schoolbook(monkeypatch):
 def test_packed_path_taken_exactly_when_keys_do_not_exceed_pairs(
     monkeypatch, last, packed
 ):
-    """``a`` at keys 0 and 1, ``b`` at 0, 1 and ``last``: 6 pairs form sums
-    at ``1 + last + 1`` keys, one fewer than the pairs, as many, one more."""
+    """``a`` at keys 0 to 8, ``b`` at 0, 1 and ``last``: 27 pairs form sums
+    at ``8 + last + 1`` keys, so the keys plus the 12 numerators plus 2 are
+    one fewer than the pairs, as many, one more."""
     calls = packed_calls(monkeypatch)
     for group in (INTEGERS, RATIONALS, LEX2):
-        a = dense(group, [2, -3])
+        a = dense(group, [2, -3, 1, 4, -1, 5, -9, 2, 6])
         b = dense(group, [5, 1]) + dense(group, [-7], last)
         assert_same(mul, ref_mul, a, b)
     assert len(calls) == (3 if packed else 0)
 
 
 def test_packed_path_rule_reads_the_operands_after_the_cut(monkeypatch):
-    """``a`` at keys 0, 1 and 100 times ``b`` at 0, 1 and 2 cut at 3: the
-    term at 100 lies past the stop, so 6 pairs form sums at 4 keys, where
-    uncut they would lie at 103 keys."""
+    """``a`` at keys 0 to 5 and 100 times ``b`` at 0 to 5 cut at 6: the term
+    at 100 lies past the stop, so 36 pairs form sums at 11 keys, where
+    uncut 42 pairs would form them at 106 keys."""
     calls = packed_calls(monkeypatch)
-    a = Series.make(RATIONALS, [(0, 2), (1, -3), (100, 5)])
-    b = Series.make(RATIONALS, [(0, 1), (1, Fraction(1, 2)), (2, -4)], 3)
+    a = Series.make(RATIONALS, [(k, k - 2 or 7) for k in range(6)] + [(100, 5)])
+    b = Series.make(RATIONALS, [(k, Fraction(1, k + 1)) for k in range(6)], 6)
     assert_same(mul, ref_mul, a, b)
     assert_same(mul, ref_mul, b, a)
-    assert calls == [(2, 3), (3, 2)]
+    assert calls == [(6, 6), (6, 6)]
 
 
 def test_dense_q_products_pack_and_sparse_lex_products_loop(monkeypatch):
@@ -1620,6 +1627,15 @@ def test_dense_q_products_pack_and_sparse_lex_products_loop(monkeypatch):
     y = Series.make(LEX2, [((-1, 3), 1), ((0, 0), -4), ((1, 1), 5)])
     assert_same(mul, ref_mul, x, y)
     assert calls == []
+    # Dense n by n at the rule's boundary: 4 by 4 forms 16 pairs against 7
+    # keys plus 8 numerators plus 2, and 5 by 5 forms 25 against 21.  A
+    # 2-term operand never packs: 2n pairs against 2n + 5.
+    for n_a, n_b, packed in [(1, 1, False), (4, 4, False), (5, 5, True), (2, 24, False)]:
+        calls.clear()
+        a = dense(RATIONALS, [Fraction(k + 2, 1 + k % 3) for k in range(n_a)])
+        b = dense(RATIONALS, [(-1) ** k * (k + 1) for k in range(n_b)])
+        assert_same(mul, ref_mul, a, b)
+        assert calls == ([(n_a, n_b)] if packed else [])
 
 
 # -- shared exponents ---------------------------------------------------------------
@@ -1680,7 +1696,7 @@ def test_one_digit_keys_decode_to_one_element_per_group():
         (lex_power(1), (3,), tuple),
     ):
         e = element(group, value)
-        keys = _keys(group, [e], lambda: 1)
+        keys = _keys(group, [e], 1)
         assert keys.key(e) == 3
         got = keys.element(3)
         assert got == e and got.descriptor is group and type(got.value) is value_type
@@ -1703,7 +1719,7 @@ def test_one_digit_keys_decode_to_one_element_per_group():
 )
 def test_oversized_exponents_decode_but_are_not_retained(group, value):
     e = element(group, value)
-    keys = _keys(group, [e], lambda: 2)
+    keys = _keys(group, [e], 2)
     before = _interned.cache_info()
     got = keys.element(keys.key(e))
     assert got == e and keys.element(keys.key(e)) is not got
@@ -1718,7 +1734,7 @@ def test_oversized_exponents_decode_but_are_not_retained(group, value):
 def test_intern_table_never_grows_past_its_bound():
     bound = _interned.cache_info().maxsize
     e = element(RATIONALS, Fraction(1, 7))
-    keys = _keys(RATIONALS, [e], None)
+    keys = _keys(RATIONALS, [e], 1)
     for k in range(bound + 100):
         assert keys.element(k) == element(RATIONALS, Fraction(k, 7))
         assert _interned.cache_info().currsize <= bound
