@@ -188,21 +188,19 @@ def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
     exponent at or past ``P`` or its first zero factor, and the rows are
     summed per exponent key (``series._keys``): an int key on Z, Q and
     lexN, decoded once per output term to its shared exponent
-    (``series._Keys``), and the exponent itself on surreal groups.  The
-    walk-length helper ``groups._steps_past(P - g, shift)`` gives how many
-    shifts pass ``P`` from ``g``, or None when none does.  Then the row
-    is infinite unless a factor vanishes, that is unless
-    ``-phi(g)/phi(shift)`` is a nonnegative integer, and is refused with
-    ``NonTerminating`` before any coefficient is computed.
+    (``series._Keys``), and the exponent itself on surreal groups.  From
+    the least ``g`` up, ``groups._steps_past(P - g, shift)`` counts the
+    shifts that pass ``P`` from ``g``, up to the first row they pass: the
+    gaps descend, so its walk is the longest.  A row before it is infinite
+    unless a factor vanishes, that is unless ``-phi(g)/phi(shift)`` is a
+    nonnegative integer, and is refused with ``NonTerminating`` before any
+    coefficient is computed.
     ``phi`` is called on every term of ``s``, then on ``g + shift`` for the
     least ``g`` whose image survives below the target, as the first two
     rounds of ``D`` call it, so the same ``OutsideSpan`` or
-    ``DescriptorMismatch`` comes first.  A functional with a generator
-    over the derivation's own group Z or Q is the exception: it is read as
-    its slope (``LinearFunctional._slope``) and never called, since it
-    cannot refuse there, and no refusal test runs, since two nonzero
-    rank-one elements are always in one archimedean class and
-    ``_check_gain`` makes the shift at least the gain, which is positive.
+    ``DescriptorMismatch`` comes first.  On Z and Q, one archimedean class
+    where ``phi`` cannot refuse, ``phi`` is read off its one weight
+    (``LinearFunctional._weights``) and no walk is measured.
 
     For ``TableRule``, ``D^i(s)`` is built round by round.  A table some
     image of which starts below ``key + gain`` is refused with
@@ -235,17 +233,15 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
     precision = _pmin(s.precision, target)
     terms = _cut(s.terms, precision)
     exponents = [precision, shift] + [g for g, _ in terms]
-    if phi._slope is not None and phi.descriptor is d.group:
-        # phi(g) = key(g) * rn / (rd * L): one slope, no phi call, and no
-        # refusal test, which cannot fire on rank one; one digit, no bound
+    if d.group.rank_one and phi.descriptor is d.group and phi._weights:
+        # phi(g) = key(g) * w / L from phi's one weight w: no phi call, and
+        # no walk, since Z and Q are one archimedean class; one digit
         keys = _keys(d.group, exponents, 1)
         key = keys.key
-        rn, rd = phi._slope.numerator, phi._slope.denominator
-        q, du = rd * keys.scale, key(shift) * rn
-        rows = []
-        for g, c in terms:
-            kg = key(g)
-            rows.append((kg, c, kg * rn, du, q))
+        (w,) = phi._weights
+        rn, q = w.numerator, w.denominator * keys.scale
+        du = key(shift) * rn
+        rows = [(kg, c, kg * rn) for kg, c in [(key(g), c) for g, c in terms]]
     else:
         ks = [phi(ex) for ex, _ in s.terms]
         # phi(shift), read off the least image that survives the first round
@@ -255,36 +251,39 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
             if k and (ex + shift).compare(survives) < 0:
                 k_shift = phi(ex + shift) - k
                 break
-        # Per row, u + i*du = q * phi(g + i*shift) over ints, and n shifts
-        # pass P - g; a row they never pass ends past its first zero
-        # factor, or is refused.  A formed key adds g and at most n shifts.
-        rows, most = [], 0
-        for (g, c), k in zip(terms, ks):
-            q = lcm(k.denominator, k_shift.denominator)
-            u, du = int(k * q), int(k_shift * q)
+        # Per row, u + i*du = q * phi(g + i*shift) over ints.  A row before
+        # the first walk that passes its gap, the longest, ends past its
+        # first zero factor or is refused; a key adds g and <= most shifts.
+        q = lcm(k_shift.denominator, *[k.denominator for k in ks[: len(terms)]])
+        du = k_shift.numerator * (q // k_shift.denominator)
+        rows = [
+            (g, c, k.numerator * (q // k.denominator)) for (g, c), k in zip(terms, ks)
+        ]
+        most = 0
+        for g, _, u in rows:
             n = _steps_past(gap := precision - g, shift)
-            if n is None and u and not (du and u % du == 0 and u * du < 0):
+            if n is not None:
+                most = max(most, n)
+                break
+            if u and not (du and u % du == 0 and u * du < 0):
                 raise NonTerminating(
                     "exponential series does not reach the target precision: the "
                     f"archimedean class of the shift {shift} is infinitesimal relative "
                     f"to the class of {gap}, the gap from t^{g} to the "
                     f"precision {precision}, and no factor phi(g) + i*phi(shift) vanishes"
                 )
-            if n is None:
-                n = -u // du + 1 if u else 1
-            most = max(most, n)
-            rows.append((g, c, u, du, q))
+            most = max(most, -u // du + 1 if u else 1)
         keys = _keys(d.group, exponents, 1 + most)
         key = keys.key
-        rows = [(key(g), *row) for g, *row in rows]
-    # The row (kg, c, u, du, q) from key kg ascends by the shift's key below
-    # the precision's, up to its first zero factor
+        rows = [(key(g), c, u) for g, c, u in rows]
+    # The row (kg, c, u) from key kg ascends by the shift's key below the
+    # precision's, up to its first zero factor
     # phi(g) + i*phi(shift) = (u + i*du) / q: a_i is num * u / (den * q * i)
     # from the reduced num / den before it.  The terms at one key are
     # summed once, over the lcm of their denominators.
     stop, step = key(precision), key(shift)
     parts = {}
-    for kg, c, u, du, q in rows:
+    for kg, c, u in rows:
         num, den, i = c.numerator, c.denominator, 1
         while True:
             parts.setdefault(kg, []).append((num, den))

@@ -161,10 +161,8 @@ class GroupDescriptor(Record, metaclass=_OneInstancePerGroup):
 
     @property
     def rank_one(self) -> bool:
-        """Whether this is Z or Q, whose elements are each a single rational
-        value (``int`` or ``Fraction``), so that a functional on them is one
-        slope.  ``lex_power(1)`` is rank one as a group too, but its values
-        are 1-tuples."""
+        """Whether this is Z or Q, whose elements are each one ``int`` or
+        ``Fraction``; ``lex_power(1)`` is rank one too, but holds 1-tuples."""
         return self.kind in ("Integers", "Rationals")
 
     @property
@@ -300,10 +298,10 @@ class GroupElement(Record):
     def __lt__(self, other):
         return self.compare(other) < 0
 
-    def __str__(self):
-        from .parsing import format_group_element  # lazy: avoids an import cycle
+    def __str__(self):  # as messages show it
+        from .parsing import _number_in_message, format_group_element  # lazy: a cycle
 
-        return format_group_element(self)
+        return format_group_element(self, _number_in_message)
 
 
 def first_difference(a: tuple, b: tuple) -> tuple[int, GroupElement | None]:
@@ -484,13 +482,14 @@ def _span_of(basis: Sequence[GroupElement]) -> dict | None:
             return None  # b is in the span of the elements before it
         # the new row is b minus the combination, scaled to 1 at its pivot
         pivot = next(iter(left))
-        lead = Fraction(left.pop(pivot))
-        combination = {i: -q for i, q in combination.items()}
-        combination[j] = 1
+        lead = left.pop(pivot)
+        inverse = Fraction(lead.denominator, lead.numerator)
+        combination = {i: -q * inverse for i, q in combination.items()}
+        combination[j] = inverse
         new = {
             pivot: (
-                tuple((key, x / lead) for key, x in left.items()),
-                tuple((i, q / lead) for i, q in combination.items()),
+                tuple((key, x * inverse) for key, x in left.items()),
+                tuple(combination.items()),
             )
         }
         # clear the new pivot from the earlier rows
@@ -515,25 +514,36 @@ def _span_coefficients(span: dict, g: GroupElement) -> dict | None:
 # -- Q-linear functionals ---------------------------------------------------
 
 
+def _weighted(pairs, weights) -> Fraction:
+    """The sum of ``x * weights[key]`` over the pairs ``(key, x)``, on ints."""
+    num, den = 0, 1
+    for key, x in pairs:
+        w = weights[key]
+        d = x.denominator * w.denominator
+        num, den = num * d + x.numerator * w.numerator * den, den * d
+    return Fraction(num, den)
+
+
 class LinearFunctional(Record):
     """A Q-linear map into the rationals, stored on a finite generator list.
 
     Evaluation extends Q-linearly over the span of the generators;
-    elements outside the span are rejected rather than guessed.
+    elements outside the span are rejected rather than guessed.  When the
+    span is all of Z, Q or lexN, every coordinate is a pivot, and the
+    functional is the weighted sum of an element's coordinates.
     """
 
     descriptor: GroupDescriptor
     generators: tuple[tuple[GroupElement, Fraction], ...]
     # the span of the generators, derived once from ``generators``
     _span: dict
-    # on Z and Q, ``v / g`` for the one generator ``(g, v)``, so that
-    # ``phi(h) = h.value * _slope``; None off rank one or with no generator
-    _slope: Fraction | None
+    # on a full span of Z, Q or lexN, the value at each coordinate's unit
+    # vector: row p's combination times the generator values; else None
+    _weights: tuple[Fraction, ...] | None
 
     def __post_init__(self):
-        gens = tuple(
-            (element(self.descriptor, g), Fraction(v)) for g, v in self.generators
-        )
+        desc = self.descriptor
+        gens = tuple((element(desc, g), Fraction(v)) for g, v in self.generators)
         object.__setattr__(self, "generators", gens)
         # A self-similar generator is an exact series with finite support,
         # so its rank does not change when more exponents are touched:
@@ -542,27 +552,22 @@ class LinearFunctional(Record):
         if span is None:
             raise DomainError("functional generators are Q-linearly dependent")
         object.__setattr__(self, "_span", span)
-        slope = None
-        if self.descriptor.rank_one and gens:
-            # independence leaves exactly one, nonzero, generator here
-            ((gen, v),) = gens
-            slope = v / gen.value
-        object.__setattr__(self, "_slope", slope)
+        weights = None
+        if desc.keyed and len(span) == (desc.param or 1):  # Z and Q: one coordinate
+            values = [v for _, v in gens]
+            weights = tuple(_weighted(span[p][1], values) for p in range(len(span)))
+        object.__setattr__(self, "_weights", weights)
 
     def __call__(self, g: GroupElement) -> Fraction:
         g = element(self.descriptor, g)
-        if g.is_zero():
-            return Fraction(0)
-        if not self.generators:
-            raise OutsideSpan(f"{g} is outside the span of an empty generator list")
-        if self._slope is not None:
-            return g.value * self._slope
+        if self._weights is not None:
+            return _weighted(_coordinates(g), self._weights)
         coeffs = _span_coefficients(self._span, g)
         if coeffs is None:
+            if not self.generators:
+                raise OutsideSpan(f"{g} is outside the span of an empty generator list")
             raise OutsideSpan(f"{g} is not in the Q-span of the generators")
-        return sum(
-            (q * self.generators[i][1] for i, q in coeffs.items()), Fraction(0)
-        )
+        return _weighted(coeffs.items(), [v for _, v in self.generators])
 
     def negated(self) -> "LinearFunctional":
         return LinearFunctional(

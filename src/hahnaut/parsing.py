@@ -562,26 +562,57 @@ def format_number(q) -> str:
         raise ResultTooLong(f"a result number has more than {limit} digits") from None
 
 
-def format_group_element(g: GroupElement) -> str:
+def _number_in_message(q) -> str:
+    """``str`` of an int or ``Fraction`` in an error message, where an
+    integer part longer than ``str`` writes shows its digit count, so that
+    building the message cannot replace the refusal with another."""
+    shown = []
+    for n in (q.numerator,) if q.denominator == 1 else (q.numerator, q.denominator):
+        try:
+            shown.append(str(n))
+        except ValueError:
+            shown.append(f"{'-' if n < 0 else ''}<{_digit_count(n)} digits>")
+    return "/".join(shown)
+
+
+def _digit_count(n: int) -> int:
+    """The decimal digits of ``abs(n)`` without ``str``: the first guess,
+    from the bit length, is never above the count."""
+    n = abs(n) or 1  # 0 has one digit, as 1 does
+    digits = (n.bit_length() - 1) * 30102 // 100000 + 1  # 0.30102 < log10(2)
+    while 10**digits <= n:
+        digits += 1
+    return digits
+
+
+def format_group_element(g: GroupElement, number=format_number) -> str:
+    """``g`` as the parser reads it, each number written by ``number``."""
     kind = g.descriptor.kind
     if kind == "LexPower":
-        return "(" + ",".join(map(format_number, g.value)) + ")"
+        return "(" + ",".join(map(number, g.value)) + ")"
     if kind == "SurrealDepth" and g.descriptor.param >= 1:
-        return "[" + format_series(g.value) + "]"
-    return format_number(g.value)
+        return "[" + format_series(g.value, number=number) + "]"
+    return number(g.value)
 
 
-def format_series(s: Series, config: SessionConfig | None = None) -> str:
+def format_series(
+    s: Series, config: SessionConfig | None = None, number=format_number
+) -> str:
+    """``s`` as the parser reads it in the notation of ``config``, each
+    number written by ``number``."""
     omega = config is not None and config.notation == "w"
     base = "w" if omega else "t"
+    # the text is one to one: only the zero exponent is written as zero is
+    zero = format_group_element(groups.zero(s.group), number)
     pieces = []
     for ex, c in s.terms:
-        shown = -ex if omega else ex
-        if ex.is_zero():
-            body = format_number(abs(c))
+        shown = format_group_element(-ex if omega else ex, number)
+        size = abs(c)
+        if shown == zero:
+            body = number(size)
         else:
-            prefix = "" if abs(c) == 1 else format_number(abs(c)) + "*"
-            body = f"{prefix}{base}^({format_group_element(shown)})"
+            prefix = "" if size == 1 else number(size) + "*"
+            body = f"{prefix}{base}^({shown})"
         pieces.append((c < 0, body))
     if not pieces:
         out = "0"
@@ -592,5 +623,5 @@ def format_series(s: Series, config: SessionConfig | None = None) -> str:
             out += (" - " if negative else " + ") + body
     if s.precision is not None:
         shown = -s.precision if omega else s.precision
-        out += f" (mod {base}^({format_group_element(shown)}))"
+        out += f" (mod {base}^({format_group_element(shown, number)}))"
     return out

@@ -675,7 +675,7 @@ class Series(Record):
         """True when the two series coincide below their joint precision."""
         return not self._difference_sign(other)[0]
 
-    def __str__(self):
-        from .parsing import format_series  # lazy: avoids an import cycle
+    def __str__(self):  # as messages show it
+        from .parsing import _number_in_message, format_series  # lazy: a cycle
 
-        return format_series(self)
+        return format_series(self, number=_number_in_message)

@@ -501,7 +501,9 @@ def surreal_nested(depth):
     return [f"--group=surreal{depth}", f"t^({inner})"]
 
 
-# name -> the argv at the limit (``past=0``) or one past it (``past=1``)
+# name -> the argv at the limit (``past=0``) or one past it (``past=1``);
+# a "refused-" argv is refused either way, by its own type, and past the
+# limit its message shows the number that is too long by its digit count
 EXTREME_ARGV = {
     "number": lambda past: ["eval", "7" * (DIGITS + past)],
     "denominator": lambda past: ["eval", "1/" + "3" * (DIGITS + past)],
@@ -520,6 +522,11 @@ EXTREME_ARGV = {
     ],
     "printed-character": lambda past: [
         "apply", "character{1: 2}", f"t^({POWER + past})"
+    ],
+    # 77...7 + 77...7 = 155...54, one digit longer: an exponent of the message
+    "refused-lex-exponent": lambda past: [
+        "eval", "--group=lex2", "--precision=(1,0)",
+        "1/(1 + t^((0,{0})) * t^((0,{0})))".format("7" * (DIGITS - 1 + past)),
     ],
     "printed-factor-coefficient": lambda past: [
         "factorize", "--mode=field", f"--samples={POWER + past}", "character{1: 2}"
@@ -545,7 +552,8 @@ def test_extreme_argv_succeed_at_their_limit_and_are_refused_past_it(
     first = run(capsys, *argv)
     code, out, err = first
     assert run(capsys, *argv) == first
-    if not past:
+    refused = name.startswith("refused")
+    if not past and not refused:
         assert (code, err) == (0, ""), err
         return
     assert code in (1, 2)
@@ -556,6 +564,9 @@ def test_extreme_argv_succeed_at_their_limit_and_are_refused_past_it(
     assert ("ResultTooLong" in err) == name.startswith("printed")
     if name.startswith("printed"):
         assert f"more than {DIGITS} digits" in err and code == 1
+    if refused:
+        assert code == 1 and err.startswith("ERROR: NonTerminating: ")
+        assert (f"(0,<{DIGITS + 1} digits>)" in err) == bool(past)
 
 
 @pytest.mark.parametrize("count", [1, 2, 985, 986, 5001])
@@ -572,6 +583,14 @@ def test_nesting_past_the_limit_is_refused_at_the_opening_bracket(capsys):
     assert err == (
         f"PARSE ERROR at offset {NESTING}: brackets nest deeper than {NESTING} "
         f"levels (at offset {NESTING})\n"
+    )
+
+
+def test_a_functional_left_open_is_refused_at_its_end(capsys):
+    # no ':' and no closing bracket follow the values, so they are read as
+    # the standard functional's and the missing ')' is reported
+    assert run(capsys, "derive", "deriv{phi: linear(1", "t^(1)") == (
+        2, "", "PARSE ERROR at offset 19: expected ')' (at offset 19)\n"
     )
 
 

@@ -3,7 +3,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hahnaut import groups
@@ -87,8 +87,8 @@ class TestGroupArithmetic:
             embed_rational(INTEGERS, Fraction(1, 2))
 
     def test_keyed_kinds_and_rank_one_kinds(self):
-        # the kernels run on int exponent keys over Z, Q and lexN; a
-        # functional has one slope over Z and Q only
+        # the kernels run on int exponent keys over Z, Q and lexN; the exp
+        # rows read a functional off its one weight over Z and Q only
         kinds = [INTEGERS, RATIONALS, lex_power(1), LEX2, surreal_depth(0), surreal_depth(1)]
         assert [g.keyed for g in kinds] == [True] * 4 + [False] * 2
         assert [g.rank_one for g in kinds] == [True] * 2 + [False] * 4
@@ -409,6 +409,7 @@ _SURREAL1_ELEMENTS = _series_over(RATIONALS, _RATIONAL).map(
 ELEMENTS = {
     "Z": st.integers(-5, 5).map(lambda n: element(INTEGERS, n)),
     "Q": _RATIONAL.map(lambda q: element(RATIONALS, q)),
+    "lex1": st.tuples(_RATIONAL).map(lambda v: element(lex_power(1), v)),
     "lex2": st.tuples(_RATIONAL, _RATIONAL).map(lambda v: element(LEX2, v)),
     "lex3": st.tuples(_RATIONAL, _RATIONAL, _RATIONAL).map(
         lambda v: element(lex_power(3), v)
@@ -486,6 +487,67 @@ def test_walk_length_passes_the_gap_unless_the_step_is_infinitesimal(name, data)
         assert n >= 1
         assert step.scale(n).compare(gap) > 0
         assert step.scale(n - 2).compare(gap) < 0
+
+
+def _any_class(name):
+    """``positive(name)``, on lexN with its leading coordinates cleared at
+    a drawn depth, so that elements of every class meet."""
+    if not name.startswith("lex"):
+        return positive(name)
+
+    def lowered(g, depth):
+        h = element(g.descriptor, (0,) * depth + g.value[depth:])
+        return -h if h.compare(zero(h.descriptor)) < 0 else h
+
+    depths = st.integers(0, int(name[3:]) - 1)
+    return st.builds(lowered, positive(name), depths).filter(lambda g: not g.is_zero())
+
+
+@pytest.mark.parametrize("name", ["lex2", "lex3", "surreal1", "surreal2"])
+@given(data=st.data())
+def test_walk_lengths_below_a_precision_end_on_a_suffix_and_shrink(name, data):
+    """Along ascending exponents ``g`` below ``P``, ``_steps_past(P - g,
+    shift)`` is None on a prefix and then non-increasing: the gaps descend,
+    so the first walk that passes its gap is the longest."""
+    precision, shift = data.draw(ELEMENTS[name]), data.draw(_any_class(name))
+    gaps = data.draw(st.lists(_any_class(name), max_size=8))
+    below = sorted({precision - gap for gap in gaps})
+    lengths = [groups._steps_past(precision - g, shift) for g in below]
+    ended = [n is not None for n in lengths]
+    assert ended == sorted(ended)
+    passed = [n for n in lengths if n is not None]
+    assert passed == sorted(passed, reverse=True)
+
+
+def _nonzero(name):
+    return ELEMENTS[name].filter(lambda g: not g.is_zero())
+
+
+@pytest.mark.parametrize("name", ["Z", "Q", "lex1", "lex2", "lex3"])
+@given(data=st.data())
+def test_functionals_on_full_and_partial_spans_match_elimination(name, data):
+    """A functional whose span is the whole group, on the unit basis or on
+    a drawn one, is read off its weights and equals the combination a
+    dense elimination finds; on a partial span it gives the same value or
+    the same ``OutsideSpan``, at the same element."""
+    group = data.draw(ELEMENTS[name]).descriptor
+    n = group.param or 1
+    values = st.lists(_RATIONAL | st.just(Fraction(10**18, 7)), min_size=n, max_size=n)
+    basis = data.draw(st.sampled_from(["unit", "drawn"] + ["partial"] * (n > 1)))
+    if basis == "unit":
+        phi = standard_functional(group, data.draw(values))
+    else:
+        size = n if basis == "drawn" else data.draw(st.integers(1, n - 1))
+        gens = data.draw(st.lists(_nonzero(name), min_size=size, max_size=size))
+        try:
+            phi = LinearFunctional(group, tuple(zip(gens, data.draw(values))))
+        except DomainError:  # a dependent draw
+            assume(False)
+    assert (phi._weights is None) == (basis == "partial")
+    for g in data.draw(st.lists(ELEMENTS[name], min_size=1, max_size=4)):
+        result = outcome(phi, g)
+        assert result == outcome(solved_functional, phi, g)
+        assert type(result) in (Fraction, tuple)
 
 
 class TestGroupFastPaths:
@@ -582,7 +644,7 @@ class TestGroupFastPaths:
         _, (coeffs,) = reference._solve_linear(
             [[Fraction(gen.value)]], [[Fraction(g.value)]]
         )
-        # the slope g.value * (v / gen.value) is the quotient formula
+        # the weight v / gen.value gives the quotient formula
         assert result == coeffs[0] * v == Fraction(g.value) / gen.value * v
         assert type(result) is Fraction
 
