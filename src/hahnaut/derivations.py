@@ -144,6 +144,8 @@ def _check_group(d: MonomialDerivation, s: Series):
 
 
 def apply_derivation(d: MonomialDerivation, s: Series) -> Series:
+    """``D(s)`` below ``s.precision + gain``; a table's scaled images are
+    summed by one ``Series.make`` at the least of their precisions."""
     _check_group(d, s)
     _check_gain(d)
     precision = None if s.precision is None else s.precision + d.gain
@@ -163,17 +165,16 @@ def apply_derivation(d: MonomialDerivation, s: Series) -> Series:
         # inputs stay allowed, as the sampled laws of check_derivation use them
         _check_table(d)
     table = dict(d.rule.entries)
-    total = Series.zero(d.group)
+    terms = []
     for ex, c in s.terms:
         image = table.get(ex)
         if image is None:
             if d.rule.zero_default:
                 continue
             raise UnmappedExponent(f"no table entry for exponent {ex}")
-        total = total + image.scale(c)
-    if precision is not None:
-        total = total.truncate_to(precision)
-    return total
+        terms.extend((g, c * q) for g, q in image.terms)
+        precision = _pmin(precision, image.precision)
+    return Series.make(d.group, terms, precision)
 
 
 def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:

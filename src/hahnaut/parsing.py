@@ -40,7 +40,7 @@ from .errors import (
     ResultTooLong,
 )
 from .groups import RATIONALS, GroupDescriptor, GroupElement, Record, _setfield
-from .series import Series
+from .series import Series, _pmin
 
 
 class SessionConfig(Record):
@@ -270,20 +270,17 @@ class _Parser:
     # -- arithmetic expressions over series ---------------------------------
 
     def expression(self, config: SessionConfig) -> Series:
-        """A signed sum of products, added pairwise: exact addition is
-        associative and the precision is the least either way, and pairs
-        keep a long literal's merges from growing with its length."""
-        summands = [self.expr_product(config)]
-        while self.peek.kind in ("+", "-"):
-            op = self.advance().kind
+        """A signed sum of products: one ``Series.make`` of all their terms
+        at their least precision, which is the chain of ``+``, as exact
+        addition is associative and its precision is the least either way."""
+        terms, precision, sign = [], None, 1
+        while True:
             rhs = self.expr_product(config)
-            summands.append(rhs if op == "+" else -rhs)
-        while len(summands) > 1:
-            pairs = [a + b for a, b in zip(summands[::2], summands[1::2])]
-            if len(summands) % 2:
-                pairs.append(summands[-1])
-            summands = pairs
-        return summands[0]
+            terms.extend((ex, sign * c) for ex, c in rhs.terms)
+            precision = _pmin(precision, rhs.precision)
+            if self.peek.kind not in ("+", "-"):
+                return Series.make(config.group, terms, precision)
+            sign = 1 if self.advance().kind == "+" else -1
 
     def expr_product(self, config: SessionConfig) -> Series:
         total = self.expr_atom(config)

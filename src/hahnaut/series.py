@@ -394,7 +394,8 @@ class Series(Record):
     @classmethod
     def make(cls, group, terms, precision=None) -> "Series":
         """Normalize: coerce each pair, drop zeros, merge the one-term
-        lists ascending (like exponents collapse) and cut the tail."""
+        lists ascending (like exponents collapse) and cut the tail.  Given
+        the terms of many series at their least precision, it is their sum."""
         if precision is not None:
             precision = element(group, precision)
         rows = []

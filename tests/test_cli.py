@@ -8,6 +8,7 @@ import pytest
 
 from hahnaut import parsing
 from hahnaut.cli import run_command
+from hahnaut.series import Series
 
 # 5 -> 5*t^(5) does not contract, and no sample pair reaches t^5
 NON_CONTRACTING_TABLE = (
@@ -421,6 +422,18 @@ class TestSelftest:
             "failed: parser_roundtrip\n"
             "witness: -2*t^(-2) + 9 - 8*t^(3)\n"
         )
+
+    def test_law_failures_print_their_witnesses(self, capsys, monkeypatch):
+        # every agreement fails: distributivity on its first sample, and
+        # the exp oracle on t
+        monkeypatch.setattr(Series, "agrees", lambda self, other: False)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        lines = out.splitlines()
+        for name in ("distributivity", "exp_derivation_oracle"):
+            at = lines.index(f"failed: {name}")
+            assert lines[at + 1].startswith("witness: ")
+        assert lines[-1] == "witness: t^(1)"
 
 
 # Each subcommand with its positionals and the options beyond the shared

@@ -9,7 +9,9 @@ finite one.  A typed ``HahnError`` on both sides counts as agreement; a
 refusal on one side only is a case the check cannot evaluate, and each
 kind and direction must evaluate at least ``MIN_EVALUATED`` cases.  The
 kinds are the identity (the empty ``Compose``), the five primitive nodes,
-``Theta``, ``TauBuild`` and a composition of two primitives.
+``Theta``, ``TauBuild`` and a composition of two primitives.  The same
+checks run on ``Series.invert`` and ``exp_apply`` alone, and the last tests
+show the precision rules of ``+``, ``*`` and ``invert`` tight.
 """
 
 from collections import Counter
@@ -279,3 +281,97 @@ def test_truncated_kernel_input_agrees_below_its_result_precision(name, kernel):
 
     check()
     assert outcomes["agreed"] >= MIN_EVALUATED, outcomes
+
+
+# -- tightness: the truncated precision is where exact completions part -------
+#
+# The converse of the checks above.  A truncated input ``s.truncate_to(P)``
+# has the exact completions ``s`` and ``s + t^P``; their results must first
+# differ exactly at the truncated result's precision, so that no sound bound
+# could lie higher.
+
+
+def first_difference(x, y):
+    return (x - y).leading_term().valuation
+
+
+def kept(group):
+    """Exact terms and a step past their leading exponent, where the
+    truncation cuts."""
+    return st.tuples(
+        st.lists(st.tuples(exponents(group), coefficients), min_size=1, max_size=4)
+        .map(lambda terms: Series.make(group, terms))
+        .filter(lambda s: bool(s.terms)),
+        positive(exponents(group)),
+    )
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_sum_precision_is_tight(name):
+    """Perturbing the summand of least precision moves the sum there."""
+    group = GROUPS[name]
+
+    @settings(max_examples=KERNEL_EXAMPLES)
+    @given(kept(group), kept(group))
+    def check(a_case, b_case):
+        (a, sa), (b, sb) = a_case, b_case
+        pa, pb = a.terms[0][0] + sa, b.terms[0][0] + sb
+        if pb.compare(pa) < 0:
+            a, pa, b, pb = b, pb, a, pa
+        precision = (a.truncate_to(pa) + b.truncate_to(pb)).precision
+        assert precision == pa
+        moved = a + Series.monomial(group, pa)
+        assert first_difference(moved + b, a + b) == precision
+
+    check()
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_product_precision_is_tight(name):
+    """``min(Pa + v(b), Pb + v(a))`` is reached by perturbing only the
+    operand that attains it."""
+    group = GROUPS[name]
+
+    @settings(max_examples=KERNEL_EXAMPLES)
+    @given(kept(group), kept(group))
+    def check(a_case, b_case):
+        (a, sa), (b, sb) = a_case, b_case
+        pa, pb = a.terms[0][0] + sa, b.terms[0][0] + sb
+        precision = (a.truncate_to(pa) * b.truncate_to(pb)).precision
+        if (pb + a.v()).compare(pa + b.v()) < 0:
+            a, pa, b, pb = b, pb, a, pa
+        assert precision == pa + b.v()
+        moved = a + Series.monomial(group, pa)
+        assert first_difference(moved * b, a * b) == precision
+
+    check()
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_inverse_precision_is_tight(name):
+    """At the cap target ``P - v(s)`` the inverse is certified below
+    ``P - 2v(s)``, where the inverses of the completions differ."""
+    group = GROUPS[name]
+    outcomes = Counter()
+
+    @settings(max_examples=KERNEL_EXAMPLES)
+    @given(kept(group))
+    def check(case):
+        s, step = case
+        g = s.terms[0][0]
+        p = g + step
+        target = p - g
+        moved = s + Series.monomial(group, p)
+        try:
+            truncated = s.truncate_to(p).invert(target)
+            # the exact inverses, far enough past P - 2v(s) to hold it
+            exact = s.invert(target + step), moved.invert(target + step)
+        except HahnError:
+            outcomes["refused"] += 1
+            return
+        assert truncated.precision == p - g - g
+        assert first_difference(*exact) == truncated.precision
+        outcomes["tight"] += 1
+
+    check()
+    assert outcomes["tight"] >= MIN_EVALUATED, outcomes
