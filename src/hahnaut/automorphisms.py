@@ -83,8 +83,6 @@ class PartialCharacter(Record):
 
     def __call__(self, g: GroupElement) -> Fraction:
         g = groups.element(self.descriptor, g)
-        if g.is_zero():
-            return Fraction(1)
         if not self.lattice:
             return Fraction(1)  # the trivial character is identically 1
         coeffs = groups._span_coefficients(self._span, g)
@@ -393,8 +391,10 @@ def _internal_mult_inverse(unit, s, precision):
         return s
     if not s.terms:
         return Series(s.group, (), bound)
+    # the inverse unit has valuation 0 and precision bound - v(s), so the
+    # product's precision rule cuts it at bound
     inverse_unit = unit.invert(bound - s.v())
-    return s._mul(inverse_unit, bound)
+    return s * inverse_unit
 
 
 def apply_aut(a: Automorphism, s: Series, precision=None) -> Series:

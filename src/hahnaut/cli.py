@@ -226,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--group", default="Q", help="Z, Q, lexN or surrealD")
     shared.add_argument("--precision", default=None, help="finite precision bound")
     shared.add_argument("--notation", default="t", choices=["t", "w"])
-    shared.add_argument("--seed", type=int, default=7)
-    shared.add_argument("--sample-count", type=int, default=50)
+    shared.add_argument("--seed", type=int, default=SampleSpec.seed)
+    shared.add_argument("--sample-count", type=int, default=SampleSpec.count)
 
     parser = argparse.ArgumentParser(
         prog="hahnaut",

@@ -145,9 +145,8 @@ def _merge(a: tuple, b: tuple) -> list:
 def _merge_rows(rows: list) -> list:
     """The sum of normalized term lists, merged pairwise as a bottom-up
     merge sort would, so like exponents meet and collapse without hashing
-    an exponent: the rows of ``Series._mul`` on surreal groups (int
-    numerators over one denominator) and the one-term lists of
-    ``Series.make``."""
+    an exponent: the rows of ``*`` on surreal groups (int numerators over
+    one denominator) and the one-term lists of ``Series.make``."""
     while len(rows) > 1:
         merged = [_merge(rows[k], rows[k + 1]) for k in range(0, len(rows) - 1, 2)]
         if len(rows) % 2:
@@ -278,14 +277,16 @@ def _keys(group: GroupDescriptor, exponents, reach: int):
 
 
 def _keyed_products(group: GroupDescriptor, a: list, b: list, precision) -> list:
-    """``Series._mul``'s summed rows on Z, Q and lexN: the nonzero sums of
+    """The summed rows of ``*`` on Z, Q and lexN: the nonzero sums of
     the numerator products of ``a`` and ``b`` below ``precision``,
     ascending.
 
     Each operand is first cut where it meets the other's least key at the
-    stop.  The sums then lie at ``span_a + span_b + 1`` keys from the
-    least, and ``n_a * n_b`` pairs form them.  Where ``_packs`` says so, one
-    int product forms them all (``_packed_products``); otherwise each pair
+    stop, which lies above the least sum ``v(a) + v(b)`` (the product's
+    precision rule), so neither cut leaves an operand empty.  The sums
+    then lie at ``span_a + span_b + 1`` keys from the least, and
+    ``n_a * n_b`` pairs form them.  Where ``_packs`` says so, one int
+    product forms them all (``_packed_products``); otherwise each pair
     meets its like keys in a dict.
     """
     if not (a and b):
@@ -302,8 +303,6 @@ def _keyed_products(group: GroupDescriptor, a: list, b: list, precision) -> list
     else:
         stop = key(precision)
         a = a[: bisect_left(a, stop - b[0][0], key=_exponent)]
-        if not a:
-            return []
         b = b[: bisect_left(b, stop - a[0][0], key=_exponent)]
     if _packs(len(a), len(b), a[-1][0] - a[0][0] + b[-1][0] - b[0][0] + 1):
         sums = _packed_products(a, b, stop)
@@ -491,10 +490,7 @@ class Series(Record):
         )
 
     def __mul__(self, other: "Series") -> "Series":
-        return self._mul(other, None)
-
-    def _mul(self, other: "Series", bound) -> "Series":
-        """``(self * other).truncate_to(bound)``; ``bound=None`` gives the product.
+        """The product, at precision ``min(P_a + v(b), P_b + v(a))``.
 
         Each operand's coefficients are put over the lcm of its
         denominators, ``da`` and ``db``, as integer numerators, so a pair
@@ -507,13 +503,12 @@ class Series(Record):
         """
         self._check(other)
         if self.is_exact_zero() or other.is_exact_zero():
-            return Series(self.group, (), bound)
+            return Series.zero(self.group)
         precision = None
         if self.precision is not None:
             precision = _pmin(precision, self.precision + other._v_lower())
         if other.precision is not None:
             precision = _pmin(precision, other.precision + self._v_lower())
-        precision = _pmin(precision, bound)
         da, a = _numerators(self.terms)
         db, b = _numerators(other.terms)
         if self.group.keyed:

@@ -5,7 +5,8 @@ package off ``Fraction`` internals, which differ between the Python
 versions it supports, keeps one constructor per type, keeps every
 "same group?" check one identity test, keeps every function the
 benchmark's tracer wraps in place, keeps the parser's bracket rule
-and session settings in one place each, and keeps the import free of
+and session settings in one place each, keeps each module off the
+private methods of other modules' classes, and keeps the import free of
 modules that generate code."""
 
 import ast
@@ -83,6 +84,39 @@ def test_every_private_name_is_referenced_outside_its_definition():
             ):
                 unreferenced.append(f"{path.name}: {name}")
     assert unreferenced == []
+
+
+def private_methods(tree):
+    """The private method names defined in the class bodies of a module,
+    dunder names left out."""
+    return {
+        item.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name.startswith("_")
+        and not item.name.endswith("__")
+    }
+
+
+def test_no_module_calls_another_modules_private_method():
+    """A module calls ``x._name(...)`` only where one of its own classes
+    defines ``_name``; attribute reads are outside this check."""
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    own = {name: private_methods(tree) for name, tree in trees.items()}
+    defined = set().union(*own.values())
+    calls = []
+    for name, tree in sorted(trees.items()):
+        foreign = defined - own[name]
+        calls += [
+            f"{name}:{node.lineno}: {node.func.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in foreign
+        ]
+    assert calls == []
 
 
 def imported_names(tree):

@@ -139,6 +139,29 @@ class TestPartialCharacter:
                     )
                 assert outcome(chi, g) == outcome(solved_character, chi, g)
 
+    @pytest.mark.parametrize(
+        "group, lattice, outside",
+        [
+            (Q, [Fraction(1, 4)], Fraction(1, 8)),
+            (lex_power(2), [(1, 0), (0, 1)], (Fraction(1, 2), 0)),
+            (lex_power(2), [(0, 1)], (1, 0)),
+            (
+                surreal_depth(1),
+                [Series.monomial(Q, 1), Series.monomial(Q, -1, 2)],
+                Series.monomial(Q, 2),
+            ),
+            (surreal_depth(0), [], None),
+        ],
+        ids=["Q", "lex2-full", "lex2-partial", "surreal1", "surreal0-empty"],
+    )
+    def test_zero_reads_one_through_the_span(self, group, lattice, outside):
+        values = [Fraction(k + 2, 3) for k in range(len(lattice))]
+        chi = PartialCharacter(group, tuple(lattice), tuple(values))
+        assert chi(groups.zero(group)) == 1
+        if outside is not None:
+            with pytest.raises(DomainError, match="not in the integer span"):
+                chi(element(group, outside))
+
     def test_dependent_lattice_rejected(self):
         with pytest.raises(DomainError):
             PartialCharacter(

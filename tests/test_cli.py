@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from hahnaut import parsing
+from hahnaut import cli, parsing
 from hahnaut.cli import run_command
+from hahnaut.sampling import SampleSpec
 from hahnaut.series import Series
 
 # 5 -> 5*t^(5) does not contract, and no sample pair reaches t^5
@@ -434,6 +435,13 @@ class TestSelftest:
             at = lines.index(f"failed: {name}")
             assert lines[at + 1].startswith("witness: ")
         assert lines[-1] == "witness: t^(1)"
+
+
+def test_sample_flags_default_to_the_sample_spec():
+    parse = cli._build_parser().parse_args
+    assert cli._session(parse(["selftest"]))[1] == SampleSpec()
+    argv = ["selftest", "--seed=3", "--sample-count=9"]
+    assert cli._session(parse(argv))[1] == SampleSpec(3, 9)
 
 
 # Each subcommand with its positionals and the options beyond the shared

@@ -1617,13 +1617,41 @@ def test_packed_path_rule_reads_the_operands_after_the_cut(monkeypatch):
     assert calls == [(6, 6), (6, 6)]
 
 
-def test_a_product_cut_below_its_least_sum_is_empty():
-    """``t^5 * t^5`` cut at t^3: the stop lies below every sum, so the cut
-    leaves the first operand no term and the keyed product forms none."""
-    a, cut = Series.monomial(RATIONALS, 5), embed_rational(RATIONALS, 3)
-    product = a._mul(a, cut)
-    assert product == (a * a).truncate_to(cut)
-    assert product.terms == () and product.precision == cut
+def led_series(group):
+    """A series with terms, exact or cut past its leading exponent."""
+    zero = element(group, 0)
+    steps = (
+        exponents(group)
+        .filter(lambda g: not g.is_zero())
+        .map(lambda g: g if g.compare(zero) > 0 else -g)
+    )
+
+    def build(terms, step):
+        s = Series.make(group, terms)
+        if step is None or not s.terms:
+            return s
+        return s.truncate_to(s.terms[0][0] + step)
+
+    terms = st.lists(st.tuples(exponents(group), coefficients), min_size=1, max_size=5)
+    return st.builds(build, terms, st.none() | steps)
+
+
+@given(
+    st.sampled_from(["Z", "Q", "lex2", "surreal1"]).flatmap(
+        lambda name: st.tuples(led_series(GROUPS[name]), led_series(GROUPS[name]))
+    )
+)
+def test_a_product_leads_with_the_product_of_the_leading_terms(case):
+    """``a * b`` starts at ``v(a) + v(b)`` with ``lc(a) * lc(b)``, below its
+    precision: so a keyed product's stop lies above its least sum, and
+    cutting an operand at the stop never leaves it empty."""
+    a, b = case
+    assume(a.terms and b.terms)
+    (va, ca), (vb, cb) = a.terms[0], b.terms[0]
+    product = a * b
+    assert product.terms[0] == (va + vb, ca * cb)
+    if product.precision is not None:
+        assert (va + vb).compare(product.precision) < 0
 
 
 def test_dense_q_products_pack_and_sparse_lex_products_loop(monkeypatch):

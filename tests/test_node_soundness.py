@@ -11,7 +11,8 @@ kind and direction must evaluate at least ``MIN_EVALUATED`` cases.  The
 kinds are the identity (the empty ``Compose``), the five primitive nodes,
 ``Theta``, ``TauBuild`` and a composition of two primitives.  The same
 checks run on ``Series.invert`` and ``exp_apply`` alone, and the last tests
-show the precision rules of ``+``, ``*`` and ``invert`` tight.
+show the precision rules of ``+``, ``*`` and ``invert`` tight, and those of
+``exp_apply`` and the primitive node kinds tight below their caps.
 """
 
 from collections import Counter
@@ -55,6 +56,7 @@ from test_laws import (
     positive,
     q_derivations,
     surreal1_derivations,
+    table_derivations,
 )
 
 LEX2 = lex_power(2)
@@ -372,6 +374,112 @@ def test_inverse_precision_is_tight(name):
         assert truncated.precision == p - g - g
         assert first_difference(*exact) == truncated.precision
         outcomes["tight"] += 1
+
+    check()
+    assert outcomes["tight"] >= MIN_EVALUATED, outcomes
+
+
+# -- tightness below the caps: exp_apply and the primitive node kinds ---------
+#
+# The same witnesses for ``exp_apply`` with either rule and for each kind of
+# ``primitives``, forward and inverted.  A cap, the exp target or the apply
+# precision (which bounds the inverse of an ``InternalMult`` whose unit is
+# not 1), may cut the truncated image at or below where the completions'
+# images part; there they need only agree.  Every other case must show its
+# precision tight.  Exp targets are drawn from the cut ``P``: above it for the
+# exp nodes, and mostly above it for ``exp_apply``, where the cap is tested.
+
+
+def lesser(p, q=None):
+    return p if q is None or p.compare(q) <= 0 else q
+
+
+def witness(truncated, exact, moved, caps):
+    """Classify one witness and check it: ``tight`` where the images of the
+    completions ``exact`` and ``moved`` first differ at the truncated
+    image's precision, ``capped`` where that precision is a cap."""
+    if None in (truncated, exact, moved):
+        return "refused"
+    if truncated.precision in caps:
+        assert exact.agrees(moved)
+        return "capped"
+    assert first_difference(moved, exact) == truncated.precision
+    return "tight"
+
+
+def completions(s, step):
+    """The cut ``P`` past the leading exponent of ``s``, and the truncated
+    input with its exact completions ``s`` and ``s + t^P``."""
+    p = s.terms[0][0] + step
+    return p, (s.truncate_to(p), s, s + Series.monomial(s.group, p))
+
+
+def above(p):
+    return positive(exponents(p.descriptor)).map(p.__add__)
+
+
+EXP_RULES = {"phi_shift": lambda g: DERIVATIONS[g](), "table": table_derivations}
+
+
+@pytest.mark.parametrize("rule", EXP_RULES)
+@pytest.mark.parametrize("name", GROUPS)
+def test_exp_apply_precision_is_tight_below_its_target(name, rule):
+    group = GROUPS[name]
+    outcomes = Counter()
+
+    @settings(max_examples=KERNEL_EXAMPLES)
+    @given(EXP_RULES[rule](group), kept(group), st.data())
+    def check(d, case, data):
+        p, inputs = completions(*case)
+        target = data.draw(above(p) | exponents(group).map(p.__add__))
+        images = [result(partial(exp_apply, d), x, target) for x in inputs]
+        outcomes[witness(*images, [target])] += 1
+
+    check()
+    assert outcomes["tight"] >= MIN_EVALUATED, outcomes
+
+
+PRIMITIVE_KINDS = [
+    "external_field",
+    "character",
+    "internal_mult",
+    "external_group",
+    "exp_derivation",
+]
+
+
+def primitive(kind, p):
+    """A node of ``kind``; an exp node's target lies above the cut."""
+    if kind == "exp_derivation":
+        return st.builds(exp_derivation, DERIVATIONS[p.descriptor](), above(p))
+    return KINDS[kind](p.descriptor)
+
+
+@pytest.mark.parametrize("inverted", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("kind", PRIMITIVE_KINDS)
+@pytest.mark.parametrize("name", GROUPS)
+def test_node_precision_is_tight_below_its_caps(name, kind, inverted):
+    """An ``InternalMult`` image lands on ``P``, and its inverse on
+    ``min(P, precision)`` unless the unit is 1."""
+    group = GROUPS[name]
+    outcomes = Counter()
+
+    @settings(max_examples=KERNEL_EXAMPLES)
+    @given(kept(group), st.none() | exponents(group), st.data())
+    def check(case, offset, data):
+        p, inputs = completions(*case)
+        aut = data.draw(primitive(kind, p))
+        node = aut.node
+        if inverted:
+            aut = invert_aut(aut)
+        precision = None if offset is None else p + offset
+        images = [image(aut, x, precision) for x in inputs]
+        caps = [node.target] if kind == "exp_derivation" else []
+        if kind == "internal_mult" and inverted and node.unit != Series.one(group):
+            caps.append(precision)
+        if kind == "internal_mult" and images[0] is not None:
+            assert images[0].precision == lesser(p, *caps)
+        outcomes[witness(*images, caps)] += 1
 
     check()
     assert outcomes["tight"] >= MIN_EVALUATED, outcomes
