@@ -47,6 +47,7 @@ from .sampling import (
     Sampler,
     canonical_series,
     first_counterexample,
+    padded,
 )
 from .series import Series, _cut, _pmin
 
@@ -115,6 +116,9 @@ class ScalingFamily(Record):
         object.__setattr__(self, "exceptions", exceptions)
         if default <= 0 or any(v <= 0 for _, v in exceptions):
             raise DomainError("scaling factors must be positive")
+        for i, (g, _) in enumerate(exceptions):
+            if any(key == g for key, _ in exceptions[:i]):
+                raise DomainError(f"scaling has two factors for the exponent {g}")
 
     def __call__(self, g: GroupElement) -> Fraction:
         for key, v in self.exceptions:
@@ -434,12 +438,11 @@ def is_one_aut(
 ) -> CheckResult:
     """Sample certificate that ``a`` fixes the leading term of every series."""
     sampler = Sampler(spec.seed)
-    samples = canonical_series(a.group)
-    while len(samples) < spec.count:
-        samples.append(sampler.series(a.group))
+    draw = lambda: sampler.series(a.group)
+    samples = padded(canonical_series(a.group), spec.count, draw)
     return first_counterexample(
         _fixes_leading_term(lambda s: apply_aut(a, s, precision)),
-        ((s,) for s in samples[: spec.count]),
+        ((s,) for s in samples),
     )
 
 
@@ -527,15 +530,11 @@ def classify_aut(
     """
     sampler = Sampler(spec.seed)
     group = a.group
-    samples = canonical_series(group)
-    while len(samples) < max(spec.count, 8):
-        samples.append(sampler.series(group))
-    samples = samples[: max(spec.count, 8)]
+    draw = lambda: sampler.series(group)
+    samples = padded(canonical_series(group), max(spec.count, 8), draw)
     base = samples[:4]  # the canonical series, shared with the singles
     pairs = [(a1, a2) for a1 in base for a2 in base]
-    while len(pairs) < spec.count:
-        pairs.append((sampler.series(group), sampler.series(group)))
-    pairs = pairs[: spec.count]
+    pairs = padded(pairs, spec.count, lambda: (draw(), draw()))
 
     singles = [(x,) for x in samples]
     zero = groups.zero(group)

@@ -39,7 +39,7 @@ from .errors import (
 )
 from . import groups
 from .groups import GroupDescriptor, GroupElement, LinearFunctional, Record, _steps_past
-from .sampling import CheckResult, SampleSpec, Sampler, first_counterexample
+from .sampling import CheckResult, SampleSpec, Sampler, first_counterexample, padded
 from .series import Series, _cut, _keys, _pmin
 
 
@@ -67,29 +67,26 @@ def make_phi_derivation(phi: LinearFunctional, shift) -> MonomialDerivation:
 
 
 def make_table_derivation(
-    group: GroupDescriptor,
-    entries,
-    gain,
-    zero_default: bool = False,
-    validate: bool = True,
+    group: GroupDescriptor, entries, gain, zero_default: bool = False
 ) -> MonomialDerivation:
     """Derivation from a finite exponent-to-series table.
 
-    ``validate=False`` skips the contraction check so that broken tables
-    can still be handed to ``check_derivation`` for diagnosis.
+    An exponent given twice is refused.  A table that does not contract
+    by its gain is built, so that ``check_derivation`` can diagnose it,
+    and refused wherever its gain would certify a result.
     """
     gain = groups.element(group, gain)
-    table = []
+    table = {}
     for g, image in entries.items() if isinstance(entries, dict) else entries:
         g = groups.element(group, g)
         if image.group is not group:
             raise DescriptorMismatch("table image over the wrong group")
-        table.append((g, image))
-    table.sort(key=lambda t: t[0])
-    d = MonomialDerivation(group, TableRule(tuple(table), zero_default), gain)
+        if g in table:
+            raise DomainError(f"table has two entries for the exponent {g}")
+        table[g] = image
+    rule = TableRule(tuple(sorted(table.items())), zero_default)
+    d = MonomialDerivation(group, rule, gain)
     _check_gain(d)
-    if validate:
-        _check_table(d)
     return d
 
 
@@ -354,7 +351,7 @@ class DerivationReport(Record):
         return self.leibniz.ok and self.contracting.ok and self.additive.ok
 
     def as_items(self):
-        return [(n, getattr(self, n)) for n in ("leibniz", "contracting", "additive")]
+        return [(name, getattr(self, name)) for name in self._fields]
 
 
 def _candidate_exponents(d: MonomialDerivation) -> list[GroupElement]:
@@ -397,9 +394,7 @@ def check_derivation(d: MonomialDerivation, spec: SampleSpec = SampleSpec()) -> 
         return Series.make(d.group, terms)
 
     pairs = [(a, b) for a in monomials for b in monomials]
-    while len(pairs) < spec.count:
-        pairs.append((random_combo(), random_combo()))
-    pairs = pairs[: spec.count]
+    pairs = padded(pairs, spec.count, lambda: (random_combo(), random_combo()))
 
     def sampled(holds):
         """``holds`` with the skips listed above; zero members make every

@@ -415,9 +415,7 @@ class _Parser:
                 return entries, gain, flag.text == "true"
 
             entries, gain, zero_default = self.enclosed("{", body)
-            return derivations.make_table_derivation(
-                group, entries, gain, zero_default, validate=False
-            )
+            return derivations.make_table_derivation(group, entries, gain, zero_default)
         raise ParseError(f"unknown derivation spec {tok.text!r}", tok.pos)
 
     # -- automorphism specs --------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import groups
 from .errors import DomainError
-from .groups import GroupDescriptor, GroupElement, Record, _setfield
+from .groups import GroupDescriptor, GroupElement, Record
 from .series import Series
 
 
@@ -32,11 +32,6 @@ class CheckResult(Record):
     status: str  # "pass" | "fail" | "n/a"
     witness: tuple = ()
     note: str = ""
-
-    def __init__(self, status: str, witness: tuple = (), note: str = ""):
-        _setfield(self, "status", status)
-        _setfield(self, "witness", witness)
-        _setfield(self, "note", note)
 
     @property
     def ok(self) -> bool:
@@ -67,6 +62,14 @@ def first_counterexample(
             return CheckResult("fail", tuple(sample))
         evaluated = True
     return CheckResult("pass") if evaluated else CheckResult("n/a", note=note)
+
+
+def padded(start, n: int, draw) -> list:
+    """``start``, then ``draw()`` results up to ``n`` items, cut to ``n``."""
+    out = list(start)
+    while len(out) < n:
+        out.append(draw())
+    return out[:n]
 
 
 class Sampler:

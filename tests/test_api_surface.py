@@ -52,6 +52,44 @@ def test_every_public_name_is_referenced():
     assert unreferenced == []
 
 
+# Public names that no module of the library but ``__init__.py`` and no
+# file of the benchmark uses, each with the reason it stays.
+UNUSED_BY_THE_LIBRARY = {
+    "construct_theta": "the paper's construction of theta: library API",
+    "construct_tau": "the paper's construction of tau: library API",
+    "Sampler.nonzero_exponent": "a draw for the tests",
+    "Sampler.nonzero_series": "a draw for the tests",
+}
+
+
+def test_public_names_the_library_does_not_use_are_listed():
+    qualified = []  # (qualified name, name) per public definition
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                qualified += [
+                    (f"{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualified.append((node.name, node.name))
+    definitions = Counter(name for _, name in qualified)
+    users = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    words = Counter(
+        word
+        for path in users + sorted((ROOT / "bench").rglob("*.py"))
+        for word in re.findall(r"\w+", path.read_text())
+    )
+    # each definition accounts for one whole-word occurrence of its name
+    unused = sorted(
+        full
+        for full, name in qualified
+        if not name.startswith("_") and words[name] <= definitions[name]
+    )
+    assert unused == sorted(UNUSED_BY_THE_LIBRARY)
+
+
 def private_definitions(path: Path):
     """Private module-level functions and classes, and private methods,
     each with the lines of its own definition."""

@@ -395,6 +395,23 @@ class TestDerivations:
         )
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["derive", "table{map: {1: t^(2), 1: 3*t^(2)}, gain: 1}", "t^(1)"],
+                "table has two entries for the exponent 1",
+            ),
+            (
+                ["apply", "external_group{zeta: identity, scale: 1: 2, 1: 3}", "t^(1)"],
+                "scaling has two factors for the exponent 1",
+            ),
+        ],
+    )
+    def test_an_exponent_given_twice_is_refused(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"ERROR: DomainError: {message}\n")
+
+
 class TestSelftest:
     @pytest.mark.parametrize("group", ["Q", "lex2", "surreal1"])
     def test_passes(self, capsys, group):

@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -31,7 +32,8 @@ from hahnaut.groups import (
     standard_functional,
     surreal_depth,
 )
-from hahnaut.sampling import SampleSpec
+from hahnaut.parsing import SessionConfig, parse_derivation
+from hahnaut.sampling import CheckResult, SampleSpec
 from hahnaut.series import Series
 
 Q = RATIONALS
@@ -64,8 +66,12 @@ class TestConstruction:
         assert exp_apply(d, T, target).agrees(T)
 
     def test_table_gain_validation(self):
+        # a table that does not contract by its gain is built, and refused
+        # where its gain would certify a result
+        d = make_table_derivation(Q, [(1, Series.monomial(Q, 1))], 1)
+        assert apply_derivation(d, T) == T
         with pytest.raises(NonContracting):
-            make_table_derivation(Q, [(1, Series.monomial(Q, 1))], 1)
+            apply_derivation(d, S((1, 1), precision=2))
 
 
 class TestApplication:
@@ -234,7 +240,7 @@ class TestExponentialTermination:
     def test_table_past_its_bound_is_refused(self):
         # t^1 -> t^1 never contracts, so the exponential is refused before
         # its first round
-        d = make_table_derivation(Q, {1: T}, 1, validate=False)
+        d = make_table_derivation(Q, {1: T}, 1)
         with pytest.raises(NonContracting) as raised:
             timed(exp_apply, d, T, embed_rational(Q, 5))
         assert str(raised.value) == "image of t^1 starts below the certified gain"
@@ -245,7 +251,7 @@ class TestExponentialTermination:
         # rounds gave t (mod t^4) below t^4 and t + 1/2 t^2 + t^5 below t^6
         d = make_table_derivation(
             Q, {1: Series.monomial(Q, 5), 5: Series.monomial(Q, 2)}, 1,
-            zero_default=True, validate=False,
+            zero_default=True,
         )
         with pytest.raises(NonContracting, match=r"^image of t\^5 starts below"):
             exp_apply(d, T, embed_rational(Q, target))
@@ -256,7 +262,7 @@ class TestExponentialTermination:
         # t^(3/2) + t^2
         d = make_table_derivation(
             Q, {1: Series.monomial(Q, 2), 3: Series.monomial(Q, Fraction(3, 2))},
-            Fraction(1, 2), zero_default=True, validate=False,
+            Fraction(1, 2), zero_default=True,
         )
         assert apply_derivation(d, S((1, 1), (3, 1))) == S((Fraction(3, 2), 1), (2, 1))
         with pytest.raises(NonContracting, match=r"^image of t\^3 starts below"):
@@ -288,7 +294,6 @@ class TestCheckDerivation:
             Q,
             [(1, Series.monomial(Q, 1)), (2, Series.monomial(Q, 2))],
             1,
-            validate=False,
         )
         report = check_derivation(d, SampleSpec(7, 50))
         assert report.contracting.status == "fail"
@@ -307,7 +312,6 @@ class TestCheckDerivation:
             {1: Series.monomial(Q, 2), 2: Series.monomial(Q, 3, 2), 5: Series.monomial(Q, 5, 5)},
             1,
             zero_default=True,
-            validate=False,
         )
         report = check_derivation(d, SampleSpec(7, 1))
         assert report.contracting.status == "fail"
@@ -317,5 +321,60 @@ class TestCheckDerivation:
 
     def test_table_contraction_holds_the_declared_gain(self):
         # t^1 -> t^2 rises by 1, short of the declared gain 2
-        d = make_table_derivation(Q, {1: Series.monomial(Q, 2)}, 2, validate=False)
+        d = make_table_derivation(Q, {1: Series.monomial(Q, 2)}, 2)
         assert check_derivation(d, SampleSpec(7, 5)).contracting.status == "fail"
+
+
+# Each table over Q and lex2 as the CLI reads it and as the library builds
+# it from the unit exponent e: t^(ke) -> k t^((k+1)e) on its keys, and the
+# broken table also maps t^(5e) to 5 t^(5e), which gains nothing.
+TABLE_TEXTS = {
+    "contracting": "table{{map: {{{1}: t^({2}), {2}: 2*t^({3})}}, gain: {1}}}",
+    "zero-default": "table{{map: {{{1}: t^({2})}}, gain: {1}, zero_default: true}}",
+    "broken": (
+        "table{{map: {{{1}: t^({2}), {2}: 2*t^({3}), {5}: 5*t^({5})}}, "
+        "gain: {1}, zero_default: true}}"
+    ),
+}
+TABLE_KEYS = {"contracting": (1, 2), "zero-default": (1,), "broken": (1, 2, 5)}
+UNITS = {"Q": (Q, 1, "{}"), "lex2": (lex_power(2), (0, 1), "(0,{})")}
+
+
+def table_from_library(group, e, kind):
+    unit = element(group, e)
+    entries = [
+        (unit.scale(k), Series.monomial(group, unit.scale(k if k == 5 else k + 1), k))
+        for k in TABLE_KEYS[kind]
+    ]
+    return make_table_derivation(group, entries, unit, kind != "contracting")
+
+
+class TestOneTableContract:
+    """The CLI and the library build a table the same way; contraction is
+    judged where the gain certifies a result, and by ``check_derivation``."""
+
+    @pytest.mark.parametrize("kind", list(TABLE_TEXTS))
+    @pytest.mark.parametrize("name", list(UNITS))
+    def test_the_parser_builds_the_library_table(self, name, kind):
+        group, e, shown = UNITS[name]
+        text = TABLE_TEXTS[kind].format(*[shown.format(k) for k in range(6)])
+        parsed = parse_derivation(text, SessionConfig(group))
+        assert parsed == table_from_library(group, e, kind)
+
+    @pytest.mark.parametrize("name", list(UNITS))
+    def test_a_broken_table_is_built_and_refused_where_its_gain_certifies(self, name):
+        group, e, _ = UNITS[name]
+        d = table_from_library(group, e, "broken")
+        five = element(group, e).scale(5)
+        t5 = Series.monomial(group, five)
+        message = f"^image of t\\^{re.escape(str(five))} starts below the certified gain$"
+        assert apply_derivation(d, t5) == t5.scale(5)
+        truncated = t5.truncate_to(five + five)
+        with pytest.raises(NonContracting, match=message):
+            apply_derivation(d, truncated)
+        with pytest.raises(NonContracting, match=message):
+            exp_apply(d, truncated, five + five)
+        report = check_derivation(d, SampleSpec(7, 1))
+        assert report.contracting == CheckResult("fail", (t5,))
+        with pytest.raises(DomainError, match="fails the contracting check"):
+            exp_derivation(d, five + five, verify=SampleSpec(7, 1))

@@ -130,7 +130,9 @@ def scalings(group):
     return st.builds(
         lambda default, exceptions: ScalingFamily(group, default, tuple(exceptions)),
         factors,
-        st.lists(st.tuples(exponents(group), factors), max_size=2),
+        st.lists(
+            st.tuples(exponents(group), factors), max_size=2, unique_by=lambda e: e[0]
+        ),
     )
 
 

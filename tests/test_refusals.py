@@ -66,6 +66,11 @@ REFUSALS = {
         DomainError,
         "scaling factors must be positive",
     ),
+    "scaling exponent given twice": (
+        lambda: ScalingFamily(LEX2, 1, (((1, 0), 2), ((0, 1), 2), ((1, 0), 3))),
+        DomainError,
+        "scaling has two factors for the exponent (1,0)",
+    ),
     "scaling family on another group": (
         lambda: make_external_group(identity_map(Q), ScalingFamily(LEX2)),
         DescriptorMismatch,
@@ -114,6 +119,13 @@ REFUSALS = {
         lambda: make_table_derivation(Q, {1: Series.one(LEX2)}, 1),
         DescriptorMismatch,
         "table image over the wrong group",
+    ),
+    "table exponent given twice": (
+        lambda: make_table_derivation(
+            Q, [(1, Series.monomial(Q, 2)), (Fraction(2, 2), Series.monomial(Q, 2, 3))], 1
+        ),
+        DomainError,
+        "table has two entries for the exponent 1",
     ),
     "zero gain": (
         lambda: make_table_derivation(Q, {}, 0),
