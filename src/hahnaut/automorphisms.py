@@ -295,15 +295,18 @@ def invert_aut(a: Automorphism) -> Automorphism:
 # -- application ------------------------------------------------------------
 
 
-def _map_precision(precision, mapper):
-    return None if precision is None else mapper(precision)
-
-
-def _relabelled(group, terms, precision) -> Series:
-    """The image of a node whose exponent map is strictly increasing and
-    whose coefficient factors are positive: its terms are already
-    normalized, so only the cut at the mapped precision is left."""
-    return Series(group, _cut(tuple(terms), precision), precision)
+def _relabelled(s, exponent, factor) -> Series:
+    """``s`` under ``t^e -> factor(e, m) t^m`` with ``m = exponent(e)``, ``None``
+    being the identity map or the factor 1.  ``exponent`` rises strictly and
+    maps the precision too, and the factors are positive: one cut is left."""
+    terms = []
+    for e, c in s.terms:
+        m = e if exponent is None else exponent(e)
+        terms.append((m, c if factor is None else c * factor(e, m)))
+    precision = s.precision
+    if precision is not None and exponent is not None:
+        precision = exponent(precision)
+    return Series(s.group, _cut(tuple(terms), precision), precision)
 
 
 def _apply_node(node, s, inverted, precision, path):
@@ -317,7 +320,6 @@ def _apply_node(node, s, inverted, precision, path):
 
 
 def _dispatch(node, s, inverted, precision, path):
-    group = s.group
     if isinstance(node, Inverse):
         return _apply_node(node.inner, s, not inverted, precision, path + ["inverse"])
     if isinstance(node, Compose):
@@ -326,25 +328,19 @@ def _dispatch(node, s, inverted, precision, path):
             s = _apply_node(part, s, inverted, precision, path + [f"compose[{i}]"])
         return s
     if isinstance(node, ExternalField):
-        image = node.tau.backward if inverted else node.tau.forward
-        terms = [(image(ex), c) for ex, c in s.terms]
-        return _relabelled(group, terms, _map_precision(s.precision, image))
+        return _relabelled(s, node.tau.backward if inverted else node.tau.forward, None)
     if isinstance(node, CharacterLift):
         chi = node.chi
-        terms = [(ex, c / chi(ex) if inverted else c * chi(ex)) for ex, c in s.terms]
-        return _relabelled(group, terms, s.precision)
+        factor = (lambda e, m: 1 / chi(e)) if inverted else (lambda e, m: chi(e))
+        return _relabelled(s, None, factor)
     if isinstance(node, InternalMult):
         if not inverted:
             return s * node.unit
         return _internal_mult_inverse(node.unit, s, precision)
     if isinstance(node, ExternalGroup):
-        image = node.zeta.backward if inverted else node.zeta.forward
-        terms = []
-        for ex, c in s.terms:
-            target = image(ex)
-            factor = node.scaling(ex) if not inverted else 1 / node.scaling(target)
-            terms.append((target, c * factor))
-        return _relabelled(group, terms, _map_precision(s.precision, image))
+        if inverted:
+            return _relabelled(s, node.zeta.backward, lambda e, m: 1 / node.scaling(m))
+        return _relabelled(s, node.zeta.forward, lambda e, m: node.scaling(e))
     if isinstance(node, ExpDerivation):
         d = node.derivation if not inverted else deriv_mod.negate_derivation(
             node.derivation
@@ -354,17 +350,10 @@ def _dispatch(node, s, inverted, precision, path):
         step = "theta" if isinstance(node, Theta) else "tau"
         return _apply_node(Compose(_expansion(node)), s, True, precision, path + [step])
     if isinstance(node, Theta):
-        staged = []
-        for ex, c in s.terms:
-            image = node.tau.forward(ex)
-            staged.append((image, c * node.chi(image)))
-        prec = _map_precision(s.precision, node.tau.forward)
-        inner = _relabelled(group, staged, prec)
+        inner = _relabelled(s, node.tau.forward, lambda e, m: node.chi(m))
         return _apply_node(node.sigma.node, inner, False, precision, path + ["theta"])
     if isinstance(node, TauBuild):
-        staged = [(node.zeta.forward(ex), c * node.scaling(ex)) for ex, c in s.terms]
-        prec = _map_precision(s.precision, node.zeta.forward)
-        inner = _relabelled(group, staged, prec)
+        inner = _relabelled(s, node.zeta.forward, lambda e, m: node.scaling(e))
         return _apply_node(node.nu.node, inner, False, precision, path + ["tau"])
     if isinstance(node, TableMonomial):
         if s.precision is not None:
@@ -378,7 +367,7 @@ def _dispatch(node, s, inverted, precision, path):
                 raise SampleInsufficiency(f"exponent {ex} is outside the table")
             image, factor = table[ex]
             terms.append((image, c / factor if inverted else c * factor))
-        return Series.make(group, terms)
+        return Series.make(s.group, terms)
     raise DomainError(f"unknown node type {type(node).__name__}")
 
 
@@ -615,8 +604,7 @@ def factorize_aut(
     images = [e for _, e, _ in rows]
     if len(set(images)) != len(images):
         raise SampleInsufficiency("induced exponent map is not injective on samples")
-    entries = tuple((g, e, c) for g, e, c in rows)
-    reconstruction = Automorphism(a.group, TableMonomial(entries))
+    reconstruction = Automorphism(a.group, TableMonomial(tuple(rows)))
     residual = compose_aut([a, invert_aut(reconstruction)])
 
     rebuilt = compose_aut([residual, reconstruction])

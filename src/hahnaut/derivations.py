@@ -15,10 +15,11 @@ Every derivation carries a certified valuation gain ``gain > 0``
 ``a |-> sum_i D^i(a)/i!`` and makes it a leading-term-fixing field
 automorphism.  Contraction is decided exactly for both rule kinds: a
 ``PhiShift`` raises valuations by its shift, so it contracts exactly when
-``0 < gain <= shift``, and a table contracts exactly when every entry
-satisfies ``v(image) >= key + gain``.  A derivation that fails this is
-refused with ``NonContracting`` wherever its gain would certify a result;
-Leibniz and additivity are sampled.
+``0 < gain <= shift``, and a table contracts exactly when every image's
+certified lower bound, its first exponent or else its precision, is at
+least ``key + gain`` (an exact zero image has none).  A derivation that
+fails this is refused with ``NonContracting`` wherever its gain would
+certify a result; Leibniz and additivity are sampled.
 
 ``exp_apply`` evaluates that exponential with no round guard; its
 docstring gives the row recurrence and when a row is refused.
@@ -119,9 +120,11 @@ def _check_gain(d: MonomialDerivation):
 
 
 def _broken_key(d: MonomialDerivation) -> GroupElement | None:
-    """The least table key whose image starts below ``key + gain``, or None."""
+    """The least table key whose image's certified lower bound, its first
+    exponent or else its precision, lies below ``key + gain``, or None."""
     for g, image in d.rule.entries:
-        if image.terms and image.terms[0][0].compare(g + d.gain) < 0:
+        lower = image.terms[0][0] if image.terms else image.precision
+        if lower is not None and lower.compare(g + d.gain) < 0:
             return g
     return None
 
@@ -177,7 +180,7 @@ def apply_derivation(d: MonomialDerivation, s: Series) -> Series:
 def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
     """Evaluate sum_i D^i(s)/i! truncated below ``target``.
 
-    The result has precision ``P = min(s.precision, target)``.
+    The result has precision ``P = min(s.precision, target)``, or less for a table.
 
     For ``PhiShift``, ``D(t^g) = phi(g) t^(g+shift)`` and ``phi`` is
     additive, so ``D^i(c t^g)/i!`` is ``a_i t^(g+i*shift)`` with
@@ -201,12 +204,14 @@ def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
     (``LinearFunctional._weights``) and no walk is measured.
 
     For ``TableRule``, ``D^i(s)`` is built round by round.  A table some
-    image of which starts below ``key + gain`` is refused with
+    image of which may start below ``key + gain`` is refused with
     ``NonContracting`` first.  Every other image starts above its key, so
     the least key present in ``D^i(s)`` rises strictly with ``i``: ``D``
     reads only the terms at keys, each image lies above its key, and cuts
     only drop terms.  So after ``n = len(entries)`` rounds no key is left,
-    and round ``n + 1`` is zero at the latest.
+    and round ``n + 1`` is zero at the latest.  The rounds, each scaled by
+    ``1/i!``, are summed by one ``Series.make`` at the least precision of
+    them all, the empty last one included: it is zero only below its own.
     """
     target = groups.element(s.group, target)
     _check_group(d, s)
@@ -214,15 +219,17 @@ def exp_apply(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:
     if isinstance(d.rule, PhiShift):
         return _exp_phi_shift(d, s, target)
     _check_table(d)
-    total = s.truncate_to(target)
+    precision = _pmin(s.precision, target)
+    terms = list(_cut(s.terms, precision))
     term = s
     factorial = 1
     for i in count(1):
         term = apply_derivation(d, term).truncate_to(target)
+        precision = _pmin(precision, term.precision)
         if not term.terms:
-            return total
+            return Series.make(d.group, terms, precision)
         factorial *= i
-        total = total + term.scale(Fraction(1, factorial))
+        terms.extend((g, c / factorial) for g, c in term.terms)
 
 
 def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Series:

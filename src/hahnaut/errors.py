@@ -76,8 +76,8 @@ class ResultTooLong(HahnError):
 class ParseError(HahnError):
     """Malformed input text; carries the offset of the offending token."""
 
-    def __init__(self, message, pos=None):
-        super().__init__(message if pos is None else f"{message} (at offset {pos})")
+    def __init__(self, message, pos):
+        super().__init__(f"{message} (at offset {pos})")
         self.pos = pos
 
 

@@ -45,6 +45,9 @@ from .errors import (
 
 _KINDS = ("Integers", "Rationals", "LexPower", "SurrealDepth")
 _MAX_LEX_ARITY = 2**20  # a lexN element is an N-tuple: a larger N exhausts memory
+# the deepest the parser nests brackets, at up to 8 frames a level well inside
+# a recursion limit of 1000; surrealD text nests D levels, " (mod ...)" one more
+MAX_NESTING = 100
 _SHARED: dict = {}  # (kind, param) -> the group's one GroupDescriptor
 
 _setfield = object.__setattr__  # how a Record sets its own fields
@@ -140,6 +143,8 @@ class _OneInstancePerGroup(type):
             raise DomainError(f"LexPower arity must be <= {_MAX_LEX_ARITY}")
         if kind == "SurrealDepth" and param < 0:
             raise DomainError("SurrealDepth depth must be >= 0")
+        if kind == "SurrealDepth" and param >= MAX_NESTING:
+            raise DomainError(f"SurrealDepth depth must be <= {MAX_NESTING - 1}")
         shared = _SHARED.get((kind, param))
         if shared is None:  # setdefault: a thread that loses a race gets the winner's
             shared = _SHARED.setdefault((kind, param), super().__call__(kind, param))

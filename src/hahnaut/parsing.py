@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     ResultTooLong,
 )
-from .groups import RATIONALS, GroupDescriptor, GroupElement, Record, _setfield
+from .groups import MAX_NESTING, RATIONALS, GroupDescriptor, GroupElement, Record, _setfield
 from .series import Series, _pmin
 
 
@@ -90,7 +90,6 @@ def tokenize(text: str) -> list[Token]:
 
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
-MAX_NESTING = 100  # at up to 8 frames a level, well inside a recursion limit of 1000
 
 
 class _Parser:

@@ -6,8 +6,9 @@ versions it supports, keeps one constructor per type, keeps every
 "same group?" check one identity test, keeps every function the
 benchmark's tracer wraps in place, keeps the parser's bracket rule
 and session settings in one place each, keeps each module off the
-private methods of other modules' classes, and keeps the import free of
-modules that generate code."""
+private methods of other modules' classes, keeps the import free of
+modules that generate code, and declares the Python version the parser
+needs."""
 
 import ast
 import importlib
@@ -16,6 +17,8 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hahnaut"
@@ -359,3 +362,11 @@ def test_import_loads_no_code_generating_module():
     ).stdout.split()
     assert "hahnaut.automorphisms" in added
     assert not {"dataclasses", "inspect"} & set(added), added
+
+
+def test_the_declared_python_version_has_the_digit_limit_the_parser_reads():
+    # sys.get_int_max_str_digits came with Python 3.10.7 (and 3.11): before
+    # it, every number the parser reads would raise an untyped AttributeError
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["requires-python"] == ">=3.10.7"

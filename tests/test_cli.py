@@ -518,8 +518,9 @@ def test_bench_corpus_replays_byte_for_byte(capsys, case):
 # Each input limit at its bound and one past it: a number as long as int()
 # reads (``sys.get_int_max_str_digits()``) in every place a number is
 # written, a result number as long as str() writes, brackets nested
-# ``parsing.MAX_NESTING`` deep in every nesting form, and runs of unary
-# minus signs, which have no limit.  At the bound the command succeeds;
+# ``parsing.MAX_NESTING`` deep in every nesting form, the deepest surreal
+# group, whose exponents nest one level less, and runs of unary minus
+# signs, which have no limit.  At the bound the command succeeds;
 # past it, it is refused with a typed line.  A derandomized slice of a
 # contract fuzzer: exit 0, 1 or 2, and the same bytes on a second call.
 
@@ -577,7 +578,11 @@ EXTREME_ARGV = {
     "inverse": lambda past: [
         "apply", nested("inverse(", ")", "character{1: 2}", NESTING - 1 + past), "t^(1)"
     ],
-    "surreal-exponent": lambda past: ["eval", *surreal_nested(NESTING + past)],
+    # the deepest surreal group reads its deepest exponent and the text its
+    # own selftest prints; a deeper group is a usage error
+    "surreal-exponent": lambda past: ["eval", *surreal_nested(NESTING - 1 + past)],
+    "surreal-depth": lambda past: ["eval", f"--group=surreal{NESTING - 1 + past}", "1"],
+    "surreal-selftest": lambda past: ["selftest", f"--group=surreal{NESTING - 1 + past}"],
 }
 
 
@@ -597,7 +602,7 @@ def test_extreme_argv_succeed_at_their_limit_and_are_refused_past_it(
     assert code in (1, 2)
     lines = err.splitlines()
     assert len(lines) == 1 and re.match(
-        r"(ERROR: [A-Za-z]+: |PARSE ERROR at offset \d+: )", lines[0]
+        r"(ERROR: [A-Za-z]+: |PARSE ERROR at offset \d+: |USAGE ERROR: )", lines[0]
     ), err
     assert ("ResultTooLong" in err) == name.startswith("printed")
     if name.startswith("printed"):

@@ -378,3 +378,37 @@ class TestOneTableContract:
         assert report.contracting == CheckResult("fail", (t5,))
         with pytest.raises(DomainError, match="fails the contracting check"):
             exp_derivation(d, five + five, verify=SampleSpec(7, 1))
+
+
+class TestTruncatedTableImages:
+    """A table image known only below its precision is read at its certified
+    lower bound, and an exponential of the table is certified only below
+    the precision of every round, the empty last one included."""
+
+    def test_an_image_zero_below_the_gain_caps_the_exponential(self):
+        # D(t) = 0 (mod t^2): round 1 is empty, but only below t^2; the
+        # completion D(t) = 7 t^5 gives t + 7 t^5
+        d = make_table_derivation(Q, {1: S(precision=2)}, 1)
+        assert check_derivation(d, SampleSpec(7, 5)).contracting == CheckResult("pass")
+        assert exp_apply(d, T, element(Q, 10)) == S((1, 1), precision=2)
+        completion = make_table_derivation(Q, {1: S((5, 7))}, 1, zero_default=True)
+        assert exp_apply(completion, T, element(Q, 10)) == S(
+            (1, 1), (5, 7), precision=10
+        )
+
+    def test_an_image_zero_below_its_key_plus_gain_breaks_the_table(self):
+        # D(t) = 0 (mod t^1) may start at t^1, below 1 + 1
+        d = make_table_derivation(Q, {1: S(precision=1)}, 1)
+        assert check_derivation(d, SampleSpec(7, 5)).contracting == CheckResult(
+            "fail", (T,)
+        )
+        message = r"^image of t\^1 starts below the certified gain$"
+        with pytest.raises(NonContracting, match=message):
+            apply_derivation(d, S((1, 1), precision=3))
+        with pytest.raises(NonContracting, match=message):
+            exp_apply(d, T, element(Q, 10))
+
+    def test_an_exact_zero_image_contracts(self):
+        d = make_table_derivation(Q, {1: Series.zero(Q)}, 1)
+        assert check_derivation(d, SampleSpec(7, 5)).contracting == CheckResult("pass")
+        assert exp_apply(d, T, element(Q, 10)) == S((1, 1), precision=10)

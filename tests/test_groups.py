@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from hahnaut import groups
+from hahnaut import groups, parsing
 from hahnaut.errors import (
     DescriptorMismatch,
     DomainError,
@@ -780,6 +780,15 @@ class TestOneInstancePerGroup:
         )
         if not param:
             assert GroupDescriptor(kind) is named
+
+    def test_surreal_depth_is_bounded_by_the_nesting_the_parser_reads(self):
+        # the deepest group is built; one level more is refused (its
+        # refusal is in test_refusals), as its truncated series would
+        # print deeper than the parser reads
+        assert parsing.MAX_NESTING is groups.MAX_NESTING
+        deepest = surreal_depth(groups.MAX_NESTING - 1)
+        assert str(deepest) == "surreal99"
+        assert deepest.exponent_group is surreal_depth(98)
 
     def test_descriptors_compare_and_hash_by_identity(self):
         assert GroupDescriptor.__eq__ is object.__eq__

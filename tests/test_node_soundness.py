@@ -10,9 +10,11 @@ refusal on one side only is a case the check cannot evaluate, and each
 kind and direction must evaluate at least ``MIN_EVALUATED`` cases.  The
 kinds are the identity (the empty ``Compose``), the five primitive nodes,
 ``Theta``, ``TauBuild`` and a composition of two primitives.  The same
-checks run on ``Series.invert`` and ``exp_apply`` alone, and the last tests
-show the precision rules of ``+``, ``*`` and ``invert`` tight, and those of
-``exp_apply`` and the primitive node kinds tight below their caps.
+checks run on ``Series.invert`` and ``exp_apply`` alone, a table
+exponential with truncated images is checked against two completions of
+each image, and the last tests show the precision rules of ``+``, ``*``
+and ``invert`` tight, and those of ``exp_apply`` and the primitive node
+kinds tight below their caps.
 """
 
 from collections import Counter
@@ -37,8 +39,8 @@ from hahnaut.automorphisms import (
     make_external_group,
     make_internal_mult,
 )
-from hahnaut.derivations import exp_apply, exp_derivation
-from hahnaut.errors import HahnError
+from hahnaut.derivations import exp_apply, exp_derivation, make_table_derivation
+from hahnaut.errors import HahnError, NonContracting
 from hahnaut.groups import (
     RATIONALS,
     Composite,
@@ -46,6 +48,7 @@ from hahnaut.groups import (
     PositiveScalar,
     Translation,
     TriangularMatrix,
+    element,
     lex_power,
     surreal_depth,
 )
@@ -281,6 +284,61 @@ def test_truncated_kernel_input_agrees_below_its_result_precision(name, kernel):
         if full.precision is not None:
             assert truncated.precision.compare(full.precision) <= 0
         assert truncated.agrees(full)
+        outcomes["agreed"] += 1
+
+    check()
+    assert outcomes["agreed"] >= MIN_EVALUATED, outcomes
+
+
+# -- table exponentials whose images are truncated ----------------------------
+#
+# A table image known below its precision p stands for every exact image
+# that agrees with it there, among them its own terms and those plus
+# c*t^p.  The exponential of the truncated table is either refused or
+# agrees with the exponential of each such completion below its own
+# precision.
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_truncated_table_images_agree_with_every_completion(name):
+    group = GROUPS[name]
+    offsets = st.just(element(group, 0)) | positive(exponents(group))
+    outcomes = Counter()
+
+    @settings(max_examples=KERNEL_EXAMPLES)
+    @given(
+        table_derivations(group),
+        st.lists(offsets, min_size=5, max_size=5),
+        st.none() | st.integers(0, 4),
+        coefficients.filter(bool),
+        st.lists(st.tuples(st.integers(0, 4), coefficients), min_size=1, max_size=3),
+        exponents(group),
+    )
+    def check(d, offsets, below, c, picks, target):
+        # the chain's image of each key, cut at the key plus the gain plus
+        # its offset, or minus it for the image ``below``, which that breaks
+        cut = [
+            (g, image.truncate_to(g + d.gain + (-offset if i == below else offset)))
+            for i, ((g, image), offset) in enumerate(zip(d.rule.entries, offsets))
+        ]
+        own = [(g, Series(group, image.terms)) for g, image in cut]
+        plus = [
+            (g, exact + Series.monomial(group, image.precision, c))
+            for (g, image), (_, exact) in zip(cut, own)
+        ]
+        s = Series.make(group, [(d.rule.entries[i][0], a) for i, a in picks])
+
+        def exp(entries):
+            table = make_table_derivation(group, entries, d.gain, zero_default=True)
+            return exp_apply(table, s, target)
+
+        try:
+            truncated = exp(cut)
+        except NonContracting:
+            outcomes["refused"] += 1
+            return
+        # a certified result makes every completion a contracting table
+        assert truncated.agrees(exp(own)) and truncated.agrees(exp(plus))
         outcomes["agreed"] += 1
 
     check()

@@ -121,6 +121,21 @@ class TestFormatSeries:
         assert format_series(s, Q_T) == "t^(1) (mod t^(4))"
         assert format_series(s, Q_W) == "w^(-1) (mod w^(-4))"
 
+    @pytest.mark.parametrize("notation", ["t", "w"])
+    def test_the_deepest_truncated_series_round_trips(self, notation):
+        # an exponent one bracket level per depth of the deepest group as
+        # the precision: " (mod ...)" nests it to the parser's limit
+        depth = parsing.MAX_NESTING - 1
+        deepest = groups.element(surreal_depth(1), Series.monomial(RATIONALS, 1))
+        for d in range(2, depth + 1):
+            deepest = groups.element(
+                surreal_depth(d), Series.monomial(surreal_depth(d - 1), deepest)
+            )
+        s = Series.make(surreal_depth(depth), [(0, 3)], deepest)
+        config = SessionConfig(surreal_depth(depth), notation=notation)
+        text = format_series(s, config)
+        assert text.count("[") == depth and parse_series(text, config) == s
+
     @pytest.mark.parametrize("group", [INTEGERS, RATIONALS, lex_power(2), surreal_depth(1)])
     @pytest.mark.parametrize("notation", ["t", "w"])
     def test_round_trip_on_samples(self, group, notation):

@@ -155,6 +155,11 @@ REFUSALS = {
         DomainError,
         "SurrealDepth depth must be >= 0",
     ),
+    "surreal depth above the bound": (
+        lambda: GroupDescriptor("SurrealDepth", 100),
+        DomainError,
+        "SurrealDepth depth must be <= 99",
+    ),
     "a parameter on Q": (
         lambda: GroupDescriptor("Rationals", 1),
         DomainError,
