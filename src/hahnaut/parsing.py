@@ -7,7 +7,7 @@ structured automorphism grammar used by the command line.
 
 Series syntax::
 
-    series := term (("+"|"-") term)* [" (mod " base "^(" exponent "))"]
+    series := ["-"] term (("+"|"-") term)* [" (mod " base "^(" exponent "))"]
     term   := rational ["*" base "^" "(" exponent ")"]
             | base "^" "(" exponent ")"
 
@@ -26,6 +26,7 @@ series, including truncated ones.
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -161,6 +162,20 @@ class _Parser:
             out.append(item())
         return out
 
+    def signed(self, item) -> list:
+        """``["-"] item (("+"|"-") item)*``: ``(sign, item())`` in order,
+        with ``sign`` -1 after a ``-`` and 1 otherwise."""
+        sign = 1
+        if self.peek.kind == "-":
+            self.advance()
+            sign = -1
+        out = []
+        while True:
+            out.append((sign, item()))
+            if self.peek.kind not in ("+", "-"):
+                return out
+            sign = 1 if self.advance().kind == "+" else -1
+
     # -- scalars and group elements ----------------------------------------
 
     def natural(self, what: str) -> int:
@@ -237,23 +252,8 @@ class _Parser:
         return self.power(config), Fraction(1)
 
     def series_sum(self, config: SessionConfig) -> Series:
-        terms = []
-        sign = 1
-        if self.peek.kind == "-":
-            self.advance()
-            sign = -1
-        while True:
-            ex, c = self.series_term(config)
-            terms.append((ex, sign * c))
-            if self.peek.kind == "+":
-                self.advance()
-                sign = 1
-            elif self.peek.kind == "-":
-                self.advance()
-                sign = -1
-            else:
-                break
-        return Series.make(config.group, terms)
+        signed = self.signed(lambda: self.series_term(config))
+        return Series.make(config.group, [(ex, sign * c) for sign, (ex, c) in signed])
 
     def series(self, config: SessionConfig) -> Series:
         body = self.series_sum(config)
@@ -272,14 +272,10 @@ class _Parser:
         """A signed sum of products: one ``Series.make`` of all their terms
         at their least precision, which is the chain of ``+``, as exact
         addition is associative and its precision is the least either way."""
-        terms, precision, sign = [], None, 1
-        while True:
-            rhs = self.expr_product(config)
-            terms.extend((ex, sign * c) for ex, c in rhs.terms)
-            precision = _pmin(precision, rhs.precision)
-            if self.peek.kind not in ("+", "-"):
-                return Series.make(config.group, terms, precision)
-            sign = 1 if self.advance().kind == "+" else -1
+        signed = self.signed(lambda: self.expr_product(config))
+        terms = [(ex, sign * c) for sign, rhs in signed for ex, c in rhs.terms]
+        precision = functools.reduce(_pmin, [rhs.precision for _, rhs in signed], None)
+        return Series.make(config.group, terms, precision)
 
     def expr_product(self, config: SessionConfig) -> Series:
         total = self.expr_atom(config)

@@ -20,10 +20,14 @@ from .series import Series
 
 
 class SampleSpec(Record):
-    """Reproducible sample description: a seed and a sample count."""
+    """Reproducible sample description: a seed and an int count of at least 1."""
 
     seed: int = 7
     count: int = 50
+
+    def __post_init__(self):
+        if type(self.count) is not int or self.count < 1:
+            raise DomainError(f"sample count {self.count!r} is not an int of at least 1")
 
 
 class CheckResult(Record):

@@ -230,12 +230,8 @@ class _Keys:
         if radix is None:
             return v.numerator * (scale // v.denominator)
         k = 0
-        if scale == 1:
-            for c in v:
-                k = k * radix + c.numerator
-        else:
-            for c in v:
-                k = k * radix + c.numerator * (scale // c.denominator)
+        for c in v:
+            k = k * radix + c.numerator * (scale // c.denominator)
         return k
 
     def element(self, k: int) -> GroupElement:
@@ -608,7 +604,7 @@ class Series(Record):
         sign = -1 if rn > 0 else 1
         steps = [(key(ex) - kg, sign * n * rd) for ex, n in rest]
         common = gcd(d, *[c for _, c in steps])
-        if common > 1:
+        if common > 1:  # usually 1: rebuilding anyway cost a dense Q invert 3%
             d //= common
             steps = [(x, c // common) for x, c in steps]
         # [numerator, power] per distinct key, and the keys in a heap, from

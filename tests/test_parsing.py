@@ -182,6 +182,29 @@ class TestExpressions:
         s = parse_expression("-(1 + t^(1)) + 1", Q_T)
         assert [(e.value, c) for e, c in s.terms] == [(1, -1)]
 
+    # A literal reads one sign before each term and a signed number in it,
+    # so "- -3" is 3 but "-t^(1)" cannot follow a sign; an expression
+    # negates a factor by a run of "-".  An int is a parse error's offset.
+    @pytest.mark.parametrize(
+        "text, literal, expression",
+        [
+            ("3 - -t^(1)", 5, "3 + t^(1)"),
+            ("- -3", "3", "3"),
+            ("1 + + 2", "3", "3"),
+            ("-", 1, 1),
+            ("+t^(1)", 1, 1),
+        ],
+    )
+    def test_signs_in_literals_and_expressions(self, text, literal, expression):
+        cases = ((parse_series, literal), (parse_expression, expression))
+        for parse, expected in cases:
+            if isinstance(expected, int):
+                with pytest.raises(ParseError) as excinfo:
+                    parse(text, Q_T)
+                assert excinfo.value.pos == expected
+            else:
+                assert format_series(parse(text, Q_T)) == expected
+
     @pytest.mark.parametrize("count", [1, 2, 37, 64])
     def test_long_signed_sum_equals_the_left_fold(self, count):
         # summands that cancel, and quotients cut at the session precision

@@ -26,6 +26,7 @@ from hahnaut import (
     PartialCharacter,
     PiecewiseLinear,
     SampleInsufficiency,
+    SampleSpec,
     ScalingFamily,
     Series,
     SessionConfig,
@@ -33,12 +34,14 @@ from hahnaut import (
     apply_aut,
     apply_derivation,
     check_derivation,
+    classify_aut,
     compose_aut,
     element,
     embed_rational,
     factorize_aut,
     identity_aut,
     identity_map,
+    is_one_aut,
     lex_power,
     load_aut_spec,
     make_external_group,
@@ -330,6 +333,22 @@ REFUSALS = {
         lambda: parse_series("t^((1,2,3))", SessionConfig(LEX2)),
         ParseError,
         "expected 2 coordinates (at offset 10)",
+    ),
+    # sampling: a count below 1 would certify on fewer samples than asked
+    "negative sample count": (
+        lambda: is_one_aut(identity_aut(Q), SampleSpec(7, -2)),
+        DomainError,
+        "sample count -2 is not an int of at least 1",
+    ),
+    "negative sample count in a classification": (
+        lambda: classify_aut(identity_aut(Q), SampleSpec(7, -3)),
+        DomainError,
+        "sample count -3 is not an int of at least 1",
+    ),
+    "fractional sample count": (
+        lambda: classify_aut(identity_aut(Q), SampleSpec(7, 2.5)),
+        DomainError,
+        "sample count 2.5 is not an int of at least 1",
     ),
 }
 
