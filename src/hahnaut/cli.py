@@ -45,10 +45,14 @@ def _session(args) -> tuple[parsing.SessionConfig, SampleSpec]:
     precision = None
     if args.precision is not None:
         precision = parsing.parse_group_element(args.precision, group)
-    if args.sample_count < 1:
-        raise UsageError(f"--sample-count must be at least 1, not {args.sample_count}")
     config = parsing.SessionConfig(group, precision, args.notation)
-    return config, SampleSpec(args.seed, args.sample_count)
+    try:  # SampleSpec states the rule; a bad flag is a usage error (exit 2)
+        samples = SampleSpec(args.seed, args.sample_count)
+    except DomainError:
+        raise UsageError(
+            f"--sample-count must be at least 1, not {args.sample_count}"
+        ) from None
+    return config, samples
 
 
 def _print_witness(witness, config):

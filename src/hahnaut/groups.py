@@ -337,7 +337,8 @@ def zero(descriptor: GroupDescriptor) -> GroupElement:
 
 def embed_rational(descriptor: GroupDescriptor, q) -> GroupElement:
     """Canonical embedding of a rational along the dominant direction."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     kind = descriptor.kind
     if kind == "Integers":
         if q.denominator != 1:
@@ -370,7 +371,7 @@ def element(descriptor: GroupDescriptor, raw) -> GroupElement:
         if kind == "LexPower" and not isinstance(raw, (int, Fraction)):
             if not isinstance(raw, (tuple, list)):  # a str or dict iterates too
                 raise TypeError("lex coordinates come as a tuple or a list")
-            vals = tuple(Fraction(c) for c in raw)
+            vals = tuple(c if type(c) is Fraction else Fraction(c) for c in raw)
             if len(vals) != descriptor.param:
                 raise DomainError(
                     f"expected {descriptor.param} components, got {len(vals)}"

@@ -22,6 +22,14 @@ bracketed series literals ``[...]`` (always in t-notation).
 
 ``format_series`` and ``parse_series`` are exact inverses on every
 series, including truncated ones.
+
+``tokenize`` cuts the text into plain ``(kind, text, pos)`` tuples, which
+the parser reads by index: ``kind`` is ``"number"``, ``"ident"``,
+``"end"`` or the symbol itself, and ``pos`` is the offset every
+``ParseError`` reports.  A number longer than the interpreter reads is
+refused with its digit count; ``sys.get_int_max_str_digits()`` is read
+only for a number of more than ``sys.int_info.str_digits_check_threshold``
+(640) digits, as Python allows no nonzero limit below that.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ import functools
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import automorphisms, derivations, groups
 from .errors import (
@@ -70,13 +77,9 @@ _TOKEN = re.compile(
 )
 
 
-class Token(NamedTuple):
-    kind: str  # "number" | "ident" | a symbol | "end"
-    text: str
-    pos: int
-
-
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The ``(kind, text, pos)`` tokens of ``text``, ending in
+    ``("end", "", len(text))``; a symbol's kind is its own text."""
     tokens = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
@@ -85,15 +88,23 @@ def tokenize(text: str) -> list[Token]:
         t = m[0]
         if kind == "other":
             raise ParseError(f"unexpected character {t!r}", m.start())
-        tokens.append(Token(t if kind == "symbol" else kind, t, m.start()))
-    tokens.append(Token("end", "", len(text)))
+        tokens.append((t if kind == "symbol" else kind, t, m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
+# int() checks the digit limit only past this many digits, and the limit
+# is 0 (none) or at least this, so no shorter number is refused
+_CHECKED_DIGITS = sys.int_info.str_digits_check_threshold
+_ONE = Fraction(1)
 
 
 class _Parser:
+    """Reads the tokens of one text by index ``i``.  The hot steps index
+    ``tokens`` directly; as only the last token is ``"end"``, a step that
+    sees any other kind may read the token after it."""
+
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.i = 0
@@ -102,32 +113,32 @@ class _Parser:
     # -- plumbing ----------------------------------------------------------
 
     @property
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def kind(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.i][0]
 
-    def peek_at(self, offset: int) -> Token:
-        j = min(self.i + offset, len(self.tokens) - 1)
-        return self.tokens[j]
-
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.i]
-        if tok.kind != "end":
+        if tok[0] != "end":
             self.i += 1
         return tok
 
     def error(self, message: str):
-        raise ParseError(message, self.peek.pos)
+        raise ParseError(message, self.tokens[self.i][2])
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        if self.peek.kind != kind:
-            self.error(f"expected {what or kind!r}")
-        return self.advance()
+    def expect(self, kind: str, what: str | None = None) -> tuple:
+        """The next token, which must be of ``kind`` (never ``"end"``)."""
+        tok = self.tokens[self.i]
+        if tok[0] != kind:
+            raise ParseError(f"expected {what or kind!r}", tok[2])
+        self.i += 1
+        return tok
 
     def keyword(self, word: str, what: str | None = None):
         what = what or f"keyword {word!r}"
-        tok = self.expect("ident", what)
-        if tok.text != word:
-            raise ParseError(f"expected {what}, got {tok.text!r}", tok.pos)
+        _, text, pos = self.expect("ident", what)
+        if text != word:
+            raise ParseError(f"expected {what}, got {text!r}", pos)
 
     def field(self, word: str, value):
         """``word: value``: the result of ``value()``."""
@@ -136,18 +147,19 @@ class _Parser:
         return value()
 
     def at_keyword(self, word: str) -> bool:
-        return self.peek.kind == "ident" and self.peek.text == word
+        kind, text, _ = self.tokens[self.i]
+        return kind == "ident" and text == word
 
     def done(self):
-        if self.peek.kind != "end":
+        if self.kind != "end":
             self.error("unexpected trailing input")
 
     def enclosed(self, opener: str, item):
         """``opener item closer``: the result of ``item()``, nested at most
         ``MAX_NESTING`` deep."""
-        tok = self.expect(opener)
+        _, _, pos = self.expect(opener)
         if self.depth == MAX_NESTING:
-            raise ParseError(f"brackets nest deeper than {MAX_NESTING} levels", tok.pos)
+            raise ParseError(f"brackets nest deeper than {MAX_NESTING} levels", pos)
         self.depth += 1
         result = item()
         self.depth -= 1
@@ -157,7 +169,7 @@ class _Parser:
     def separated(self, item, sep: str = ",") -> list:
         """``item (sep item)*``: the results of ``item()`` in order."""
         out = [item()]
-        while self.peek.kind == sep:
+        while self.kind == sep:
             self.advance()
             out.append(item())
         return out
@@ -165,50 +177,56 @@ class _Parser:
     def signed(self, item) -> list:
         """``["-"] item (("+"|"-") item)*``: ``(sign, item())`` in order,
         with ``sign`` -1 after a ``-`` and 1 otherwise."""
+        tokens = self.tokens
         sign = 1
-        if self.peek.kind == "-":
-            self.advance()
+        if tokens[self.i][0] == "-":
+            self.i += 1
             sign = -1
         out = []
         while True:
             out.append((sign, item()))
-            if self.peek.kind not in ("+", "-"):
+            kind = tokens[self.i][0]
+            if kind not in ("+", "-"):
                 return out
-            sign = 1 if self.advance().kind == "+" else -1
+            self.i += 1
+            sign = 1 if kind == "+" else -1
 
     # -- scalars and group elements ----------------------------------------
 
     def natural(self, what: str) -> int:
-        tok = self.expect("number", what)
-        digits, limit = len(tok.text), sys.get_int_max_str_digits()
-        if digits > limit > 0:  # more digits than int() reads
-            raise ParseError(f"a number of {digits} digits, past {limit}", tok.pos)
-        return int(tok.text)
+        _, text, pos = self.expect("number", what)
+        digits = len(text)
+        if digits > _CHECKED_DIGITS:
+            limit = sys.get_int_max_str_digits()
+            if digits > limit > 0:  # more digits than int() reads
+                raise ParseError(f"a number of {digits} digits, past {limit}", pos)
+        return int(text)
 
     def rational(self) -> Fraction:
-        sign = 1
-        if self.peek.kind == "-":
-            self.advance()
-            sign = -1
-        elif self.peek.kind == "+":
-            self.advance()
+        tokens = self.tokens
+        kind = tokens[self.i][0]
+        negative = kind == "-"
+        if negative or kind == "+":
+            self.i += 1
         num = self.natural("a number")
-        if self.peek.kind == "/" and self.peek_at(1).kind == "number":
-            self.advance()
+        if negative:
+            num = -num
+        if tokens[self.i][0] == "/" and tokens[self.i + 1][0] == "number":
+            self.i += 1
             den = self.natural("a denominator")
             if den == 0:
                 self.error("zero denominator")
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+            return Fraction(num, den)
+        return Fraction(num)
 
     def group_element(self, group: GroupDescriptor) -> GroupElement:
         kind = group.kind
-        if kind == "LexPower" and self.peek.kind == "(":
+        if kind == "LexPower" and self.kind == "(":
             coords = self.enclosed("(", lambda: self.separated(self.rational))
             if len(coords) != group.param:
                 self.error(f"expected {group.param} coordinates")
             return groups.element(group, tuple(coords))
-        if kind == "SurrealDepth" and group.param >= 1 and self.peek.kind == "[":
+        if kind == "SurrealDepth" and group.param >= 1 and self.kind == "[":
             config = SessionConfig(group.exponent_group)
             inner = self.enclosed("[", lambda: self.series_sum(config))
             return groups.element(group, inner)
@@ -236,28 +254,30 @@ class _Parser:
         try:
             g = self.group_element(config.group)
         except (DomainError, ValueError) as e:
-            raise ExponentParseError(
-                f"exponent does not fit the session group: {e}", self.peek.pos
-            ) from e
+            message = f"exponent does not fit the session group: {e}"
+            raise ExponentParseError(message, self.tokens[self.i][2]) from e
         self.expect(")", "')' after the exponent")
         return -g if config.notation == "w" else g
 
     def series_term(self, config: SessionConfig):
-        if self.peek.kind in ("number", "-", "+"):
+        tokens = self.tokens
+        if tokens[self.i][0] in ("number", "-", "+"):
             coeff = self.rational()
-            if self.peek.kind == "*" and self.peek_at(1).kind == "ident":
-                self.advance()
+            if tokens[self.i][0] == "*" and tokens[self.i + 1][0] == "ident":
+                self.i += 1
                 return self.power(config), coeff
             return groups.zero(config.group), coeff
-        return self.power(config), Fraction(1)
+        return self.power(config), _ONE
 
     def series_sum(self, config: SessionConfig) -> Series:
         signed = self.signed(lambda: self.series_term(config))
-        return Series.make(config.group, [(ex, sign * c) for sign, (ex, c) in signed])
+        return Series.make(
+            config.group, [(ex, c if sign > 0 else -c) for sign, (ex, c) in signed]
+        )
 
     def series(self, config: SessionConfig) -> Series:
         body = self.series_sum(config)
-        if not (self.peek.kind == "(" and self.peek_at(1).text == "mod"):
+        if not (self.kind == "(" and self.tokens[self.i + 1][1] == "mod"):
             return body
 
         def bound():
@@ -273,14 +293,16 @@ class _Parser:
         at their least precision, which is the chain of ``+``, as exact
         addition is associative and its precision is the least either way."""
         signed = self.signed(lambda: self.expr_product(config))
-        terms = [(ex, sign * c) for sign, rhs in signed for ex, c in rhs.terms]
+        terms = [
+            (ex, c if sign > 0 else -c) for sign, rhs in signed for ex, c in rhs.terms
+        ]
         precision = functools.reduce(_pmin, [rhs.precision for _, rhs in signed], None)
         return Series.make(config.group, terms, precision)
 
     def expr_product(self, config: SessionConfig) -> Series:
         total = self.expr_atom(config)
-        while self.peek.kind in ("*", "/"):
-            op = self.advance().kind
+        while self.kind in ("*", "/"):
+            op = self.advance()[0]
             rhs = self.expr_atom(config)
             if op == "*":
                 total = total * rhs
@@ -290,10 +312,10 @@ class _Parser:
 
     def expr_atom(self, config: SessionConfig) -> Series:
         negated = False
-        while self.peek.kind == "-":  # a run of unary minus signs, read flat
+        while self.kind == "-":  # a run of unary minus signs, read flat
             self.advance()
             negated = not negated
-        if self.peek.kind == "(":
+        if self.kind == "(":
             atom = self.enclosed("(", lambda: self.expression(config))
         else:
             atom = Series.make(config.group, [self.series_term(config)])
@@ -304,14 +326,14 @@ class _Parser:
     def _pairs_ahead(self) -> bool:
         """True when a ':' occurs at bracket depth 0 before the closer."""
         depth = 0
-        for tok in self.tokens[self.i :]:
-            if tok.kind in "([{":
+        for kind, _, _ in self.tokens[self.i :]:
+            if kind in "([{":
                 depth += 1
-            elif tok.kind in ")]}":
+            elif kind in ")]}":
                 if depth == 0:
                     return False
                 depth -= 1
-            elif tok.kind == ":" and depth == 0:
+            elif kind == ":" and depth == 0:
                 return True
         return False
 
@@ -331,8 +353,7 @@ class _Parser:
         """An additive automorphism (``matrix``) or a monotone map (``translate``,
         ``piecewise``); ``identity``, ``scalar`` and ``compose`` are both."""
         what = "additive automorphism" if additive else "monotone map"
-        tok = self.expect("ident", f"{'an' if additive else 'a'} {what}")
-        name = tok.text
+        _, name, pos = self.expect("ident", f"{'an' if additive else 'a'} {what}")
         group = config.group
         if name == "identity":
             return groups.identity_map(group)
@@ -359,7 +380,7 @@ class _Parser:
                 breaks = self.field("breaks", self.rational_list)
                 self.expect(",")
                 slopes = self.field("slopes", self.rational_list)
-                if self.peek.kind != ",":
+                if self.kind != ",":
                     return breaks, slopes, Fraction(0)
                 self.advance()
                 return breaks, slopes, self.field("at", self.rational)
@@ -367,10 +388,10 @@ class _Parser:
             breaks, slopes, anchor = self.enclosed("{", body)
             if group is not RATIONALS:
                 raise ParseError(
-                    "piecewise maps are only available over the rationals", tok.pos
+                    "piecewise maps are only available over the rationals", pos
                 )
             return groups.PiecewiseLinear(tuple(breaks), tuple(slopes), anchor)
-        raise ParseError(f"unknown {what} {name!r}", tok.pos)
+        raise ParseError(f"unknown {what} {name!r}", pos)
 
     # -- derivations ---------------------------------------------------------
 
@@ -381,12 +402,12 @@ class _Parser:
         return phi, self.field("shift", lambda: self.group_element(config.group))
 
     def derivation(self, config: SessionConfig) -> derivations.MonomialDerivation:
-        tok = self.expect("ident", "a derivation spec")
+        _, name, pos = self.expect("ident", "a derivation spec")
         group = config.group
-        if tok.text == "deriv":
+        if name == "deriv":
             phi, shift = self.enclosed("{", lambda: self.phi_shift(config))
             return derivations.make_phi_derivation(phi, shift)
-        if tok.text == "table":
+        if name == "table":
 
             def entry():
                 return self.pair(group, lambda: self.series_sum(config))
@@ -397,21 +418,19 @@ class _Parser:
                 )
                 self.expect(",")
                 gain = self.field("gain", lambda: self.group_element(group))
-                if self.peek.kind != ",":
+                if self.kind != ",":
                     return entries, gain, False
                 self.advance()
-                flag = self.field(
+                _, flag, flag_pos = self.field(
                     "zero_default", lambda: self.expect("ident", "true or false")
                 )
-                if flag.text not in ("true", "false"):
-                    raise ParseError(
-                        f"expected true or false, got {flag.text!r}", flag.pos
-                    )
-                return entries, gain, flag.text == "true"
+                if flag not in ("true", "false"):
+                    raise ParseError(f"expected true or false, got {flag!r}", flag_pos)
+                return entries, gain, flag == "true"
 
             entries, gain, zero_default = self.enclosed("{", body)
             return derivations.make_table_derivation(group, entries, gain, zero_default)
-        raise ParseError(f"unknown derivation spec {tok.text!r}", tok.pos)
+        raise ParseError(f"unknown derivation spec {name!r}", pos)
 
     # -- automorphism specs --------------------------------------------------
 
@@ -420,18 +439,16 @@ class _Parser:
         empty or end in a comma."""
 
         def entry():
-            if self.peek.kind == "}" or (
-                self.peek.kind == "ident" and self.peek.text in stop_words
-            ):
+            kind, text, _ = self.tokens[self.i]
+            if kind == "}" or (kind == "ident" and text in stop_words):
                 return None
             return self.pair(config.group, self.rational)
 
         return [e for e in self.separated(entry) if e is not None]
 
     def automorphism(self, config: SessionConfig) -> automorphisms.Automorphism:
-        tok = self.expect("ident", "an automorphism spec")
+        _, name, pos = self.expect("ident", "an automorphism spec")
         group = config.group
-        name = tok.text
         if name == "identity":
             return automorphisms.identity_aut(group)
         if name == "external_field":
@@ -458,7 +475,7 @@ class _Parser:
                 zeta = self.field("zeta", lambda: self.value_map(config, False))
                 default = Fraction(1)
                 exceptions = []
-                if self.peek.kind == ",":
+                if self.kind == ",":
                     self.advance()
                     if self.at_keyword("scale"):
                         exceptions = self.field(
@@ -490,7 +507,7 @@ class _Parser:
         if name == "inverse":
             inner = self.enclosed("(", lambda: self.automorphism(config))
             return automorphisms.invert_aut(inner)
-        raise ParseError(f"unknown automorphism spec {name!r}", tok.pos)
+        raise ParseError(f"unknown automorphism spec {name!r}", pos)
 
 
 def _expression_inverse(rhs: Series, config: SessionConfig) -> Series:

@@ -1,7 +1,11 @@
 import re
+import string
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hahnaut import automorphisms, groups, parsing
 from hahnaut.errors import (
@@ -81,6 +85,38 @@ class TestParseSeries:
         assert [(e.value, c) for e, c in inner.terms] == [(-1, -1)]
 
 
+# What a token is made of, as characters: the grammar's symbols, digits,
+# identifier characters, ASCII and Unicode whitespace, and characters the
+# tokenizer refuses; the scanner below reads them one class at a time.
+SYMBOLS = "{}()[],:^*+-/;"
+IDENT_START = string.ascii_letters + "_"
+IDENT_REST = IDENT_START + string.digits
+TOKENIZER_PIECES = [
+    *SYMBOLS, *string.digits, "t", "w", "x_1", "_", "Z9", "mod",
+    " ", "\t", "\n", "\r", "\x0b", "\x0c", "\u00a0", "\u2003", "\u2028", "\u3000",
+    "\u00b2", "\u00e9", "!",
+]
+
+
+def reference_tokens(text: str) -> list:
+    """The ``(kind, text, pos)`` tokens of ``text``, one character class at
+    a time, or the ``ParseError`` of its first refused character."""
+    out, i = [], 0
+    while i < len(text):
+        c, j = text[i], i + 1
+        if c in string.digits or c in IDENT_START:
+            rest = string.digits if c in string.digits else IDENT_REST
+            while j < len(text) and text[j] in rest:
+                j += 1
+            out.append(("number" if rest == string.digits else "ident", text[i:j], i))
+        elif c in SYMBOLS:
+            out.append((c, c, i))
+        elif not c.isspace():
+            raise ParseError(f"unexpected character {c!r}", i)
+        i = j
+    return out + [("end", "", len(text))]
+
+
 class TestTokenize:
     def test_tokens(self):
         assert [tuple(tok) for tok in tokenize("3/4*t^(x_1)")] == [
@@ -98,6 +134,52 @@ class TestTokenize:
         with pytest.raises(ParseError, match="unexpected character") as excinfo:
             parse_series(f"1 + {char}", Q_T)
         assert excinfo.value.pos == 4
+
+    @given(st.lists(st.sampled_from(TOKENIZER_PIECES), max_size=40).map("".join))
+    def test_matches_a_character_class_scanner(self, text):
+        try:
+            expected = reference_tokens(text)
+        except ParseError as e:
+            with pytest.raises(ParseError) as excinfo:
+                tokenize(text)
+            assert (str(excinfo.value), excinfo.value.pos) == (str(e), e.pos)
+            return
+        tokens = tokenize(text)
+        assert tokens == expected
+        assert all(type(tok) is tuple for tok in tokens)
+
+
+# Python refuses any nonzero digit limit below this, so it is where the
+# parser's own digit check starts
+THRESHOLD = sys.int_info.str_digits_check_threshold
+
+
+class TestDigitLimitAtTheThreshold:
+    """The lowest limit Python allows: a number as long as it parses, one
+    digit more is refused at its offset, in every place a number is written."""
+
+    CASES = {  # name -> (text of a number of n digits, its offset, group)
+        "coefficient": (lambda n: "7" * n, 0, RATIONALS),
+        "denominator": (lambda n: "1/" + "3" * n, 2, RATIONALS),
+        "q-exponent": (lambda n: f"t^({'1' * n})", 3, RATIONALS),
+        "lex-coordinate": (lambda n: f"t^((1,{'2' * n}))", 6, lex_power(2)),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_at_and_past_the_limit(self, name):
+        text, offset, group = self.CASES[name]
+        config = SessionConfig(group)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(THRESHOLD)
+        try:
+            assert parse_series(text(THRESHOLD), config).terms
+            with pytest.raises(ParseError) as excinfo:
+                parse_series(text(THRESHOLD + 1), config)
+        finally:
+            sys.set_int_max_str_digits(old)
+        message = f"a number of {THRESHOLD + 1} digits, past {THRESHOLD}"
+        assert str(excinfo.value) == f"{message} (at offset {offset})"
+        assert excinfo.value.pos == offset
 
 
 class TestFormatSeries:
